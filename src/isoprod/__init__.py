@@ -7,7 +7,7 @@ middle cohomology and its classification).
 """
 
 from .chartab import CharacterTable, character_table, galois_orbits
-from .cyclotomic import CyclotomicNumber, PrimeFieldElement, Rational, zeta
+from .cyclotomic import CyclotomicNumber, Rational, zeta
 from .groups import FiniteGroup, build_group
 from .ramification import (
     RamificationStructure,
@@ -20,7 +20,6 @@ __all__ = [
     "CharacterTable",
     "CyclotomicNumber",
     "FiniteGroup",
-    "PrimeFieldElement",
     "RamificationStructure",
     "Rational",
     "SurfaceAnalysis",

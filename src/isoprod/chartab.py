@@ -21,16 +21,20 @@ from __future__ import annotations
 import math
 import os
 import re
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from hashlib import sha256
 
 from .cyclotomic import (
+    ZERO,
     CyclotomicNumber,
     Rational,
+    divisors,
     is_prime,
     parse_cyclotomic,
+    prime_factors,
     render_cyclotomic,
 )
 from .groups import FiniteGroup, Subgroup, kernel_of_character
@@ -174,12 +178,6 @@ class GroupAlgebraElement:
     group: FiniteGroup
     coefficients: tuple[Rational, ...]
 
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.group,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-        )
-
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         g = self.group
         n = g.order
@@ -310,17 +308,7 @@ def dixon_prime(order: int, exponent: int) -> int:
 
 
 def _primitive_root(p: int) -> int:
-    factors = []
-    m = p - 1
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            factors.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        factors.append(m)
+    factors = prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
@@ -348,9 +336,9 @@ def _class_matrices(group: FiniteGroup):
 def _split_spaces(mats, p, nc):
     """Common one-dimensional eigenspaces of the commuting matrices `mats`."""
     spaces = [[[1 if i == j else 0 for j in range(nc)] for i in range(nc)]]
-
-    def split_with(matrix):
-        nonlocal spaces
+    for matrix in mats[1:]:  # the identity-class matrix is the identity
+        if all(len(b) == 1 for b in spaces):
+            break
         out = []
         for basis in spaces:
             d = len(basis)
@@ -374,11 +362,8 @@ def _split_spaces(mats, p, nc):
             for lam in sorted(roots):
                 shifted = [[(rmat[i][j] - (lam if i == j else 0)) % p
                             for j in range(d)] for i in range(d)]
-                kbasis = _kernel_mod_p(shifted, p)
-                if not kbasis:
-                    continue
                 sub = []
-                for kvec in kbasis:
+                for kvec in _kernel_mod_p(shifted, p):
                     amb = [0] * nc
                     for a, coef in enumerate(kvec):
                         if coef:
@@ -390,23 +375,7 @@ def _split_spaces(mats, p, nc):
             if found != d:
                 raise CharacterTableError("eigenspace splitting lost dimensions")
         spaces = out
-
-    for matrix in mats[1:]:  # the identity-class matrix is the identity
-        if all(len(b) == 1 for b in spaces):
-            break
-        split_with(matrix)
-    if not all(len(b) == 1 for b in spaces):
-        # deterministic fallback: products of class matrices in order
-        for a in range(1, len(mats)):
-            for b in range(a, len(mats)):
-                prod = [[sum(mats[a][i][t] * mats[b][t][j] for t in range(nc)) % p
-                         for j in range(nc)] for i in range(nc)]
-                split_with(prod)
-                if all(len(s) == 1 for s in spaces):
-                    break
-            else:
-                continue
-            break
+    # p = 1 (mod exp G), p prime to |G|: the class matrices split the centre (Dixon 1967).
     if not all(len(b) == 1 for b in spaces):
         raise CharacterTableError(
             "class matrices failed to split the class algebra (engine defect)"
@@ -601,6 +570,7 @@ def tensor_trivial_multiplicity(orbit_j: RationalCharacter,
 
 
 FIXTURE_VERSION = "isoprod-chartab 1"
+_CONDUCTOR_RE = re.compile(r"z\((\d+)\)")
 
 
 def group_fingerprint(group: FiniteGroup) -> str:
@@ -612,8 +582,7 @@ def group_fingerprint(group: FiniteGroup) -> str:
     return h.hexdigest()[:24]
 
 
-def render_table(table: CharacterTable) -> str:
-    group = table.group
+def _header(group: FiniteGroup) -> str:
     lines = [FIXTURE_VERSION,
              f"group {group.recipe}",
              f"fingerprint {group_fingerprint(group)}",
@@ -624,42 +593,50 @@ def render_table(table: CharacterTable) -> str:
             f"class {k} order {cls.element_order} size {cls.size} "
             f"rep {group.word(cls.representative)}"
         )
-    for chi in table:
-        lines.append("char " + " ; ".join(render_cyclotomic(v) for v in chi.values))
     return "\n".join(lines) + "\n"
 
 
+def render_table(table: CharacterTable) -> str:
+    return _header(table.group) + "".join(
+        "char " + " ; ".join(render_cyclotomic(v) for v in chi.values) + "\n"
+        for chi in table
+    )
+
+
+def _parse_value(literal: str, conductors: set[str]) -> CyclotomicNumber:
+    # checked before any arithmetic: a huge conductor costs time quadratic in it
+    for n in _CONDUCTOR_RE.findall(literal):
+        if n not in conductors:
+            raise CharacterTableError(f"conductor {n} does not divide the group exponent")
+    try:
+        return parse_cyclotomic(literal)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CharacterTableError(f"bad character value {literal.strip()!r}: {exc}") from exc
+
+
 def parse_table(text: str, group: FiniteGroup) -> CharacterTable:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FIXTURE_VERSION:
-        raise CharacterTableError("not a character-table fixture")
-    body = {}
-    chars = []
-    for ln in lines[1:]:
-        key, _, rest = ln.partition(" ")
-        if key == "char":
-            chars.append(rest)
-        else:
-            body.setdefault(key, []).append(rest)
-    if int(body["order"][0]) != group.order:
-        raise CharacterTableError("fixture is for a group of different order")
-    if body["fingerprint"][0] != group_fingerprint(group):
-        raise CharacterTableError("fixture fingerprint mismatch")
-    classes = group.conjugacy_classes
-    for ln in body.get("class", []):
-        m = re.match(r"(\d+) order (\d+) size (\d+) ", ln + " ")
-        if not m:
-            raise CharacterTableError(f"bad class line {ln!r}")
-        k, o, s = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        if classes[k].element_order != o or classes[k].size != s:
-            raise CharacterTableError("fixture classes do not match the group")
+    """Read back a `render_table` text for `group`; a text that is not
+    exactly such a table raises CharacterTableError."""
+    header = _header(group)
+    if not text.startswith(header):
+        raise CharacterTableError("fixture header does not match the group")
+    conductors = {str(d) for d in divisors(group.exponent)}
     rows = []
-    for spec in chars:
-        values = tuple(parse_cyclotomic(v) for v in spec.split(";"))
-        if len(values) != len(classes):
+    for line in text[len(header):].splitlines():
+        if not line.startswith("char "):
+            raise CharacterTableError(f"bad character line {line[:40]!r}")
+        values = tuple(_parse_value(v, conductors) for v in line[5:].split(";"))
+        if len(values) != len(group.conjugacy_classes):
             raise CharacterTableError("wrong number of character values")
         rows.append(Character(group, values))
-    return CharacterTable(group, rows)
+    table = CharacterTable(group, rows)
+    # The regular character sum_i chi_i(1) chi_i is |G| on the identity class
+    # and 0 elsewhere; a single altered value always breaks this.
+    for k in range(len(group.conjugacy_classes)):
+        total = sum((chi.values[0] * chi.values[k] for chi in rows), ZERO)
+        if total != (group.order if k == 0 else 0):
+            raise CharacterTableError("fixture values fail column orthogonality")
+    return table
 
 
 def cached_character_table(group: FiniteGroup, cache_dir: str | None = None) -> CharacterTable:
@@ -670,13 +647,20 @@ def cached_character_table(group: FiniteGroup, cache_dir: str | None = None) -> 
         return character_table(group)
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"chartab-{group_fingerprint(group)}.txt")
-    if os.path.exists(path):
+    try:
         with open(path, encoding="utf-8") as fh:
-            try:
-                return parse_table(fh.read(), group)
-            except CharacterTableError:
-                pass  # stale or foreign file: recompute and overwrite
+            return parse_table(fh.read(), group)
+    except (FileNotFoundError, UnicodeDecodeError, CharacterTableError):
+        pass  # missing, stale, foreign or damaged file: compute and (re)write
     table = character_table(group)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_table(table))
+    text = render_table(table)
+    # write aside and rename, so readers never see a partial file
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return table

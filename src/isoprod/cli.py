@@ -1,10 +1,10 @@
 """Command-line surface.
 
-    isoprod analyze  <file> [--json]            full pipeline on a structure file
-    isoprod chartab  <file|name> [--cache DIR]  print/export a character table
-    isoprod validate <file>                     spherical/disjointness checks only
+    isoprod analyze  <file> [--json] [--cache DIR]  full pipeline on a structure file
+    isoprod chartab  <file|name> [--cache DIR]      print/export a character table
+    isoprod validate <file>                         spherical/disjointness checks only
     isoprod search   <file> [--bound N] [--limit K] [--json]
-    isoprod catalog  [--entry NAME] [--assert] [--json]
+    isoprod catalog  [--entry NAME] [--assert] [--json] [--cache DIR]
 
 Exit codes: 0 success, 1 assertion/validation failure, 2 usage error.
 The character-table cache directory can also be set with ISOPROD_CACHE.
@@ -98,7 +98,7 @@ def cmd_search(args) -> int:
     if sfile.type_pair is None:
         print("error: search needs a `types = ([...], [...])` line", file=sys.stderr)
         return 2
-    group = sfile.build(order_bound=max(args.bound, 2048))
+    group = sfile.build(order_bound=args.bound)
     structures = search_structures(group, sfile.type_pair,
                                    limit=args.limit, bound=args.bound)
     doc = {

@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N), plus prime-field scalars.
+"""Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Every element is kept in a canonical form: the conductor is minimized (an
 element that happens to lie in a smaller cyclotomic field is rewritten
@@ -354,38 +354,9 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CyclotomicNumber":
-        if not self:
-            raise ZeroDivisionError("cyclotomic division by zero")
-        if self.conductor == 1:
-            return CyclotomicNumber.from_rational(1 / self.coefficients[0])
-        n = self.conductor
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        # extended Euclid in Q[x]: u*self + v*Phi_n = gcd = nonzero constant
-        r0, r1 = phi_poly, list(self.coefficients)
-        s0, s1 = [_ZERO], [_ONE]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        r0 = _poly_trim(r0)
-        assert len(r0) == 1 and r0[0], "gcd with the cyclotomic polynomial must be a unit"
-        const = r0[0]
-        inv_coeffs = [c / const for c in s0]
-        return CyclotomicNumber.from_terms(n, {k: c for k, c in enumerate(inv_coeffs)})
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
-
     def __pow__(self, e: int):
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError(f"negative exponent {e}: cyclotomic numbers are not inverted")
         out = CyclotomicNumber.from_rational(1)
         base = self
         while e:
@@ -475,48 +446,6 @@ def _rebase(n: int, coeffs: list[Fraction], d: int) -> list[Fraction] | None:
     return _solve_exact(cols, coeffs)
 
 
-# -- dense polynomial helpers over Q (ascending coefficients)
-
-
-def _poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(_poly_trim(list(b))) - 1
-    b = _poly_trim(list(b))
-    if db == 0:
-        return [ai / b[0] for ai in a], [_ZERO]
-    q = [_ZERO] * max(1, len(a) - db)
-    while len(_poly_trim(a)) - 1 >= db and any(a):
-        da = len(_poly_trim(a)) - 1
-        c = a[da] / b[db]
-        q[da - db] = c
-        for j in range(db + 1):
-            a[da - db + j] -= c * b[j]
-        a = _poly_trim(a)
-    return _poly_trim(q), _poly_trim(a)
-
-
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:
     """The root of unity zeta_n^k in canonical form."""
     return CyclotomicNumber.from_terms(n, {k: _ONE})
@@ -598,85 +527,3 @@ def parse_cyclotomic(text: str) -> CyclotomicNumber:
         pos = m.end()
         first = False
     return total
-
-
-# ---------------------------------------------------------------------------
-# prime fields (workspace scalars for the character-table engine)
-
-
-class PrimeFieldElement:
-    """An element of F_p; p is checked prime at construction."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.value = value % p
-
-    def _check(self, other):
-        if isinstance(other, int):
-            return PrimeFieldElement(self.p, other)
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.p, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PrimeFieldElement(self.p, -self.value)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.p, self.value - other.value)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.p, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        return PrimeFieldElement(self.p, pow(self.value, -1, self.p))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return PrimeFieldElement(self.p, pow(self.value, e, self.p))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        if isinstance(other, PrimeFieldElement):
-            return self.p == other.p and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __repr__(self):
-        return f"PrimeFieldElement({self.p}, {self.value})"

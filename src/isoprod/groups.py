@@ -132,9 +132,6 @@ class FiniteGroup:
         gens = self.generators
         return all(self._mul[a][b] == self._mul[b][a] for a in gens for b in gens)
 
-    def element(self, i: int) -> "GroupElement":
-        return GroupElement(self, i)
-
     def name(self, i: int) -> str:
         return self._names[i]
 
@@ -269,37 +266,6 @@ class FiniteGroup:
         lookup = {lab: k for k, lab in enumerate(group.labels)}
         projection = tuple(lookup[reps[coset_of[i]]] for i in range(self.order))
         return QuotientGroup(group, projection, sub)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    group: FiniteGroup
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.group.order:
-            raise GroupError(f"element index {self.index} out of range")
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if other.group is not self.group:
-            raise GroupError("elements of different groups")
-        return GroupElement(self.group, self.group.mul(self.index, other.index))
-
-    def __pow__(self, e: int) -> "GroupElement":
-        return GroupElement(self.group, self.group.power(self.index, e))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.inverse(self.index))
-
-    @property
-    def order(self) -> int:
-        return self.group.element_orders[self.index]
-
-    def __str__(self):
-        return self.group.name(self.index)
-
-    def __repr__(self):
-        return f"<{self.group.name(self.index)}>"
 
 
 @dataclass(frozen=True)

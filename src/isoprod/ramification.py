@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .groups import FiniteGroup, Subgroup, QuotientGroup
 
@@ -52,12 +51,6 @@ class SphericalSystem:
 
     def genus(self) -> int:
         return genus(self.group.order, self.signature)
-
-    def conjugated(self, by: int) -> "SphericalSystem":
-        g = self.group
-        return SphericalSystem(
-            g, tuple(g.conjugate(e, by) for e in self.entries), self.signature
-        )
 
 
 def validate_spherical(group: FiniteGroup, entries) -> SphericalSystem:
@@ -147,10 +140,6 @@ class RamificationStructure:
     @property
     def group(self) -> FiniteGroup:
         return self.t1.group
-
-    @cached_property
-    def sigma_pair(self) -> tuple[frozenset[int], frozenset[int]]:
-        return sigma_set(self.t1), sigma_set(self.t2)
 
     def genera(self) -> tuple[int, int]:
         return self.t1.genus(), self.t2.genus()

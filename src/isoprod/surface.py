@@ -57,9 +57,6 @@ class BroughtonTable:
     orbits: tuple[RationalCharacter, ...]
     rational_multiplicities: tuple[int, ...]  # per orbit
 
-    def rational_multiplicity(self, orbit: RationalCharacter) -> int:
-        return self.rational_multiplicities[self.orbits.index(orbit)]
-
 
 def broughton(system: SphericalSystem, table: CharacterTable,
               orbits=None) -> BroughtonTable:

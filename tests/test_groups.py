@@ -182,15 +182,6 @@ def test_describe_group(q8):
     assert gr.describe_group(gr.symmetric_group(4)).startswith("nonabelian")
 
 
-def test_element_wrapper(q8):
-    i = q8.element(q8.generators[0])
-    j = q8.element(q8.generators[1])
-    assert (i * j).order == 4
-    assert (i ** 4).index == 0
-    assert (i * i.inverse()).index == 0
-    assert i.order == 4
-
-
 def test_words_evaluate_back(psl27):
     al = gr.default_aliases(psl27)
     for i in range(0, psl27.order, 17):

@@ -153,6 +153,10 @@ def test_cli_search(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["count"] == 1 and doc["limited"] is True
     assert doc["structures"][0]["genera"] == [49, 8]
+    # --bound also bounds building: PSL(2,7) has order 168
+    assert cli.main(["search", str(psl), "--bound", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
     missing_types = tmp_path / "none.search"
     missing_types.write_text("group = cyclic 2\n")
