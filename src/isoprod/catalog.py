@@ -152,6 +152,8 @@ def run_entry(entry: CatalogEntry, cache_dir=None) -> CatalogResult:
         structure = realize_structure(entry, cache_dir)
         table = ct.cached_character_table(structure.group, cache_dir)
         analysis = sf.analyze(structure, table)
+    except ct.CacheError:
+        raise  # not the entry's failure: no entry can use the cache
     except Exception as exc:  # per-entry failures are collected, not fatal
         return CatalogResult(entry, None, (f"{entry.name}: {exc}",))
     report = sf.analysis_report(analysis, name=entry.name)

@@ -44,6 +44,10 @@ class CharacterTableError(RuntimeError):
     """Internal defect: the engine produced something non-characterlike."""
 
 
+class CacheError(ValueError):
+    """The character-table cache directory cannot be created or written."""
+
+
 # ---------------------------------------------------------------------------
 # data types
 
@@ -645,7 +649,10 @@ def cached_character_table(group: FiniteGroup, cache_dir: str | None = None) -> 
     cache_dir = cache_dir or os.environ.get("ISOPROD_CACHE")
     if not cache_dir:
         return character_table(group)
-    os.makedirs(cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise _unusable_cache(cache_dir, exc) from exc
     path = os.path.join(cache_dir, f"chartab-{group_fingerprint(group)}.txt")
     try:
         with open(path, encoding="utf-8") as fh:
@@ -655,7 +662,10 @@ def cached_character_table(group: FiniteGroup, cache_dir: str | None = None) -> 
     table = character_table(group)
     text = render_table(table)
     # write aside and rename, so readers never see a partial file
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    except OSError as exc:
+        raise _unusable_cache(cache_dir, exc) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -664,3 +674,7 @@ def cached_character_table(group: FiniteGroup, cache_dir: str | None = None) -> 
         os.unlink(tmp)
         raise
     return table
+
+
+def _unusable_cache(cache_dir: str, exc: OSError) -> CacheError:
+    return CacheError(f"unusable cache directory {cache_dir!r}: {exc.strerror or exc}")

@@ -19,9 +19,13 @@ import sys
 from . import catalog as cat
 from . import chartab as ct
 from . import surface as sf
-from .chartab import CharacterTableError
+from .chartab import CacheError, CharacterTableError
 from .groups import GroupError
-from .ramification import RamificationError, search_structures
+from .ramification import (
+    DEFAULT_SEARCH_BOUND,
+    RamificationError,
+    search_structures,
+)
 from .structfile import ParseError, parse_structure_file
 from .surface import SurfaceError
 
@@ -154,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="enumerate structures of a given type pair")
     p.add_argument("file", help="structure file with group and types lines")
-    p.add_argument("--bound", type=int, default=512)
+    p.add_argument("--bound", type=int, default=DEFAULT_SEARCH_BOUND)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
@@ -177,7 +181,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, GroupError, RamificationError) as exc:
+    except (ParseError, GroupError, RamificationError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CharacterTableError, SurfaceError) as exc:

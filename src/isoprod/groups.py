@@ -201,20 +201,68 @@ class FiniteGroup:
         """Class index of (representative of class k) ** e."""
         return self.class_of[self.power(self.conjugacy_classes[k].representative, e)]
 
+    @cached_property
+    def _transversal(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(to_rep, centralisers): to_rep[x] is one t with t^-1 x t the
+        representative r of x's class, and centralisers[k] is C_G(r) for the
+        representative r of class k.  One pass over G per class."""
+        mul, inv = self._mul, self._inv
+        to_rep = [-1] * self.order
+        centralisers = []
+        for cls in self.conjugacy_classes:
+            r = cls.representative
+            cent = []
+            for t in range(self.order):
+                x = mul[mul[t][r]][inv[t]]  # t r t^-1, so t^-1 x t = r
+                if to_rep[x] < 0:
+                    to_rep[x] = t
+                if x == r:
+                    cent.append(t)
+            centralisers.append(tuple(cent))
+        return tuple(to_rep), tuple(centralisers)
+
+    def min_conjugate(self, entries) -> tuple[int, ...]:
+        """Lexicographically least tuple t^-1 entries t over all t in G,
+        for a nonempty tuple `entries`.
+
+        Its first entry is the smallest member of the class of entries[0],
+        which is the class representative r, so only the conjugators sending
+        entries[0] to r compete: one coset t0 C_G(r), not all of G."""
+        entries = tuple(entries)
+        if self.is_abelian:
+            return entries
+        mul, inv = self._mul, self._inv
+        to_rep, centralisers = self._transversal
+        coset = mul[to_rep[entries[0]]]
+        best = None
+        for c in centralisers[self.class_of[entries[0]]]:
+            t = coset[c]
+            left = mul[inv[t]]
+            cand = tuple([mul[left[e]][t] for e in entries])
+            if best is None or cand < best:
+                best = cand
+        return best
+
     # -- subgroups and quotients
 
     def closure(self, gens) -> frozenset[int]:
-        members = {0}
-        stack = [0]
-        gens = [g for g in gens]
-        while stack:
-            x = stack.pop()
+        """The subgroup generated by `gens` (element indices)."""
+        gens = list(dict.fromkeys(gens))
+        n = self.order
+        seen = bytearray(n)
+        seen[0] = 1
+        out = [0]
+        mul = self._mul
+        for x in out:  # walks the elements appended below as well
+            if 2 * len(out) > n:  # a subgroup of more than half of G is G
+                return frozenset(range(n))
+            row = mul[x]
             for g in gens:
-                y = self._mul[x][g]
-                if y not in members:
-                    members.add(y)
-                    stack.append(y)
-        return frozenset(members)
+                y = row[g]
+                if not seen[y]:
+                    seen[y] = 1
+                    out.append(y)
+        return frozenset(out)
 
     def subgroup(self, gens) -> "Subgroup":
         gens = tuple(dict.fromkeys(int(g) for g in gens))

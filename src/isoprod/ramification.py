@@ -10,7 +10,11 @@ action on the product of the two covering curves.
 The structure search enumerates ordered tuples whose entry orders match
 a prescribed type, pairs the two sides through their (conjugation
 invariant) Sigma-sets, and deduplicates pairs under simultaneous
-conjugation using a lexicographically minimal canonical form.
+conjugation using a lexicographically minimal canonical form.  That
+minimum starts with the representative of the first entry's class, so it
+is taken over the one coset of the representative's centraliser that
+conjugates the first entry there, not over all of G; the keys, and so the
+structure counts, are those of the minimum over all of G.
 """
 
 from __future__ import annotations
@@ -209,16 +213,7 @@ def quotient_system(system: SphericalSystem, sub: Subgroup,
 def _canonical_pair_key(group: FiniteGroup, e1, e2) -> tuple[int, ...]:
     """Lexicographically minimal concatenated index tuple over simultaneous
     conjugation of both tuples by all group elements."""
-    cat = tuple(e1) + tuple(e2)
-    if group.is_abelian:
-        return cat
-    best = None
-    conj = group.conjugate
-    for t in range(group.order):
-        cand = tuple(conj(e, t) for e in cat)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return group.min_conjugate(tuple(e1) + tuple(e2))
 
 
 def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool):
@@ -350,6 +345,8 @@ def search_structures(group: FiniteGroup, type_pair, limit: int | None = None,
     after that many distinct structures (still deterministic, but then the
     result is the first structures found rather than a global prefix)."""
     a1, a2 = (tuple(sorted(type_pair[0])), tuple(sorted(type_pair[1])))
+    if limit is not None and limit < 1:
+        raise RamificationError(f"the search limit must be at least 1, got {limit}")
     if group.order > bound:
         raise RamificationError(
             f"group order {group.order} exceeds the search bound {bound}"

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -192,3 +193,34 @@ def test_exponent_and_orders(psl27, g128):
     assert psl27.exponent == 84
     assert g128.exponent == 4
     assert math.lcm(*set(psl27.element_orders)) == 84
+
+
+def _reference_closure(group, gens):
+    members = {0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = group.mul(x, g)
+                if y not in members:
+                    members.add(y)
+                    new.append(y)
+        frontier = new
+    return members
+
+
+def test_closure_matches_reference_bfs(psl27, g128, q8):
+    rng = random.Random(128)
+    for group in (psl27, g128, q8):
+        assert group.closure([]) == frozenset({0})
+        sizes = set()
+        for _ in range(400):
+            gens = [rng.randrange(group.order) for _ in range(rng.randint(1, 4))]
+            gens += rng.choices(gens, k=rng.randint(0, 3))  # duplicates
+            rng.shuffle(gens)
+            got = group.closure(gens)
+            assert isinstance(got, frozenset)
+            assert got == _reference_closure(group, gens)
+            sizes.add(len(got))
+        assert group.order in sizes and len(sizes) > 2  # whole group and proper ones

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from isoprod import groups as gr
@@ -190,6 +192,9 @@ def test_search_bounds():
         rm.search_structures(z2, ([2, 2], [2, 2]), bound=1)
     with pytest.raises(rm.RamificationError, match="capped"):
         rm.search_structures(z2, ([2] * 7, [2, 2]))
+    for limit in (0, -3):
+        with pytest.raises(rm.RamificationError, match="limit"):
+            rm.search_structures(z2, ([2, 2], [2, 2]), limit=limit)
 
 
 def test_search_finds_example_structure(z3z3_label, z3z3_structure):
@@ -256,3 +261,33 @@ def test_search_completeness_z2cubed():
     digest = _keys_digest(rm.iter_structure_keys(group, types))
     assert digest[0] > 0
     assert digest == _keys_digest(rm.iter_structure_keys(group, types, naive=True))
+
+
+def test_canonical_key_matches_brute_force(q8, psl27):
+    """The coset-restricted minimum equals the minimum over all of G."""
+    groups = [
+        gr.build_group("perm (1 2 3 4), (1 2)"),
+        gr.alternating_group(5),
+        psl27,
+        q8,
+        gr.build_group("dihedral 12"),
+    ]
+    rng = random.Random(2015)
+    for group in groups:
+        assert not group.is_abelian
+        for _ in range(3000):
+            e1 = [rng.randrange(group.order) for _ in range(rng.randint(1, 5))]
+            e2 = [rng.randrange(group.order) for _ in range(rng.randint(1, 5))]
+            cat = tuple(e1) + tuple(e2)
+            want = min(
+                tuple(group.conjugate(e, t) for e in cat) for t in range(group.order)
+            )
+            assert rm._canonical_pair_key(group, e1, e2) == want
+
+
+def test_search_completeness_s4():
+    group = gr.build_group("perm (1 2 3 4), (1 2)")
+    types = ((2, 2, 3, 3), (4, 4, 4, 4))
+    pruned = sorted(rm.iter_structure_keys(group, types))
+    assert pruned == sorted(rm.iter_structure_keys(group, types, naive=True))
+    assert len(pruned) == 3456

@@ -138,6 +138,29 @@ def test_cli_chartab_and_cache(tmp_path, capsys):
     assert cli.main(["chartab", "A5-13-11"]) == 1
 
 
+def test_cli_unusable_cache_is_an_error(tmp_path, capsys, monkeypatch):
+    path = fixture_path("z3xz3.struct", tmp_path)
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("not a directory\n")
+    commands = (["chartab", path], ["analyze", path], ["catalog", "--entry", "Z3xZ3"])
+    for argv in commands:
+        assert cli.main(argv + ["--cache", str(not_a_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "cache directory" in captured.err
+    assert not_a_dir.read_text() == "not a directory\n"
+
+    # a directory that cannot be written to
+    def refuse(**kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(ct.tempfile, "mkstemp", refuse)
+    for argv in commands:
+        assert cli.main(argv + ["--cache", str(tmp_path / "cache")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Permission denied" in err
+
+
 def test_cli_search(tmp_path, capsys):
     search_file = tmp_path / "z3.search"
     search_file.write_text(
@@ -153,6 +176,11 @@ def test_cli_search(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["count"] == 1 and doc["limited"] is True
     assert doc["structures"][0]["genera"] == [49, 8]
+    for limit in ("0", "-3"):
+        assert cli.main(["search", str(psl), "--limit", limit, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "limit" in captured.err
     # --bound also bounds building: PSL(2,7) has order 168
     assert cli.main(["search", str(psl), "--bound", "100"]) == 1
     err = capsys.readouterr().err
