@@ -13,7 +13,9 @@ On top of the complex table this module computes Frobenius-Schur
 indicators, the partition of the irreducibles into Galois orbits
 (rational characters with a Schur-index annotation), restriction
 multiplicities, and the rational central idempotents of the group
-algebra.
+algebra.  The Galois action needs no cyclotomic arithmetic: for t prime
+to exp(G), chi^sigma_t(C) = chi(C^t), so every Galois image of a row is
+that row with its columns permuted by a class power map.
 """
 
 from __future__ import annotations
@@ -425,13 +427,14 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         for k in range(nc):
             n = classes[k].element_order
             zn = pow(z, e // n, p)
+            zpow = [pow(zn, j, p) for j in range(n)]
             ninv = pow(n, -1, p)
             terms: dict[int, Fraction] = {}
             total = 0
             for s_exp in range(n):
                 acc = 0
                 for t in range(n):
-                    acc += theta[power_classes[k][t]] * pow(zn, (-s_exp * t) % n, p)
+                    acc += theta[power_classes[k][t]] * zpow[(-s_exp * t) % n]
                 mult = (acc * ninv) % p
                 if mult >= p // 2 + 1:
                     raise CharacterTableError("eigenvalue multiplicity failed to lift")
@@ -488,8 +491,14 @@ def _schur_index(table: CharacterTable, indices) -> tuple[int, bool]:
 
 def galois_orbits(table: CharacterTable) -> list[RationalCharacter]:
     """Partition of the irreducibles into Galois orbits, in row order."""
-    e = table.group.exponent
+    group = table.group
+    e = group.exponent
     units = [t for t in range(1, e) if math.gcd(t, e) == 1] or [1]
+    # chi^sigma_t(C) = chi(C^t): each Galois image is a column permutation
+    perms = [
+        [group.class_power_map(k, t) for k in range(len(group.conjugacy_classes))]
+        for t in units
+    ]
     index_of = {chi.values: i for i, chi in enumerate(table)}
     assigned = [False] * len(table)
     orbits = []
@@ -497,8 +506,8 @@ def galois_orbits(table: CharacterTable) -> list[RationalCharacter]:
         if assigned[i]:
             continue
         members = set()
-        for t in units:
-            j = index_of.get(chi.galois(t).values)
+        for perm in perms:
+            j = index_of.get(tuple(chi.values[c] for c in perm))
             if j is None:
                 raise CharacterTableError("Galois image is not a table row")
             members.add(j)
@@ -547,15 +556,14 @@ def rational_idempotent(table: CharacterTable, orbit: RationalCharacter) -> Grou
     """Sum of the central idempotents over a Galois orbit; coefficients are
     rational because the orbit is closed under the Galois action."""
     group = table.group
-    coeffs = []
     scale = Fraction(table[orbit.indices[0]].degree, group.order)
-    for g in range(group.order):
+    per_class = []
+    for k in range(len(group.conjugacy_classes)):
         total = CyclotomicNumber.from_rational(0)
-        k = group.class_of[g]
         for i in orbit.indices:
             total = total + table[i].values[k]
-        coeffs.append((total * scale).as_rational())
-    return GroupAlgebraElement(group, tuple(coeffs))
+        per_class.append((total * scale).as_rational())
+    return GroupAlgebraElement(group, tuple(per_class[k] for k in group.class_of))
 
 
 def tensor_trivial_multiplicity(orbit_j: RationalCharacter,
@@ -614,7 +622,7 @@ def _parse_value(literal: str, conductors: set[str]) -> CyclotomicNumber:
             raise CharacterTableError(f"conductor {n} does not divide the group exponent")
     try:
         return parse_cyclotomic(literal)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CharacterTableError(f"bad character value {literal.strip()!r}: {exc}") from exc
 
 

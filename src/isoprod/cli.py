@@ -24,7 +24,7 @@ from .groups import GroupError
 from .ramification import (
     DEFAULT_SEARCH_BOUND,
     RamificationError,
-    search_structures,
+    find_structures,
 )
 from .structfile import ParseError, parse_structure_file
 from .surface import SurfaceError
@@ -103,13 +103,13 @@ def cmd_search(args) -> int:
         print("error: search needs a `types = ([...], [...])` line", file=sys.stderr)
         return 2
     group = sfile.build(order_bound=args.bound)
-    structures = search_structures(group, sfile.type_pair,
-                                   limit=args.limit, bound=args.bound)
+    structures, limited = find_structures(group, sfile.type_pair,
+                                          limit=args.limit, bound=args.bound)
     doc = {
         "group": group.recipe,
         "types": [list(sfile.type_pair[0]), list(sfile.type_pair[1])],
         "count": len(structures),
-        "limited": args.limit is not None and len(structures) == args.limit,
+        "limited": limited,
         "structures": [
             {"C": s.t1.words(), "D": s.t2.words(), "genera": list(s.genera())}
             for s in structures

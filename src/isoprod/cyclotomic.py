@@ -8,6 +8,13 @@ this module ever touches floating point.
 
 Conductors are normalized to 1 or to N >= 3 with N != 2 (mod 4), since
 Q(zeta_{2m}) = Q(zeta_m) for odd m.
+
+The minimal conductor f of a value in Q(zeta_n) divides every conductor
+whose field holds it, so it is found one prime at a time: for a prime
+q | n with d the normalized conductor of n/q, the value lies in Q(zeta_d)
+exactly when it is fixed by Gal(Q(zeta_n)/Q(zeta_d)) = {t : t = 1 mod d},
+a cyclic group with one cached generator t.  If so the value is rewritten
+over Q(zeta_d) and the descent goes on from d; when no prime passes, n = f.
 """
 
 from __future__ import annotations
@@ -232,24 +239,16 @@ class CyclotomicNumber:
 
     @staticmethod
     def _minimized(n: int, coeffs: list[Fraction]) -> "CyclotomicNumber":
-        if n == 1:
-            return CyclotomicNumber(1, (coeffs[0],), _canonical=True)
-        if not any(coeffs[1:]):
-            return CyclotomicNumber(1, (coeffs[0],), _canonical=True)
-        units = [t for t in range(1, n) if math.gcd(t, n) == 1]
-        fixed = {
-            t for t in units
-            if _galois_raw(n, coeffs, t) == coeffs
-        }
-        if len(fixed) > 1:
-            for d in divisors(n)[:-1]:
-                if d == 2 or d % 4 == 2:
-                    continue
-                if all(t in fixed for t in units if t % d == 1):
-                    rebased = _rebase(n, coeffs, d)
-                    if rebased is not None:
-                        return CyclotomicNumber(d, tuple(rebased), _canonical=True)
-        return CyclotomicNumber(n, tuple(coeffs), _canonical=True)
+        # Descend one prime at a time: the minimal conductor divides every
+        # conductor whose field holds the value, so when no n/q works, n is it.
+        while n > 1 and any(coeffs[1:]):
+            for d, t in _descent_steps(n):
+                if _galois_raw(n, coeffs, t) == coeffs:
+                    coeffs, n = _rebase(n, coeffs, d), d
+                    break
+            else:
+                return CyclotomicNumber(n, tuple(coeffs), _canonical=True)
+        return CyclotomicNumber(1, (coeffs[0],), _canonical=True)
 
     # -- predicates
 
@@ -434,6 +433,25 @@ def _galois_raw(n: int, coeffs: list[Fraction], t: int) -> list[Fraction]:
     return acc
 
 
+@functools.lru_cache(maxsize=None)
+def _descent_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """For each prime q | n, the canonical conductor d of n/q and a generator
+    t of Gal(Q(zeta_n)/Q(zeta_d)) = {t unit mod n : t = 1 (mod d)}: a value
+    of Q(zeta_n) lies in Q(zeta_d) exactly when sigma_t fixes it.
+
+    For canonical n that group is Z/q, (Z/q)^* or (Z/4)^*, so it is cyclic
+    and an element of largest order generates it.
+    """
+    steps = []
+    for q in prime_factors(n):
+        d = n // q
+        if d % 4 == 2:  # Q(zeta_2m) = Q(zeta_m) for odd m, and Q(zeta_2) = Q
+            d //= 2
+        kernel = [t for t in range(1, n) if (t - 1) % d == 0 and math.gcd(t, n) == 1]
+        steps.append((d, max(kernel, key=lambda t: len({pow(t, i, n) for i in range(n)}))))
+    return tuple(steps)
+
+
 def _rebase(n: int, coeffs: list[Fraction], d: int) -> list[Fraction] | None:
     """Rewrite a vector known to lie in Q(zeta_d) <= Q(zeta_n) in the smaller basis."""
     if d == 1:
@@ -511,7 +529,10 @@ def parse_cyclotomic(text: str) -> CyclotomicNumber:
         sign = m.group("sign")
         if sign is None and not first:
             raise ValueError(f"missing +/- between terms at offset {pos} in {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else _ONE
+        try:
+            coeff = Fraction(m.group("coeff")) if m.group("coeff") else _ONE
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator at offset {pos} in {text!r}") from None
         if sign == "-":
             coeff = -coeff
         zpart = m.group("zpart1") or m.group("zpart2")

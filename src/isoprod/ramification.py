@@ -344,6 +344,14 @@ def search_structures(group: FiniteGroup, type_pair, limit: int | None = None,
     conjugation, sorted by canonical key.  With `limit`, enumeration stops
     after that many distinct structures (still deterministic, but then the
     result is the first structures found rather than a global prefix)."""
+    return find_structures(group, type_pair, limit, bound)[0]
+
+
+def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
+                    bound: int = DEFAULT_SEARCH_BOUND
+                    ) -> tuple[list[RamificationStructure], bool]:
+    """`search_structures`, plus whether the limit stopped the enumeration:
+    True exactly when a structure beyond the first `limit` exists."""
     a1, a2 = (tuple(sorted(type_pair[0])), tuple(sorted(type_pair[1])))
     if limit is not None and limit < 1:
         raise RamificationError(f"the search limit must be at least 1, got {limit}")
@@ -356,14 +364,16 @@ def search_structures(group: FiniteGroup, type_pair, limit: int | None = None,
             f"tuple lengths are capped at {MAX_TUPLE_LENGTH} for searches"
         )
     keys = []
+    limited = False
     for key in iter_structure_keys(group, (a1, a2)):
-        keys.append(key)
-        if limit is not None and len(keys) >= limit:
+        if limit is not None and len(keys) == limit:
+            limited = True  # one more key exists; it is not kept
             break
+        keys.append(key)
     keys.sort()
     out = []
     for key in keys:
         t1 = validate_spherical(group, key[:len(a1)])
         t2 = validate_spherical(group, key[len(a1):])
         out.append(RamificationStructure(t1, t2))
-    return out
+    return out, limited

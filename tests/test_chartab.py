@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,34 @@ def test_galois_action_permutes_rows(tables):
             assert {tuple(chi.galois(t).values) for chi in table} == rows
 
 
+def _galois_oracle_tables(tables):
+    rng = random.Random(4104)
+    zoo = [[4, 6], [12], [2, 10], [3, 9], [8, 3], [5, 5], [2, 2, 6], [7, 2]]
+    extra = [gr.alternating_group(5), gr.dihedral_group(12)]
+    extra += [gr.abelian_group(orders) for orders in rng.sample(zoo, 4)]
+    return list(tables.values()) + [ct.character_table(g) for g in extra]
+
+
+def test_galois_action_is_a_class_power_map(tables):
+    """chi^sigma_t(C) = chi(C^t), and galois_orbits (which reads the action
+    off the power maps) agrees with orbits built from Character.galois."""
+    for table in _galois_oracle_tables(tables):
+        group = table.group
+        e = group.exponent
+        units = [t for t in range(1, e) if math.gcd(t, e) == 1] or [1]
+        classes = range(len(group.conjugacy_classes))
+        for t in units:
+            perm = [group.class_power_map(k, t) for k in classes]
+            for chi in table:
+                assert tuple(chi.values[c] for c in perm) == chi.galois(t).values
+        oracle = []
+        for chi in table:
+            orbit = tuple(sorted({table.row_index(chi.galois(t)) for t in units}))
+            if orbit not in oracle:
+                oracle.append(orbit)
+        assert [o.indices for o in ct.galois_orbits(table)] == oracle
+
+
 def test_frobenius_schur_values(q8, psl27, tables):
     tq = tables[q8.recipe]
     assert ct.frobenius_schur(tq[tq.trivial_index]) == 1
@@ -222,27 +251,25 @@ def test_rational_idempotents(q8, z3z3, tables):
     expected[minus1] = Fraction(-1, 2)
     assert list(q5.coefficients) == expected
 
-    # idempotency and centrality across all orbits of the fixture tables
+    # idempotency, centrality and the per-element sum of the constituent
+    # central idempotents, across all orbits of the fixture tables
     for table in tables.values():
         for orbit in ct.galois_orbits(table):
             q = ct.rational_idempotent(table, orbit)
             assert (q * q).coefficients == q.coefficients
             assert q.is_central()
+            parts = [ct.central_idempotent(table, i) for i in orbit.indices]
+            assert q.coefficients == tuple(
+                sum(values, CyclotomicNumber.from_rational(0)).as_rational()
+                for values in zip(*parts)
+            )
 
-    # a single constituent idempotent has irrational coefficients, the
-    # orbit sum does not
+    # a single constituent idempotent has irrational coefficients
     tz = tables[z3z3.recipe]
     oz = ct.galois_orbits(tz)
     pair = next(o for o in oz if o.field_degree == 2)
     single = ct.central_idempotent(tz, pair.indices[0])
     assert any(not v.is_rational for v in single)
-    q_pair = ct.rational_idempotent(tz, pair)
-    summed = ct.central_idempotent(tz, pair.indices[0])
-    other = ct.central_idempotent(tz, pair.indices[1])
-    assert all(
-        (a + b).as_rational() == c
-        for a, b, c in zip(summed, other, q_pair.coefficients)
-    )
 
 
 def test_tensor_trivial_multiplicity(q8, z3z3, tables):

@@ -3,13 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoprod.cyclotomic import (
     CyclotomicNumber,
+    _canonical_conductor_terms,
+    _descent_steps,
+    _galois_raw,
+    _power_table,
+    _rebase,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
     is_prime,
     parse_cyclotomic,
+    prime_factors,
     render_cyclotomic,
     zeta,
 )
@@ -152,3 +161,122 @@ def test_render_and_parse_round_trip():
         parse_cyclotomic("z(4)^1 z(3)^1")
     with pytest.raises(ValueError):
         parse_cyclotomic("")
+    with pytest.raises(ValueError):
+        parse_cyclotomic("2 - 1/0*z(3)^1")
+
+
+_FACTORS = st.builds(
+    lambda n, k, a, b: CyclotomicNumber.from_terms(n, {k: Fraction(a, b)}),
+    st.sampled_from(divisors(120)), st.integers(-130, 130),
+    st.integers(-6, 6), st.integers(1, 6),
+)
+_VALUES = st.recursive(
+    _FACTORS,
+    lambda inner: st.one_of(st.builds(lambda a, b: a + b, inner, inner),
+                            st.builds(lambda a, b: a * b, inner, inner)),
+    max_leaves=6,
+)
+# Edits that add no decimal digit: a conductor in the text can only shrink or
+# break, so no example asks for a field far beyond Q(zeta_120).
+_NON_DIGITS = st.one_of(st.sampled_from("+-*/^() z\n."),
+                        st.characters(blacklist_categories=("Nd",)))
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(x=_VALUES)
+def test_parse_inverts_render(x):
+    assert parse_cyclotomic(render_cyclotomic(x)) == x
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(data=st.data())
+def test_parse_rejects_malformed_text_with_value_error(data):
+    text = render_cyclotomic(data.draw(_VALUES))
+    mutated = data.draw(st.one_of(
+        st.integers(0, len(text)).map(lambda i: text[:i]),
+        st.tuples(st.integers(0, len(text) - 1), _NON_DIGITS).map(
+            lambda ic: text[:ic[0]] + ic[1] + text[ic[0] + 1:]),
+        st.tuples(st.integers(0, len(text)), _NON_DIGITS).map(
+            lambda ic: text[:ic[0]] + ic[1] + text[ic[0]:]),
+        st.text(st.one_of(_NON_DIGITS, st.sampled_from("z(3)^1")), max_size=30),
+    ))
+    try:
+        value = parse_cyclotomic(mutated)
+    except ValueError:
+        return
+    assert parse_cyclotomic(render_cyclotomic(value)) == value
+
+
+def _fixed_set_minimized(n, coeffs):
+    """The earlier conductor search through the whole fixed subgroup of
+    (Z/n)^*, kept as the oracle of the prime-by-prime descent.  For d = 1 the
+    condition `t % d == 1` holds for no t, and `_rebase` decides."""
+    if n == 1 or not any(coeffs[1:]):
+        return 1, (coeffs[0],)
+    units = [t for t in range(1, n) if math.gcd(t, n) == 1]
+    fixed = {t for t in units if _galois_raw(n, coeffs, t) == coeffs}
+    if len(fixed) > 1:
+        for d in divisors(n)[:-1]:
+            if d == 2 or d % 4 == 2:
+                continue
+            if all(t in fixed for t in units if t % d == 1):
+                rebased = _rebase(n, coeffs, d)
+                if rebased is not None:
+                    return d, tuple(rebased)
+    return n, tuple(coeffs)
+
+
+DESCENT_CONDUCTORS = list(range(1, 91)) + [105, 120, 168, 210]
+
+
+def _seeded_terms(rng, n):
+    """Random power sums, Gauss periods over random unit subgroups, and
+    traces of a root of unity down to a random Q(zeta_d): the latter two
+    lie in proper subfields, often of a smaller conductor."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return {rng.randrange(n): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 5))}
+    units = [t for t in range(1, n + 1) if math.gcd(t, n) == 1]
+    if kind == 1:
+        h, subgroup, x = rng.choice(units), set(), 1
+        while x not in subgroup:
+            subgroup.add(x)
+            x = x * h % n
+    else:
+        d = rng.choice(divisors(n))
+        subgroup = {t for t in units if (t - 1) % d == 0}
+    a = rng.randrange(n)
+    terms = {}
+    for t in subgroup:
+        terms[a * t % n] = terms.get(a * t % n, 0) + 1
+    return terms
+
+
+def test_conductor_descent_matches_fixed_set_oracle():
+    rng = random.Random(5440)
+    below = 0
+    for n in DESCENT_CONDUCTORS:
+        for _ in range(6):
+            terms = _seeded_terms(rng, n)
+            m, folded = _canonical_conductor_terms(n, terms)
+            acc = [Fraction(0)] * euler_phi(m)
+            for k, c in folded.items():
+                for j, r in enumerate(_power_table(m)[k]):
+                    acc[j] += c * r
+            got = CyclotomicNumber.from_terms(n, terms)
+            want = _fixed_set_minimized(m, acc)
+            assert (got.conductor, got.coefficients) == want
+            below += 1 < got.conductor < m
+    assert below > 50  # proper subfields of conductor above 1 were hit
+
+
+def test_descent_generators_span_the_relative_galois_group():
+    for n in DESCENT_CONDUCTORS:
+        steps = _descent_steps(n)
+        assert len(steps) == len(prime_factors(n))
+        for q, (d, t) in zip(prime_factors(n), steps):
+            assert d == (n // q // 2 if n // q % 4 == 2 else n // q)
+            want = {u % n for u in range(1, n + 1)
+                    if math.gcd(u, n) == 1 and (u - 1) % d == 0}
+            assert {pow(t, i, n) for i in range(1, n + 1)} == want

@@ -170,6 +170,17 @@ def test_cli_search(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["count"] == 0  # sigma sets of two triangle systems always meet
 
+    # "limited" means another structure exists beyond the first K: this type
+    # pair has exactly 3456 structures
+    z33 = tmp_path / "z33.search"
+    z33.write_text("group = abelian 3 3\ntypes = ([3, 3, 3, 3], [3, 3, 3, 3])\n")
+    cases = [([], 3456, False), (["--limit", "3456"], 3456, False),
+             (["--limit", "3455"], 3455, True)]
+    for extra, count, limited in cases:
+        assert cli.main(["search", str(z33), "--json", *extra]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["count"], doc["limited"]) == (count, limited)
+
     psl = tmp_path / "psl.search"
     psl.write_text(fixture_text("psl2f7_a.search"))
     assert cli.main(["search", str(psl), "--limit", "1", "--json"]) == 0
