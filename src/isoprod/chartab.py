@@ -582,7 +582,7 @@ def tensor_trivial_multiplicity(orbit_j: RationalCharacter,
 
 
 FIXTURE_VERSION = "isoprod-chartab 1"
-_CONDUCTOR_RE = re.compile(r"z\((\d+)\)")
+_CONDUCTOR_RE = re.compile(r"z\(([0-9]+)\)")
 
 
 def group_fingerprint(group: FiniteGroup) -> str:

@@ -506,12 +506,13 @@ def render_cyclotomic(x: CyclotomicNumber) -> str:
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
         (?:
-            (?P<coeff>\d+(?:/\d+)?)\s*(?:\*\s*(?P<zpart1>z\(\d+\)(?:\^-?\d+)?))?
-          | (?P<zpart2>z\(\d+\)(?:\^-?\d+)?)
+            (?P<coeff>[0-9]+(?:/[0-9]+)?)
+            \s*(?:\*\s*(?P<zpart1>z\([0-9]+\)(?:\^-?[0-9]+)?))?
+          | (?P<zpart2>z\([0-9]+\)(?:\^-?[0-9]+)?)
         )\s*""",
     re.VERBOSE,
 )
-_Z_RE = re.compile(r"z\((\d+)\)(?:\^(-?\d+))?")
+_Z_RE = re.compile(r"z\(([0-9]+)\)(?:\^(-?[0-9]+))?")
 
 
 def parse_cyclotomic(text: str) -> CyclotomicNumber:

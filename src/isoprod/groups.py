@@ -8,6 +8,14 @@ indices.  Index 0 is always the identity, and the BFS order is
 deterministic, so element indices, conjugacy-class order and every
 report derived from them are reproducible.
 
+The recipe's label multiplication is called only by the BFS, once per
+(element, generator) pair.  The BFS words give every column of the table
+(x -> x*y) from the right multiplications by the generators, and checking
+(x*y)*g = x*(y*g) on every Cayley edge y -> y*g proves the table
+associative (see `FiniteGroup.__init__`), so a recipe that does not define
+a group is rejected with a GroupError instead of yielding a table that is
+not one.
+
 Polycyclic presentations are handled by collection from the left; they
 are the only finitely presented input accepted (general coset
 enumeration is deliberately out of scope).
@@ -38,29 +46,43 @@ class FiniteGroup:
 
     def __init__(self, labels, label_mul, generators, recipe, names=None,
                  order_bound=DEFAULT_ORDER_BOUND):
-        """Enumerate the closure of `generators` under `label_mul` by BFS.
+        """Enumerate the closure of `generators` under `label_mul` by BFS and
+        fill the multiplication table from the Cayley graph.
 
         `labels` must contain the identity label first; `generators` are
         labels.  `names`, if given, maps a label to a display string.
+
+        `label_mul` is called only on (element, generator) pairs: the BFS
+        records right[g][x] = x*g.  Column y of the table (x -> x*y) is the
+        identity map for y = 0 and right[g] applied to column p when the BFS
+        reached y as p*g, since x*(p*g) = (x*p)*g.  Every other Cayley edge
+        y -> z = y*g must then satisfy column z = right[g] o column y, that
+        is (x*y)*g = x*(y*g) for all x.  The set of z with (x*y)*z = x*(y*z)
+        for all x, y contains the generators and is closed under products,
+        so it is the whole group: the table is associative.  A failing edge
+        means the recipe does not define a group.
         """
         identity = labels[0]
         index = {identity: 0}
         elems = [identity]
         parents = [(-1, -1)]  # (parent index, generator position), BFS words
         gen_labels = list(generators)
+        right = [[] for _ in gen_labels]  # right[gpos][x]: index of x * g
         queue = 0
         while queue < len(elems):
             x = elems[queue]
             for gpos, g in enumerate(gen_labels):
                 y = label_mul(x, g)
-                if y not in index:
+                k = index.get(y)
+                if k is None:
                     if len(elems) >= order_bound:
                         raise GroupError(
                             f"group order exceeds the bound {order_bound}"
                         )
-                    index[y] = len(elems)
+                    k = index[y] = len(elems)
                     elems.append(y)
                     parents.append((queue, gpos))
+                right[gpos].append(k)
             queue += 1
         n = len(elems)
         self.order = n
@@ -69,23 +91,21 @@ class FiniteGroup:
         self.generators = tuple(index[g] for g in gen_labels)
         self._parents = parents
         self._names = [names(x) for x in elems] if names else [str(x) for x in elems]
-        table = []
-        for x in elems:
-            row = []
-            for y in elems:
-                z = label_mul(x, y)
-                k = index.get(z)
-                if k is None:
-                    raise GroupError("multiplication escapes the enumerated set "
+        cols = [list(range(n))]
+        for p, gpos in parents[1:]:
+            cols.append(list(map(right[gpos].__getitem__, cols[p])))
+        for gpos, rg in enumerate(right):
+            for y, z in enumerate(rg):
+                if (parents[z] != (y, gpos)
+                        and cols[z] != list(map(rg.__getitem__, cols[y]))):
+                    raise GroupError("multiplication is not associative "
                                      "(inconsistent construction)")
-                row.append(k)
-            table.append(row)
+        table = [list(row) for row in zip(*cols)]
+        del cols
         self._mul = table
-        inv = [-1] * n
-        for i, row in enumerate(table):
-            inv[i] = row.index(0)
+        inv = [row.index(0) if 0 in row else -1 for row in table]
         self._inv = inv
-        if any(table[i][inv[i]] != 0 or table[inv[i]][i] != 0 for i in range(n)):
+        if any(j < 0 or table[j][i] != 0 for i, j in enumerate(inv)):
             raise GroupError("two-sided inverses missing (inconsistent construction)")
 
     # -- basic operations

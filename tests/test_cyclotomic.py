@@ -207,6 +207,15 @@ def test_parse_rejects_malformed_text_with_value_error(data):
     assert parse_cyclotomic(render_cyclotomic(value)) == value
 
 
+def test_parse_rejects_non_ascii_digits():
+    for digit in ("\u0663", "\u0969", "\uff13"):  # 3 in Arabic-Indic, Devanagari, fullwidth
+        for template in ("{}", "-{}", "1/{}", "{}*z(3)^1", "z({})^1", "z(3)^{}",
+                         "1 + z(3)^-{}"):
+            with pytest.raises(ValueError):
+                parse_cyclotomic(template.format(digit))
+            parse_cyclotomic(template.format("3"))  # the ASCII text parses
+
+
 def _fixed_set_minimized(n, coeffs):
     """The earlier conductor search through the whole fixed subgroup of
     (Z/n)^*, kept as the oracle of the prime-by-prime descent.  For d = 1 the

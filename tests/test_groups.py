@@ -1,8 +1,13 @@
+import contextlib
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import G128_RECIPE, PSL27_RECIPE, Z2CUBED_Z4_RECIPE
 from isoprod import chartab as ct
 from isoprod import groups as gr
 
@@ -38,6 +43,178 @@ def test_inconsistent_polycyclic_rejected():
         gr.polycyclic_group([2, 2], conjugates={(1, 0): (1, 2)})
     with pytest.raises(gr.GroupError):
         gr.polycyclic_group([2, 2], powers={0: (0,)})
+
+
+def test_non_associative_recipes_rejected():
+    # accepted once as a "nonabelian group of order 12" with 288 triples
+    # (ab)c != a(bc): g2^g1 = g2^2*g3 is not an automorphism of <g2, g3>
+    with pytest.raises(gr.GroupError):
+        gr.polycyclic_group([2, 3, 2], conjugates={(1, 0): (1, 1, 2)})
+    # g2 has order 9 and g2^g1 = g2^2 has order 6 mod 9; every element has
+    # a two-sided inverse in the table the Cayley graph gives, so only the
+    # associativity check on its edges rejects this one
+    with pytest.raises(gr.GroupError):
+        gr.polycyclic_group([2, 3, 3], powers={1: (2,)}, conjugates={(1, 0): (1, 1)})
+    # squaring is an automorphism of Z7 of order 3, not 2
+    with pytest.raises(gr.GroupError):
+        gr.build_group("group = semidirect [cyclic 7] [cyclic 2]\n"
+                       "act g2: g1 -> g1^2")
+
+
+def _per_pair_table(labels, label_mul, generators,
+                    order_bound=gr.DEFAULT_ORDER_BOUND):
+    """BFS enumeration, then `label_mul` on every pair of elements: the
+    table fill that the Cayley-graph fill replaced, kept as its oracle."""
+    identity = labels[0]
+    index = {identity: 0}
+    elems = [identity]
+    parents = [(-1, -1)]
+    queue = 0
+    while queue < len(elems):
+        x = elems[queue]
+        for gpos, g in enumerate(generators):
+            y = label_mul(x, g)
+            if y not in index:
+                if len(elems) >= order_bound:
+                    raise gr.GroupError(f"group order exceeds the bound {order_bound}")
+                index[y] = len(elems)
+                elems.append(y)
+                parents.append((queue, gpos))
+        queue += 1
+    table = []
+    for x in elems:
+        row = []
+        for y in elems:
+            k = index.get(label_mul(x, y))
+            if k is None:
+                raise gr.GroupError("multiplication escapes the enumerated set")
+            row.append(k)
+        table.append(row)
+    inv = [row.index(0) for row in table]
+    if any(table[j][i] != 0 for i, j in enumerate(inv)):
+        raise gr.GroupError("two-sided inverses missing")
+    return {"labels": elems, "_parents": parents,
+            "generators": tuple(index[g] for g in generators),
+            "_mul": table, "_inv": inv}
+
+
+@contextlib.contextmanager
+def _checked_against_per_pair_oracle():
+    """Compare every FiniteGroup built inside the block with the per-pair
+    oracle; yields the list of groups built."""
+    built = []
+    real_init = gr.FiniteGroup.__init__
+
+    def init(self, labels, label_mul, generators, recipe, names=None,
+             order_bound=gr.DEFAULT_ORDER_BOUND):
+        generators = list(generators)
+        real_init(self, labels, label_mul, generators, recipe, names, order_bound)
+        try:
+            expected = _per_pair_table(labels, label_mul, generators, order_bound)
+        except ValueError as exc:  # GroupError included
+            raise AssertionError(f"the oracle rejects an accepted group: {exc}") from exc
+        for attr, value in expected.items():
+            assert getattr(self, attr) == value, (recipe, attr)
+        built.append(self)
+
+    with mock.patch.object(gr.FiniteGroup, "__init__", init):
+        yield built
+
+
+def _assert_associative(group):
+    t = group._mul
+    for row_a in t:
+        for b, row_b in enumerate(t):
+            assert t[row_a[b]] == list(map(row_a.__getitem__, row_b))
+
+
+def test_cayley_table_matches_per_pair_oracle(g128, z3z3_label, psl27):
+    recipes = [
+        "cyclic 12", "abelian 2 6 3", "dihedral 5", "symmetric 4", "alternating 5",
+        PSL27_RECIPE, "product [cyclic 2] [dihedral 3]",
+        "semidirect [cyclic 7] [cyclic 3]\nact g2: g1 -> g1^2", Z2CUBED_Z4_RECIPE,
+        "polycyclic 2 2 2\nrel g1^2 = g3\nrel g2^2 = g3\nrel g2^g1 = g2*g3",
+        G128_RECIPE,
+    ]
+    z3z3, lab = z3z3_label
+    al = gr.default_aliases(g128)
+    g128_kernel = g128.subgroup([gr.parse_word(w, al, g128)
+                                 for w in ("g7", "g6", "g3*g4", "g4*g5")])
+    with _checked_against_per_pair_oracle() as built:
+        for recipe in recipes:
+            gr.build_group(recipe)
+        quotients = [
+            g128.quotient(g128_kernel),
+            g128.quotient(g128.subgroup([al["g6"], al["g7"]])),
+            z3z3.quotient(z3z3.subgroup([lab[(2, 1)]])),
+            psl27.quotient(psl27.trivial_subgroup()),
+        ]
+    assert [q.group.order for q in quotients] == [8, 32, 3, 168]
+    # the two factors of each of the three products are built (and checked) too
+    assert len(built) == len(recipes) + 6 + len(quotients)
+
+
+# Recipes whose relations or actions are drawn at random; most do not define
+# a group, so both outcomes of build_group are exercised.
+@st.composite
+def _polycyclic_recipes(draw):
+    orders = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    k = len(orders)
+
+    def word(first, head=None):
+        """A power of g_head (if given) times a word in g_first..g_k."""
+        atoms = []
+        if head is not None:
+            atoms.append(f"g{head + 1}^{draw(st.integers(0, orders[head] - 1))}")
+        if first < k:
+            tail = draw(st.lists(st.tuples(st.integers(first, k - 1), st.integers(1, 3)),
+                                 max_size=3))
+            atoms += [f"g{g + 1}^{e}" for g, e in tail]
+        return "*".join(atoms) or "id"
+
+    pivots = [(i, None) for i in range(k)] + [(i, j) for i in range(k) for j in range(i)]
+    lines = ["group = polycyclic " + " ".join(map(str, orders))]
+    for i, j in draw(st.lists(st.sampled_from(pivots), max_size=4, unique=True)):
+        if j is None:
+            lines.append(f"rel g{i + 1}^{orders[i]} = {word(i + 1)}")
+        else:
+            lines.append(f"rel g{i + 1}^g{j + 1} = {word(j + 1, head=i)}")
+    return "\n".join(lines)
+
+
+# (recipe, number of generators)
+_K_FACTORS = [("cyclic 3", 1), ("cyclic 5", 1), ("cyclic 7", 1), ("cyclic 8", 1),
+              ("abelian 2 2", 2), ("abelian 3 3", 2), ("dihedral 4", 2),
+              ("symmetric 3", 2)]
+_H_FACTORS = [("cyclic 2", 1), ("cyclic 3", 1), ("cyclic 4", 1), ("cyclic 6", 1),
+              ("abelian 2 2", 2)]
+
+
+@st.composite
+def _semidirect_recipes(draw):
+    k_recipe, nk = draw(st.sampled_from(_K_FACTORS))
+    h_recipe, nh = draw(st.sampled_from(_H_FACTORS))
+    lines = [f"group = semidirect [{k_recipe}] [{h_recipe}]"]
+    for j in range(nh):
+        for i in range(nk):
+            if draw(st.booleans()):
+                atoms = draw(st.lists(st.tuples(st.integers(1, nk), st.integers(1, 4)),
+                                      min_size=1, max_size=2))
+                image = "*".join(f"g{g}^{e}" for g, e in atoms)
+                lines.append(f"act g{nk + j + 1}: g{i + 1} -> {image}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=5000, derandomize=True, database=None)
+@given(data=st.data())
+def test_build_group_rejects_or_builds_an_associative_group(data):
+    recipe = data.draw(st.one_of(_polycyclic_recipes(), _semidirect_recipes()))
+    with _checked_against_per_pair_oracle():
+        try:
+            group = gr.build_group(recipe)
+        except gr.GroupError:
+            return
+    _assert_associative(group)
 
 
 def test_group_axioms_exhaustively_on_small_groups(q8, z3z3):

@@ -118,6 +118,14 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_inconsistent_group_is_a_positioned_error(tmp_path, capsys):
+    p = tmp_path / "inconsistent.struct"
+    p.write_text("group = polycyclic 2 3 2\nrel g2^g1 = g2^2*g3\n")
+    assert cli.main(["chartab", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1, column 1: ") and "engine defect" not in err
+
+
 def test_cli_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()
