@@ -94,7 +94,7 @@ def shipped_entries() -> list[CatalogEntry]:
     return [e for e in CATALOG if e.shipped]
 
 
-def realize_structure(entry: CatalogEntry, cache_dir=None) -> RamificationStructure:
+def realize_structure(entry: CatalogEntry) -> RamificationStructure:
     """Build the entry's structure: parse the fixture, or run its search."""
     if not entry.shipped:
         raise KeyError(f"catalog entry {entry.name!r} ships no structure")
@@ -149,7 +149,7 @@ def run_entry(entry: CatalogEntry, cache_dir=None) -> CatalogResult:
         }
         return CatalogResult(entry, report, ())
     try:
-        structure = realize_structure(entry, cache_dir)
+        structure = realize_structure(entry)
         table = ct.cached_character_table(structure.group, cache_dir)
         analysis = sf.analyze(structure, table)
     except ct.CacheError:

@@ -15,6 +15,18 @@ q | n with d the normalized conductor of n/q, the value lies in Q(zeta_d)
 exactly when it is fixed by Gal(Q(zeta_n)/Q(zeta_d)) = {t : t = 1 mod d},
 a cyclic group with one cached generator t.  If so the value is rewritten
 over Q(zeta_d) and the descent goes on from d; when no prime passes, n = f.
+
+The rewrite needs no linear solve.  A step has n = d*r with r a prime or 4.
+If r | d then Phi_n(x) = Phi_d(x^r), so the coordinates over Q(zeta_d) are
+every r-th coordinate over Q(zeta_n).  Otherwise zeta_n^k =
+zeta_d^(k*u) * zeta_r^(k*w) with u = r^-1 mod d, and the relative trace,
+which is phi(r) times the value, sends zeta_r^(k*w) to the Ramanujan sum
+c_r(k) (r - 1 or -1 for a prime r; 2, 0, -2, 0 for r = 4):
+v = (1/phi(r)) sum_k c_k c_r(k) zeta_d^(k*u).
+
+Every power sum is brought to the power basis by one routine, `_reduce`:
+construction, lifting to a larger conductor, the Galois action, this
+rewrite and products, which convolve the two vectors first.
 """
 
 from __future__ import annotations
@@ -132,6 +144,25 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _reduce(n: int, terms) -> list[Fraction]:
+    """Power basis coordinates of the power sum  sum c * zeta_n^k  over the
+    (k, c) pairs of `terms`; exponents are taken mod n."""
+    phi = euler_phi(n)
+    table = _power_table(n)
+    acc = [_ZERO] * phi
+    for k, c in terms:
+        if not c:
+            continue
+        k %= n
+        if k < phi:  # zeta^k is itself a basis vector
+            acc[k] += c
+            continue
+        for j, rj in enumerate(table[k]):
+            if rj:
+                acc[j] += c * rj
+    return acc
+
+
 def _canonical_conductor_terms(n: int, terms: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
     """Fold exponents mod n and rewrite conductors 2 mod 4 down to their odd part."""
     if n < 1:
@@ -155,41 +186,6 @@ def _canonical_conductor_terms(n: int, terms: dict[int, Fraction]) -> tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q (tiny, used for conductor descent)
-
-
-def _solve_exact(columns: list[tuple[Fraction, ...]], target: list[Fraction]) -> list[Fraction] | None:
-    """Solve sum_j x_j * columns[j] = target over Q; None if inconsistent."""
-    rows = len(target)
-    cols = len(columns)
-    mat = [[columns[j][i] for j in range(cols)] + [target[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if mat[i][cols] != 0:
-            return None
-    sol = [_ZERO] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = mat[i][cols]
-    return sol
-
-
-# ---------------------------------------------------------------------------
 # the number type
 
 
@@ -202,22 +198,17 @@ class CyclotomicNumber:
 
     __slots__ = ("conductor", "coefficients")
 
-    def __init__(self, conductor: int, coefficients: tuple[Fraction, ...], _canonical: bool = False):
-        if _canonical:
-            self.conductor = conductor
-            self.coefficients = coefficients
-            return
-        value = CyclotomicNumber.from_terms(
-            conductor, {k: c for k, c in enumerate(coefficients)}
-        )
-        self.conductor = value.conductor
-        self.coefficients = value.coefficients
+    def __init__(self, conductor: int, coefficients: tuple[Fraction, ...]):
+        """Wrap a vector already in canonical form; build values with
+        `from_terms`, `from_rational` or `zeta`."""
+        self.conductor = conductor
+        self.coefficients = coefficients
 
     # -- constructors
 
     @staticmethod
     def from_rational(q) -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (Fraction(q),), _canonical=True)
+        return CyclotomicNumber(1, (Fraction(q),))
 
     @staticmethod
     def from_terms(conductor: int, terms: dict[int, Fraction | int]) -> "CyclotomicNumber":
@@ -225,17 +216,7 @@ class CyclotomicNumber:
         n, folded = _canonical_conductor_terms(
             conductor, {k: Fraction(c) for k, c in terms.items()}
         )
-        if n == 1:
-            return CyclotomicNumber.from_rational(sum(folded.values(), _ZERO))
-        phi = euler_phi(n)
-        table = _power_table(n)
-        acc = [_ZERO] * phi
-        for k, c in folded.items():
-            row = table[k]
-            for j in range(phi):
-                if row[j]:
-                    acc[j] += c * row[j]
-        return CyclotomicNumber._minimized(n, acc)
+        return CyclotomicNumber._minimized(n, _reduce(n, folded.items()))
 
     @staticmethod
     def _minimized(n: int, coeffs: list[Fraction]) -> "CyclotomicNumber":
@@ -247,8 +228,8 @@ class CyclotomicNumber:
                     coeffs, n = _rebase(n, coeffs, d), d
                     break
             else:
-                return CyclotomicNumber(n, tuple(coeffs), _canonical=True)
-        return CyclotomicNumber(1, (coeffs[0],), _canonical=True)
+                return CyclotomicNumber(n, tuple(coeffs))
+        return CyclotomicNumber(1, (coeffs[0],))
 
     # -- predicates
 
@@ -275,25 +256,15 @@ class CyclotomicNumber:
 
     def _lifted(self, m: int) -> list[Fraction]:
         """Coefficient vector of self inside Q(zeta_m); requires conductor | m."""
-        n = self.conductor
-        if n == m:
+        if self.conductor == m:
             return list(self.coefficients)
-        step = m // n
-        table = _power_table(m)
-        acc = [_ZERO] * euler_phi(m)
-        for k, c in enumerate(self.coefficients):
-            if c:
-                row = table[(k * step) % m]
-                for j, rj in enumerate(row):
-                    if rj:
-                        acc[j] += c * rj
-        return acc
+        step = m // self.conductor
+        return _reduce(m, ((k * step, c) for k, c in enumerate(self.coefficients)))
 
     @staticmethod
     def _common(a: "CyclotomicNumber", b: "CyclotomicNumber"):
-        m = a.conductor * b.conductor // math.gcd(a.conductor, b.conductor)
-        if m == 2 or m % 4 == 2:  # cannot happen for canonical conductors
-            m *= 2
+        # an lcm of canonical conductors is itself canonical (never 2 mod 4)
+        m = math.lcm(a.conductor, b.conductor)
         return m, a._lifted(m), b._lifted(m)
 
     def __add__(self, other):
@@ -306,9 +277,7 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(
-            self.conductor, tuple(-c for c in self.coefficients), _canonical=True
-        )
+        return CyclotomicNumber(self.conductor, tuple(-c for c in self.coefficients))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -324,32 +293,22 @@ class CyclotomicNumber:
         if other is NotImplemented:
             return NotImplemented
         if self.conductor == 1:
+            # a nonzero rational multiple keeps the minimal conductor
             q = self.coefficients[0]
-            return CyclotomicNumber._minimized(
-                other.conductor, [q * c for c in other.coefficients]
-            )
+            if not q:
+                return ZERO
+            return CyclotomicNumber(other.conductor, tuple(q * c for c in other.coefficients))
         if other.conductor == 1:
             return other * self
         m, x, y = CyclotomicNumber._common(self, other)
-        phi = euler_phi(m)
-        table = _power_table(m)
-        acc = [_ZERO] * phi
+        # the product as a polynomial in zeta_m, reduced once
+        conv = [_ZERO] * (2 * len(x) - 1)
         for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                k = i + j
-                c = xi * yj
-                if k < phi:
-                    acc[k] += c
-                else:
-                    row = table[k % m]
-                    for t, rt in enumerate(row):
-                        if rt:
-                            acc[t] += c * rt
-        return CyclotomicNumber._minimized(m, acc)
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        conv[i + j] += xi * yj
+        return CyclotomicNumber._minimized(m, _reduce(m, enumerate(conv)))
 
     __rmul__ = __mul__
 
@@ -375,9 +334,8 @@ class CyclotomicNumber:
             return self
         if math.gcd(t, n) != 1:
             raise ValueError(f"{t} is not a unit modulo the conductor {n}")
-        return CyclotomicNumber.from_terms(
-            n, {(k * t) % n: c for k, c in enumerate(self.coefficients)}
-        )
+        # a field automorphism keeps the minimal conductor
+        return CyclotomicNumber(n, tuple(_galois_raw(n, self.coefficients, t)))
 
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois(-1) if self.conductor > 1 else self
@@ -421,16 +379,8 @@ def _coerce(x):
     return NotImplemented
 
 
-def _galois_raw(n: int, coeffs: list[Fraction], t: int) -> list[Fraction]:
-    table = _power_table(n)
-    acc = [_ZERO] * euler_phi(n)
-    for k, c in enumerate(coeffs):
-        if c:
-            row = table[(k * t) % n]
-            for j, rj in enumerate(row):
-                if rj:
-                    acc[j] += c * rj
-    return acc
+def _galois_raw(n: int, coeffs, t: int) -> list[Fraction]:
+    return _reduce(n, ((k * t, c) for k, c in enumerate(coeffs)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -452,16 +402,21 @@ def _descent_steps(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def _rebase(n: int, coeffs: list[Fraction], d: int) -> list[Fraction] | None:
-    """Rewrite a vector known to lie in Q(zeta_d) <= Q(zeta_n) in the smaller basis."""
-    if d == 1:
-        return [coeffs[0]] if not any(coeffs[1:]) else None
-    step = n // d
-    table = _power_table(n)
-    cols = [
-        tuple(Fraction(v) for v in table[(step * i) % n]) for i in range(euler_phi(d))
-    ]
-    return _solve_exact(cols, coeffs)
+def _rebase(n: int, coeffs: list[Fraction], d: int) -> list[Fraction]:
+    """Rewrite a vector of Q(zeta_n) known to lie in Q(zeta_d) in the smaller
+    basis, for a descent step n = d*r with r a prime or 4."""
+    r = n // d
+    if d % r == 0:
+        # Phi_n(x) = Phi_d(x^r): the basis of Q(zeta_d) is every r-th one of Q(zeta_n)
+        return coeffs[::r]
+    # zeta_n^k = zeta_d^(k*u) * zeta_r^(k*w) with u = r^-1 mod d, w = d^-1 mod r.
+    # Tracing down to Q(zeta_d) sends zeta_r^(k*w) to the Ramanujan sum c_r(k)
+    # and the value itself to phi(r) times the value.
+    ramanujan = (2, 0, -2, 0) if r == 4 else (r - 1,) + (-1,) * (r - 1)
+    phi_r = euler_phi(r)
+    u = pow(r, -1, d)
+    acc = _reduce(d, ((k * u, c * ramanujan[k % r]) for k, c in enumerate(coeffs)))
+    return [c / phi_r for c in acc]
 
 
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:
@@ -513,22 +468,27 @@ _TERM_RE = re.compile(
     re.VERBOSE,
 )
 _Z_RE = re.compile(r"z\(([0-9]+)\)(?:\^(-?[0-9]+))?")
+# Matches groups.DEFAULT_ORDER_BOUND: a character value's conductor divides
+# the group exponent, which is at most the group order.
+PARSE_CONDUCTOR_BOUND = 2048
 
 
 def parse_cyclotomic(text: str) -> CyclotomicNumber:
-    """Parse the grammar produced by render_cyclotomic."""
+    """Parse the grammar produced by render_cyclotomic.
+
+    The cost grows with the conductor, so a literal whose z(N) conductors
+    have an lcm above PARSE_CONDUCTOR_BOUND is refused before any arithmetic."""
     s = text.strip()
     if not s:
         raise ValueError("empty cyclotomic literal")
     pos = 0
-    total = CyclotomicNumber.from_rational(0)
-    first = True
+    terms = []  # (conductor, exponent, coefficient)
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if not m or m.end() == pos:
             raise ValueError(f"bad cyclotomic literal near offset {pos}: {s[pos:pos + 20]!r}")
         sign = m.group("sign")
-        if sign is None and not first:
+        if sign is None and terms:
             raise ValueError(f"missing +/- between terms at offset {pos} in {text!r}")
         try:
             coeff = Fraction(m.group("coeff")) if m.group("coeff") else _ONE
@@ -540,12 +500,16 @@ def parse_cyclotomic(text: str) -> CyclotomicNumber:
         if zpart:
             zm = _Z_RE.fullmatch(zpart)
             assert zm is not None
-            n = int(zm.group(1))
-            k = int(zm.group(2)) if zm.group(2) is not None else 1
-            term = CyclotomicNumber.from_terms(n, {k: coeff})
+            terms.append((int(zm.group(1)), int(zm.group(2) or 1), coeff))
         else:
-            term = CyclotomicNumber.from_rational(coeff)
-        total = total + term
+            terms.append((1, 0, coeff))
         pos = m.end()
-        first = False
-    return total
+    conductor = math.lcm(*(n for n, _, _ in terms))
+    if not 1 <= conductor <= PARSE_CONDUCTOR_BOUND:  # the lcm is 0 if some N is
+        raise ValueError(f"{text!r} needs conductor {conductor}, "
+                         f"outside 1..{PARSE_CONDUCTOR_BOUND}")
+    total: dict[int, Fraction] = {}
+    for n, k, c in terms:
+        key = k * (conductor // n)
+        total[key] = total.get(key, _ZERO) + c
+    return CyclotomicNumber.from_terms(conductor, total)

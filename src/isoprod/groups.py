@@ -303,6 +303,8 @@ class FiniteGroup:
     def quotient(self, sub: "Subgroup") -> "QuotientGroup":
         if sub.group is not self:
             raise GroupError("subgroup belongs to a different group")
+        if len(sub.members) == 1:  # G/1 is G, with the identity projection
+            return QuotientGroup(self, tuple(range(self.order)), sub)
         if not self.is_normal(sub):
             raise GroupError("cannot form the quotient by a non-normal subgroup")
         members = sorted(sub.members)
@@ -737,7 +739,7 @@ def polycyclic_group(relative_orders, powers=None, conjugates=None,
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
-_WORD_ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_WORD_ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?$")
 
 
 def parse_word(text: str, aliases: dict[str, int], group: FiniteGroup) -> int:
@@ -814,6 +816,9 @@ def build_group(recipe: str, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise GroupError("empty group recipe")
+    if not all(ln.isascii() for ln in lines):
+        # `int` reads any Unicode decimal digit: `cyclic ٧` must not build Z7
+        raise GroupError("group recipe must be ASCII text")
     head = lines[0]
     if head.startswith("group"):
         head = head.split("=", 1)[1].strip() if "=" in head else head[5:].strip()
@@ -871,7 +876,7 @@ def _dispatch_recipe(kind, rest, tail, order_bound) -> FiniteGroup:
         for ln in tail:
             if not ln.startswith("act "):
                 raise GroupError(f"unexpected line in semidirect recipe: {ln!r}")
-            m = re.match(r"act\s+g(\d+)\s*:\s*g(\d+)\s*->\s*(.+)$", ln)
+            m = re.match(r"act\s+g([0-9]+)\s*:\s*g([0-9]+)\s*->\s*(.+)$", ln)
             if not m:
                 raise GroupError(f"malformed act line: {ln!r}")
             hpos = int(m.group(1)) - 1 - nk
@@ -895,12 +900,12 @@ def _dispatch_recipe(kind, rest, tail, order_bound) -> FiniteGroup:
             if not ln.startswith("rel "):
                 raise GroupError(f"unexpected line in polycyclic recipe: {ln!r}")
             body = ln[4:]
-            m = re.match(r"g(\d+)\s*\^\s*g(\d+)\s*=\s*(.+)$", body)
+            m = re.match(r"g([0-9]+)\s*\^\s*g([0-9]+)\s*=\s*(.+)$", body)
             if m:
                 i, j = int(m.group(1)) - 1, int(m.group(2)) - 1
                 conjugates[(i, j)] = _parse_gen_word_positive(m.group(3), nk)
                 continue
-            m = re.match(r"g(\d+)\s*\^\s*(\d+)\s*=\s*(.+)$", body)
+            m = re.match(r"g([0-9]+)\s*\^\s*([0-9]+)\s*=\s*(.+)$", body)
             if m:
                 i, e = int(m.group(1)) - 1, int(m.group(2))
                 if not 0 <= i < nk or e != orders[i]:

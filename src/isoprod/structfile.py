@@ -95,9 +95,9 @@ class StructureFile:
 
 _TUPLE_RE = re.compile(r"tuple\s+([A-Za-z]\w*)\s*=\s*\[(.*)\]\s*$")
 _GEN_RE = re.compile(r"gen\s+([A-Za-z_]\w*)\s*=\s*(.+)$")
-_EXPECT_GENUS_RE = re.compile(r"expect\s+genus\s*=\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
+_EXPECT_GENUS_RE = re.compile(r"expect\s+genus\s*=\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*$")
 _EXPECT_TYPE_RE = re.compile(r"expect\s+type\s*=\s*([a-d])\s*$")
-_TYPES_RE = re.compile(r"types\s*=\s*\(\s*\[([\d,\s]*)\]\s*,\s*\[([\d,\s]*)\]\s*\)\s*$")
+_TYPES_RE = re.compile(r"types\s*=\s*\(\s*\[([0-9,\s]*)\]\s*,\s*\[([0-9,\s]*)\]\s*\)\s*$")
 
 
 def _int_list(body: str, lineno: int) -> tuple[int, ...]:

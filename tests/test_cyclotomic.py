@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoprod.cyclotomic import (
+    PARSE_CONDUCTOR_BOUND,
     CyclotomicNumber,
     _canonical_conductor_terms,
     _descent_steps,
     _galois_raw,
     _power_table,
     _rebase,
+    _reduce,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -22,6 +25,7 @@ from isoprod.cyclotomic import (
     render_cyclotomic,
     zeta,
 )
+from isoprod.groups import DEFAULT_ORDER_BOUND
 
 
 def rat(x):
@@ -216,10 +220,61 @@ def test_parse_rejects_non_ascii_digits():
             parse_cyclotomic(template.format("3"))  # the ASCII text parses
 
 
+def test_parse_bounds_the_conductor():
+    start = time.perf_counter()
+    for text in ("z(389)^1 + z(397)^1", "z(2049)^1", "1 - z(64)^1 + z(33)^1",
+                 "z(0)^1", "z(" + "9" * 40 + ")^1"):
+        with pytest.raises(ValueError, match="needs conductor"):
+            parse_cyclotomic(text)
+    assert time.perf_counter() - start < 1
+    assert PARSE_CONDUCTOR_BOUND == DEFAULT_ORDER_BOUND
+    # the bound is on the lcm of the conductors, and it is inclusive
+    assert parse_cyclotomic("z(2048)^1024") == -1
+    assert parse_cyclotomic("z(64)^1 + z(32)^1") == zeta(64) + zeta(32)
+
+
+def _solve_exact(columns, target):
+    """Solve sum_j x_j * columns[j] = target over Q by Gaussian elimination;
+    None if inconsistent."""
+    rows, cols = len(target), len(columns)
+    mat = [[Fraction(columns[j][i]) for j in range(cols)] + [target[i]]
+           for i in range(rows)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(rows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    if any(mat[i][cols] != 0 for i in range(r, rows)):
+        return None
+    sol = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        sol[c] = mat[i][cols]
+    return sol
+
+
+def _rebase_by_solving(n, coeffs, d):
+    """Coordinates over Q(zeta_d), for any d | n, of a vector of Q(zeta_n):
+    solve against the images of 1, zeta_d, ..., zeta_d^(phi(d)-1)."""
+    table = _power_table(n)
+    return _solve_exact([table[n // d * i] for i in range(euler_phi(d))], coeffs)
+
+
 def _fixed_set_minimized(n, coeffs):
     """The earlier conductor search through the whole fixed subgroup of
     (Z/n)^*, kept as the oracle of the prime-by-prime descent.  For d = 1 the
-    condition `t % d == 1` holds for no t, and `_rebase` decides."""
+    condition `t % d == 1` holds for no t, and the solve decides."""
     if n == 1 or not any(coeffs[1:]):
         return 1, (coeffs[0],)
     units = [t for t in range(1, n) if math.gcd(t, n) == 1]
@@ -229,7 +284,7 @@ def _fixed_set_minimized(n, coeffs):
             if d == 2 or d % 4 == 2:
                 continue
             if all(t in fixed for t in units if t % d == 1):
-                rebased = _rebase(n, coeffs, d)
+                rebased = _rebase_by_solving(n, coeffs, d)
                 if rebased is not None:
                     return d, tuple(rebased)
     return n, tuple(coeffs)
@@ -289,3 +344,22 @@ def test_descent_generators_span_the_relative_galois_group():
             want = {u % n for u in range(1, n + 1)
                     if math.gcd(u, n) == 1 and (u - 1) % d == 0}
             assert {pow(t, i, n) for i in range(1, n + 1)} == want
+
+
+def test_rebase_matches_exact_solve():
+    """The relative-trace rebase against the Gaussian solve on random values
+    of Q(zeta_d), lifted to Q(zeta_n), for every descent step n = d*r."""
+    rng = random.Random(8128)
+    cases = {"r | d": 0, "prime r, r not | d": 0, "r = 4": 0}
+    for n in DESCENT_CONDUCTORS:
+        if n % 4 == 2:  # not a conductor that the descent starts from
+            continue
+        for d, _ in _descent_steps(n):
+            r = n // d
+            case = "r | d" if d % r == 0 else "r = 4" if r == 4 else "prime r, r not | d"
+            for _ in range(4):
+                terms = _seeded_terms(rng, d)
+                coeffs = _reduce(n, ((k * r, Fraction(c)) for k, c in terms.items()))
+                assert _rebase(n, coeffs, d) == _rebase_by_solving(n, coeffs, d)
+                cases[case] += 1
+    assert all(count > 20 for count in cases.values()), cases

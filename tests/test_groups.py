@@ -150,8 +150,17 @@ def test_cayley_table_matches_per_pair_oracle(g128, z3z3_label, psl27):
             psl27.quotient(psl27.trivial_subgroup()),
         ]
     assert [q.group.order for q in quotients] == [8, 32, 3, 168]
-    # the two factors of each of the three products are built (and checked) too
-    assert len(built) == len(recipes) + 6 + len(quotients)
+    # the two factors of each of the three products are built (and checked)
+    # too; the quotient by the trivial subgroup is G itself and builds nothing
+    assert len(built) == len(recipes) + 6 + len(quotients) - 1
+
+
+def test_quotient_by_trivial_subgroup_is_the_group(g128, z3z3, psl27):
+    for group in (g128, z3z3, psl27, gr.build_group("group = cyclic 1")):
+        quot = group.quotient(group.trivial_subgroup())
+        assert quot.group is group
+        assert quot.projection == tuple(range(group.order))
+        assert quot.kernel.members == frozenset({0})
 
 
 # Recipes whose relations or actions are drawn at random; most do not define

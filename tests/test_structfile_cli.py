@@ -6,6 +6,8 @@ import pytest
 from isoprod import catalog as cat
 from isoprod import chartab as ct
 from isoprod import cli
+from isoprod import groups as gr
+from isoprod.groups import GroupError
 from isoprod.ramification import RamificationError
 from isoprod.structfile import ParseError, parse_structure_file
 
@@ -124,6 +126,50 @@ def test_cli_inconsistent_group_is_a_positioned_error(tmp_path, capsys):
     assert cli.main(["chartab", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 1, column 1: ") and "engine defect" not in err
+
+
+def test_non_ascii_digits_are_rejected(tmp_path, capsys):
+    three, seven = "\u0663", "\u0667"  # Arabic-Indic 3 and 7
+    recipes = [
+        f"group = cyclic {seven}",
+        f"group = abelian {three} 3",
+        f"group = perm (1 2 {three})",
+        f"group = polycyclic 2 {three}",
+        f"group = polycyclic 3 3\nrel g2^g{chr(0x661)} = g2",
+        f"group = polycyclic 3 3\nrel g1^{three} = id",
+        f"group = semidirect [cyclic 7] [cyclic 3]\nact g{chr(0x662)}: g1 -> g1^2",
+        f"group = semidirect [cyclic 7] [cyclic 3]\nact g2: g1 -> g1^{chr(0x662)}",
+    ]
+    for recipe in recipes:
+        with pytest.raises(GroupError):
+            gr.build_group(recipe)
+        gr.build_group(recipe.translate({0x661: "1", 0x662: "2", 0x663: "3", 0x667: "7"}))
+    z3 = gr.build_group("group = cyclic 3")
+    with pytest.raises(GroupError):
+        gr.parse_word(f"g1^{three}", gr.default_aliases(z3), z3)
+
+    # (file, original line, replacement, line number of the error)
+    cases = [
+        ("z3xz3.struct", "group = abelian 3 3", f"group = abelian {three} 3", 1),
+        ("z3xz3.struct", "expect genus = (7, 4)", f"expect genus = ({seven}, 4)", 7),
+        ("z3xz3.struct", "tuple D = [b^2, b, a, a^2]", f"tuple D = [b^2, b, a, a^{chr(0x662)}]", 6),
+        ("psl2f7_a.search", "types = ([7, 7, 7], [3, 3, 4])",
+         f"types = ([{three},3,3],[3,3,3])", 3),
+    ]
+    for name, line, replacement, lineno in cases:
+        text = fixture_text(name)
+        assert line in text
+        bad = text.replace(line, replacement)
+        with pytest.raises(ParseError) as err:
+            sfile = parse_structure_file(bad)
+            sfile.structure(sfile.build())
+        assert err.value.line == lineno
+        path = tmp_path / name
+        path.write_text(bad)
+        command = "search" if name.endswith(".search") else "analyze"
+        assert cli.main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: line {lineno}, ")
 
 
 def test_cli_usage_error_exit_code(capsys):
