@@ -1,13 +1,21 @@
 """Exact character tables and their rational bookkeeping.
 
-The table is computed by the Burnside-Dixon method: the class-sum
-matrices are simultaneously diagonalized over a prime field F_p with
-p = 1 (mod exp(G)) and p > 2*ceil(sqrt(|G|)), which makes the lift of
-every eigenvalue multiplicity unique; the character values are then
-reassembled exactly as cyclotomic numbers of conductor dividing the
-element order.  No floating point, no randomization: the splitting
-sequence is the class matrices in canonical class order, so repeated
-runs produce identical tables.
+The linear characters are built directly, as the characters of the
+abelian quotient G/G', with values zeta_e^a read from exponents a mod
+e = exp(G).  The others come from the Burnside-Dixon method, seeded with
+the linear ones as in Schneider ("Dixon's character table algorithm
+revisited", J. Symb. Comput. 1990): the class-sum matrices are
+simultaneously diagonalized over a prime field F_p with p = 1 (mod exp(G))
+and p > 2*ceil(sqrt(|G|)), but only on the common kernel of the pairings
+with the linear characters, which the nonlinear eigenvectors span.  An
+abelian group needs no split at all.  The eigenvalue multiplicities, which
+the bound on p makes unique, are lifted on one class of each rational
+class {C^t : t prime to o(C)} and permuted by s -> s*t on the others,
+since chi(C^t) has the eigenvalues of chi(C) raised to the t-th power.
+The values are reassembled exactly as cyclotomic numbers of conductor
+dividing the element order.  No floating point, no randomization: the
+splitting sequence is the class matrices in canonical class order, so
+repeated runs produce identical tables.
 
 On top of the complex table this module computes Frobenius-Schur
 indicators, the partition of the irreducibles into Galois orbits
@@ -339,21 +347,22 @@ def _class_matrices(group: FiniteGroup):
     return mats
 
 
-def _split_spaces(mats, p, nc):
-    """Common one-dimensional eigenspaces of the commuting matrices `mats`."""
-    spaces = [[[1 if i == j else 0 for j in range(nc)] for i in range(nc)]]
+def _split_spaces(mats, p, nc, basis):
+    """Common one-dimensional eigenspaces of the commuting matrices `mats`
+    inside the invariant subspace spanned by the rows of `basis`."""
+    spaces = [basis]
     for matrix in mats[1:]:  # the identity-class matrix is the identity
         if all(len(b) == 1 for b in spaces):
             break
         out = []
-        for basis in spaces:
-            d = len(basis)
+        for space in spaces:
+            d = len(space)
             if d == 1:
-                out.append(basis)
+                out.append(space)
                 continue
             # restriction R: matrix * b_a = sum_z R[z][a] * b_z, read off via
             # the pivot columns of the RREF basis
-            rref, pivots = _rref_mod_p(basis, p)
+            rref, pivots = _rref_mod_p(space, p)
             images = []
             for b in rref:
                 img = [sum(matrix[l][k] * b[k] for k in range(nc)) % p
@@ -389,26 +398,115 @@ def _split_spaces(mats, p, nc):
     return [b[0] for b in spaces]
 
 
+def _linear_characters(group: FiniteGroup) -> list[list[int]]:
+    """Every linear character lambda of `group`, as the exponents a with
+    lambda(C_k) = zeta_e^a[k], e = exp(G).
+
+    They are the characters of the abelian G/G', built along
+    <g1> < <g1,g2> < ... of its generators.  For a generator g with g^k in H
+    and k minimal, each lambda on H extends to <H, g> in k ways,
+    lambda(g) = (lambda(g^k) + e*j)/k for j < k: k divides o(g), which
+    divides e, and lambda(g^k) is a multiple of k as (g^k)^(o(g)/k) = 1."""
+    e = group.exponent
+    quo = group.quotient(group.derived_subgroup())
+    ab = quo.group
+    members, pos = [0], {0: 0}  # H, and each element's place in `members`
+    chars = [[0]]  # chars[i][m]: exponent of the i-th character at members[m]
+    for g in ab.generators:
+        k, x = 1, g
+        while x not in pos:
+            x, k = ab.mul(x, g), k + 1
+        if k == 1:
+            continue
+        at = pos[x]
+        powers = [0]
+        for _ in range(k - 1):
+            powers.append(ab.mul(powers[-1], g))
+        members = [ab.mul(h, y) for y in powers for h in members]  # cosets H g^i
+        pos = {h: m for m, h in enumerate(members)}
+        chars = [
+            [(v + i * b) % e for i in range(k) for v in lam]
+            for lam in chars
+            for b in [(lam[at] + e * j) // k for j in range(k)]
+        ]
+    reps = [pos[quo.project(c.representative)] for c in group.conjugacy_classes]
+    return [[lam[m] for m in reps] for lam in chars]
+
+
 def character_table(group: FiniteGroup) -> CharacterTable:
     """The exact table of irreducible complex characters of `group`."""
+    classes = group.conjugacy_classes
+    e = group.exponent
+    built: dict = {}
+
+    def value(n, terms):
+        """sum m * zeta_n^s over the sorted (s, m) pairs, built once per table."""
+        v = built.get((n, terms))
+        if v is None:
+            v = built[n, terms] = CyclotomicNumber.from_terms(n, dict(terms))
+        return v
+
+    linear = _linear_characters(group)
+    rows = [
+        tuple(value(c.element_order, ((a * c.element_order // e, 1),))
+              for a, c in zip(lam, classes))
+        for lam in linear
+    ]
+    if len(linear) < len(classes):
+        rows += _nonlinear_characters(group, linear, value)
+    irreducibles = sorted((Character(group, r) for r in rows), key=Character.sort_key)
+    table = CharacterTable(group, irreducibles)
+    if sum(chi.degree ** 2 for chi in table) != group.order:
+        raise CharacterTableError("degrees are inconsistent with the group order")
+    return table
+
+
+def _nonlinear_characters(group: FiniteGroup, linear, value) -> list[tuple]:
+    """The value rows of the nonlinear irreducibles, by Dixon's method on the
+    complement of the linear characters (Schneider 1990)."""
     classes = group.conjugacy_classes
     nc = len(classes)
     order = group.order
     e = group.exponent
     p = dixon_prime(order, e)
     z = pow(_primitive_root(p), (p - 1) // e, p)
-
-    mats = _class_matrices(group)
-    vectors = _split_spaces(mats, p, nc)
-
     inv_class = [group.class_of[group.inverse(c.representative)] for c in classes]
     sizes = [c.size for c in classes]
-    power_classes = [
-        [group.class_power_map(k, t) for t in range(classes[k].element_order)]
-        for k in range(nc)
-    ]
 
-    irreducibles = []
+    # The eigenvector of chi is omega_chi(C_k) = |C_k| chi(C_k) / chi(1), and
+    # sum_k omega_chi(C_k) lambda(C_k^-1) = |G| / chi(1) [chi = lambda] with p
+    # prime to |G|: the nonlinear omega_chi span the common kernel of the
+    # pairings with the linear lambda.
+    pairing = [[pow(z, lam[inv_class[k]], p) for k in range(nc)] for lam in linear]
+    vectors = _kernel_mod_p(pairing, p)
+    if len(vectors) != nc - len(linear):
+        raise CharacterTableError("linear characters are dependent mod p")
+    if len(vectors) > 1:
+        vectors = _split_spaces(_class_matrices(group), p, nc, vectors)
+
+    # C^t for t prime to n = o(C) is a class of the same family as C, and
+    # chi(C^t) has the eigenvalues of chi(C) raised to the t: zeta_n^s -> zeta_n^(s*t).
+    # So the multiplicities are lifted on the first class of each family only.
+    family = [None] * nc  # family[j] = (k, t): C_j = C_k^t, C_k the first of the family
+    for k, cls in enumerate(classes):
+        if family[k] is None:
+            n = cls.element_order
+            for t in range(1, n + 1):
+                if math.gcd(t, n) == 1:
+                    j = group.class_power_map(k, t)
+                    if family[j] is None:
+                        family[j] = (k, t)
+    leaders = [k for k in range(nc) if family[k][0] == k]
+    power_classes = {
+        k: [group.class_power_map(k, t) for t in range(classes[k].element_order)]
+        for k in leaders
+    }
+    zpows = {}
+    for n in {classes[k].element_order for k in leaders}:
+        zn = pow(z, e // n, p)
+        zpows[n] = [pow(zn, j, p) for j in range(n)]
+
+    rows = []
     for w in vectors:
         if w[0] % p == 0:
             raise CharacterTableError("eigenvector vanishes on the identity class")
@@ -423,36 +521,35 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         if degree is None:
             raise CharacterTableError("no admissible degree for an eigenvector")
         theta = [(degree * w[k] * pow(sizes[k], -1, p)) % p for k in range(nc)]
-        values = []
-        for k in range(nc):
+        multiplicities = {}
+        for k in leaders:
             n = classes[k].element_order
-            zn = pow(z, e // n, p)
-            zpow = [pow(zn, j, p) for j in range(n)]
+            zpow = zpows[n]
+            pc = power_classes[k]
             ninv = pow(n, -1, p)
-            terms: dict[int, Fraction] = {}
+            terms = []
             total = 0
             for s_exp in range(n):
                 acc = 0
                 for t in range(n):
-                    acc += theta[power_classes[k][t]] * zpow[(-s_exp * t) % n]
+                    acc += theta[pc[t]] * zpow[(-s_exp * t) % n]
                 mult = (acc * ninv) % p
                 if mult >= p // 2 + 1:
                     raise CharacterTableError("eigenvalue multiplicity failed to lift")
                 if mult:
-                    terms[s_exp] = Fraction(mult)
+                    terms.append((s_exp, mult))
                 total += mult
             if total != degree:
                 raise CharacterTableError("eigenvalue multiplicities do not sum "
                                           "to the degree")
-            values.append(CyclotomicNumber.from_terms(n, terms))
-        irreducibles.append(Character(group, tuple(values)))
-
-    irreducibles.sort(key=Character.sort_key)
-    table = CharacterTable(group, irreducibles)
-    degs = sorted(chi.degree for chi in table)
-    if sum(d * d for d in degs) != order:
-        raise CharacterTableError("degrees are inconsistent with the group order")
-    return table
+            multiplicities[k] = terms
+        values = []
+        for j, (k, t) in enumerate(family):
+            n = classes[j].element_order
+            terms = sorted((s * t % n, m) for s, m in multiplicities[k])
+            values.append(value(n, tuple(terms)))
+        rows.append(tuple(values))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +559,12 @@ def character_table(group: FiniteGroup) -> CharacterTable:
 def frobenius_schur(chi: Character) -> int:
     """(1/|G|) sum_g chi(g^2), exactly one of -1, 0, +1."""
     g = chi.group
-    total = CyclotomicNumber.from_rational(0)
+    # the number of g with g^2 in C_j, then one cyclotomic term per class C_j
+    squares: dict[int, int] = {}
     for k, cls in enumerate(g.conjugacy_classes):
-        total = total + chi.values[g.class_power_map(k, 2)] * cls.size
+        j = g.class_power_map(k, 2)
+        squares[j] = squares.get(j, 0) + cls.size
+    total = sum((chi.values[j] * count for j, count in squares.items()), ZERO)
     nu = (total * Fraction(1, g.order)).as_rational()
     if nu.denominator != 1 or nu not in (-1, 0, 1):
         raise CharacterTableError(f"indicator {nu} outside {{-1,0,1}}")

@@ -389,16 +389,20 @@ def _descent_steps(n: int) -> tuple[tuple[int, int], ...]:
     t of Gal(Q(zeta_n)/Q(zeta_d)) = {t unit mod n : t = 1 (mod d)}: a value
     of Q(zeta_n) lies in Q(zeta_d) exactly when sigma_t fixes it.
 
-    For canonical n that group is Z/q, (Z/q)^* or (Z/4)^*, so it is cyclic
-    and an element of largest order generates it.
+    For canonical n that group is Z/q, (Z/q)^* or (Z/4)^*, so it is cyclic,
+    of order phi(n)/phi(d), and t generates it when t^(order/l) != 1 for every
+    prime l dividing the order.  The first such t is taken.
     """
     steps = []
     for q in prime_factors(n):
         d = n // q
         if d % 4 == 2:  # Q(zeta_2m) = Q(zeta_m) for odd m, and Q(zeta_2) = Q
             d //= 2
-        kernel = [t for t in range(1, n) if (t - 1) % d == 0 and math.gcd(t, n) == 1]
-        steps.append((d, max(kernel, key=lambda t: len({pow(t, i, n) for i in range(n)}))))
+        size = euler_phi(n) // euler_phi(d)
+        steps.append((d, next(
+            t for t in range(1, n, d) if math.gcd(t, n) == 1
+            and all(pow(t, size // l, n) != 1 for l in prime_factors(size))
+        )))
     return tuple(steps)
 
 

@@ -294,6 +294,26 @@ class FiniteGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, frozenset(range(self.order)), self.generators)
 
+    def derived_subgroup(self) -> "Subgroup":
+        """G' as the normal closure of the commutators of the generators.
+
+        <S> is normal once s^g lies in it for every s in S and generator g:
+        conjugation by g then maps <S> into, hence onto, itself."""
+        mul, inv, gens = self._mul, self._inv, self.generators
+        words = list(dict.fromkeys(
+            mul[mul[inv[a]][inv[b]]][mul[a][b]] for a in gens for b in gens
+        ))
+        members = self.closure(words)
+        while True:
+            extra = list(dict.fromkeys(
+                y for h in words for g in gens
+                if (y := self.conjugate(h, g)) not in members
+            ))
+            if not extra:
+                return Subgroup(self, members, tuple(w for w in words if w))
+            words += extra
+            members = self.closure(words)
+
     def is_normal(self, sub: "Subgroup") -> bool:
         mem = sub.members
         return all(
@@ -486,6 +506,10 @@ def _perm_mul(a, b):
 
 
 def _cycles_to_perm(cycles, degree):
+    points = [x for cyc in cycles for x in cyc]
+    if len(set(points)) != len(points):
+        # overlapping cycles would define a map that is not a bijection
+        raise GroupError("the cycles of a permutation must be disjoint")
     img = list(range(degree))
     for cyc in cycles:
         for k, x in enumerate(cyc):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from isoprod import chartab as ct
 from isoprod import groups as gr
-from isoprod.cyclotomic import CyclotomicNumber, zeta
+from isoprod.cyclotomic import ZERO, CyclotomicNumber, zeta
+from isoprod.structfile import parse_structure_file
+from test_acceptance import _random_small_groups
 
 
 def rat(x):
@@ -183,6 +186,18 @@ def test_frobenius_schur_values(q8, psl27, tables):
     deg3 = next(chi for chi in tp if chi.degree == 3)
     assert ct.frobenius_schur(deg3) == 0
     assert not deg3.is_self_dual()
+
+
+def test_frobenius_schur_matches_per_class_sum(tables):
+    """The indicator summed once per square class equals the sum of
+    |C| chi(C^2) over every class."""
+    for table in list(tables.values()) + [ct.character_table(g) for g in zoo_groups()]:
+        group = table.group
+        for chi in table:
+            total = ZERO
+            for k, cls in enumerate(group.conjugacy_classes):
+                total = total + chi.values[group.class_power_map(k, 2)] * cls.size
+            assert ct.frobenius_schur(chi) == total.as_rational() / group.order
 
 
 def test_galois_orbits_structure(tables, z3z3, q8, psl27):
@@ -399,3 +414,97 @@ def test_dixon_prime_policy():
     assert ct.dixon_prime(168, 84) == 337
     p = ct.dixon_prime(128, 4)
     assert p % 4 == 1 and p > 2 * math.isqrt(127) + 2
+
+
+def _dixon_oracle(group):
+    """The plain Burnside-Dixon table: every class matrix splits the whole
+    class space from the identity basis, and the eigenvalue multiplicities
+    are lifted on every class."""
+    classes = group.conjugacy_classes
+    nc = len(classes)
+    order = group.order
+    e = group.exponent
+    p = ct.dixon_prime(order, e)
+    z = pow(ct._primitive_root(p), (p - 1) // e, p)
+    identity = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    vectors = ct._split_spaces(ct._class_matrices(group), p, nc, identity)
+    inv_class = [group.class_of[group.inverse(c.representative)] for c in classes]
+    sizes = [c.size for c in classes]
+    power_classes = [
+        [group.class_power_map(k, t) for t in range(classes[k].element_order)]
+        for k in range(nc)
+    ]
+    irreducibles = []
+    for w in vectors:
+        norm = pow(w[0], -1, p)
+        w = [(v * norm) % p for v in w]
+        s = sum(w[k] * w[inv_class[k]] * pow(sizes[k], -1, p) for k in range(nc)) % p
+        dsq = (order * pow(s, -1, p)) % p
+        degree = next(d for d in range(1, math.isqrt(order) + 1) if (d * d) % p == dsq)
+        theta = [(degree * w[k] * pow(sizes[k], -1, p)) % p for k in range(nc)]
+        values = []
+        for k in range(nc):
+            n = classes[k].element_order
+            zn = pow(z, e // n, p)
+            terms = {}
+            for s_exp in range(n):
+                acc = sum(theta[power_classes[k][t]] * pow(zn, (-s_exp * t) % n, p)
+                          for t in range(n))
+                mult = (acc * pow(n, -1, p)) % p
+                assert mult <= p // 2
+                if mult:
+                    terms[s_exp] = Fraction(mult)
+            assert sum(terms.values()) == degree
+            values.append(CyclotomicNumber.from_terms(n, terms))
+        irreducibles.append(ct.Character(group, tuple(values)))
+    irreducibles.sort(key=ct.Character.sort_key)
+    return ct.CharacterTable(group, irreducibles)
+
+
+SL23_RECIPE = """
+group = polycyclic 3 2 2 2
+rel g2^2 = g4
+rel g3^2 = g4
+rel g2^g1 = g3
+rel g3^g1 = g2*g3*g4
+rel g3^g2 = g3*g4
+"""
+
+
+@pytest.fixture(scope="module")
+def oracle_groups(q8, psl27):
+    struct_groups = [
+        parse_structure_file(
+            resources.files("isoprod.data").joinpath(name).read_text()).build()
+        for name in ("z3xz3.struct", "g128_36.struct", "z2cubed_z4.struct")
+    ]
+    named = [gr.symmetric_group(4), gr.symmetric_group(5), gr.alternating_group(5),
+             psl27, q8, gr.dihedral_group(15), gr.dihedral_group(48),
+             gr.cyclic_group(1), gr.cyclic_group(2), gr.build_group(SL23_RECIPE)]
+    return struct_groups + zoo_groups() + _random_small_groups() + named
+
+
+def test_character_table_matches_full_dixon_oracle(oracle_groups):
+    for group in oracle_groups:
+        want = [chi.values for chi in _dixon_oracle(group)]
+        assert [chi.values for chi in ct.character_table(group)] == want, group.recipe
+
+
+def test_derived_subgroup_and_linear_characters(oracle_groups):
+    """G' is the subgroup generated by all commutators, and the linear
+    characters are |G/G'| distinct homomorphisms G -> <zeta_e>, trivial on G'."""
+    for group in oracle_groups:
+        n, e, mul, inv = group.order, group.exponent, group.mul, group.inverse
+        commutators = {mul(mul(inv(x), inv(y)), mul(x, y))
+                       for x in range(n) for y in range(n)}
+        derived = group.derived_subgroup()
+        assert derived.members == group.closure(commutators), group.recipe
+        linear = ct._linear_characters(group)
+        assert len(linear) == n // derived.order
+        assert len({tuple(lam) for lam in linear}) == len(linear)
+        for lam in linear:
+            a = [lam[k] for k in group.class_of]
+            assert all(0 <= v < e for v in a)
+            assert all((a[x] + a[y] - a[mul(x, y)]) % e == 0
+                       for x in range(n) for y in range(n)), group.recipe
+            assert all(a[h] == 0 for h in derived.members)

@@ -336,7 +336,10 @@ def test_conductor_descent_matches_fixed_set_oracle():
 
 
 def test_descent_generators_span_the_relative_galois_group():
-    for n in DESCENT_CONDUCTORS:
+    """Each step's generator spans the kernel of (Z/n)^* -> (Z/d)^*, and it
+    is the brute-force choice, the first kernel element of largest order: it
+    has the full order, and every smaller kernel element a smaller one."""
+    for n in DESCENT_CONDUCTORS + [2039, 2048]:
         steps = _descent_steps(n)
         assert len(steps) == len(prime_factors(n))
         for q, (d, t) in zip(prime_factors(n), steps):
@@ -344,6 +347,8 @@ def test_descent_generators_span_the_relative_galois_group():
             want = {u % n for u in range(1, n + 1)
                     if math.gcd(u, n) == 1 and (u - 1) % d == 0}
             assert {pow(t, i, n) for i in range(1, n + 1)} == want
+            assert all(len({pow(u, i, n) for i in range(n)}) < len(want)
+                       for u in want if u < t)
 
 
 def test_rebase_matches_exact_solve():

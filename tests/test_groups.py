@@ -61,6 +61,16 @@ def test_non_associative_recipes_rejected():
                        "act g2: g1 -> g1^2")
 
 
+def test_overlapping_cycles_are_rejected():
+    """A point in two cycles defines no permutation; naming such a map used
+    to follow it forever and run out of memory."""
+    for recipe in ("perm (1 2 3 4 5 6 7), (1 8)(2 1)(3 4)(5 6)", "perm (1 2 1)",
+                   "perm (1 2)(2 3)"):
+        with pytest.raises(gr.GroupError, match="disjoint"):
+            gr.build_group(recipe)
+    assert gr.build_group("perm (1 2)(3 4), (1 3)").order == 8
+
+
 def _per_pair_table(labels, label_mul, generators,
                     order_bound=gr.DEFAULT_ORDER_BOUND):
     """BFS enumeration, then `label_mul` on every pair of elements: the

@@ -2,6 +2,8 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoprod import catalog as cat
 from isoprod import chartab as ct
@@ -9,7 +11,7 @@ from isoprod import cli
 from isoprod import groups as gr
 from isoprod.groups import GroupError
 from isoprod.ramification import RamificationError
-from isoprod.structfile import ParseError, parse_structure_file
+from isoprod.structfile import ParseError, StructureFile, parse_structure_file
 
 
 def fixture_text(name):
@@ -74,6 +76,45 @@ def test_product_not_identity_names_offending_tuple():
     sfile = parse_structure_file(text)
     with pytest.raises(RamificationError, match="identity"):
         sfile.structure()
+
+
+SHIPPED_FILES = ("z3xz3.struct", "g128_36.struct", "z2cubed_z4.struct",
+                 "psl2f7_a.search", "psl2f7_b.search")
+
+
+def _edit(text):
+    """One truncation, insertion, replacement or deletion of a character."""
+    chars = st.one_of(st.sampled_from("0123456789g=*^-,()[] \n#"), st.characters())
+    options = [
+        st.integers(0, len(text)).map(lambda i: text[:i]),
+        st.tuples(st.integers(0, len(text)), chars).map(
+            lambda ic: text[:ic[0]] + ic[1] + text[ic[0]:]),
+    ]
+    if text:
+        options += [
+            st.tuples(st.integers(0, len(text) - 1), chars).map(
+                lambda ic: text[:ic[0]] + ic[1] + text[ic[0] + 1:]),
+            st.integers(0, len(text) - 1).map(lambda i: text[:i] + text[i + 1:]),
+        ]
+    return st.one_of(options)
+
+
+@settings(max_examples=200, deadline=5000, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_structure_files_are_rejected_or_build(data):
+    text = fixture_text(data.draw(st.sampled_from(SHIPPED_FILES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        text = data.draw(_edit(text))
+    try:
+        sfile = parse_structure_file(text)
+        group = sfile.build()
+    except ParseError as exc:
+        assert exc.line >= 1 and exc.column >= 1
+        return
+    except GroupError:
+        return
+    assert isinstance(sfile, StructureFile)
+    assert 1 <= group.order <= gr.DEFAULT_ORDER_BOUND
 
 
 def test_cli_validate_ok_and_failure(tmp_path, capsys):
