@@ -23,7 +23,8 @@ indicators, the partition of the irreducibles into Galois orbits
 multiplicities, and the rational central idempotents of the group
 algebra.  The Galois action needs no cyclotomic arithmetic: for t prime
 to exp(G), chi^sigma_t(C) = chi(C^t), so every Galois image of a row is
-that row with its columns permuted by a class power map.
+that row with its columns permuted by a class power map.  Each total of
+character values is one `CyclotomicNumber.sum`, minimized once.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from functools import cached_property
 from hashlib import sha256
 
 from .cyclotomic import (
-    ZERO,
     CyclotomicNumber,
     Rational,
     divisors,
@@ -121,9 +121,10 @@ class CharacterTable:
 
     def inner_product(self, chi: Character, psi: Character) -> Rational:
         """<chi, psi> = (1/|G|) sum |C| chi(C) conj(psi(C)); must be rational."""
-        total = CyclotomicNumber.from_rational(0)
-        for k, cls in enumerate(self.group.conjugacy_classes):
-            total = total + chi.values[k] * psi.values[k].conjugate() * cls.size
+        total = CyclotomicNumber.sum(
+            chi.values[k] * psi.values[k].conjugate() * cls.size
+            for k, cls in enumerate(self.group.conjugacy_classes)
+        )
         return (total * Fraction(1, self.group.order)).as_rational()
 
     def row_index(self, chi: Character) -> int:
@@ -166,13 +167,9 @@ class RationalCharacter:
     @cached_property
     def rational_values(self) -> tuple[Rational, ...]:
         """Values of the rational character s * sum over the orbit."""
-        out = []
-        for k in range(len(self.table.group.conjugacy_classes)):
-            total = CyclotomicNumber.from_rational(0)
-            for i in self.indices:
-                total = total + self.table[i].values[k]
-            out.append(total.as_rational() * self.schur_index)
-        return tuple(out)
+        rows = [self.table[i].values for i in self.indices]
+        return tuple(CyclotomicNumber.sum(column).as_rational() * self.schur_index
+                     for column in zip(*rows))
 
     def kernel(self) -> Subgroup:
         """Common kernel of the orbit's constituents."""
@@ -564,7 +561,7 @@ def frobenius_schur(chi: Character) -> int:
     for k, cls in enumerate(g.conjugacy_classes):
         j = g.class_power_map(k, 2)
         squares[j] = squares.get(j, 0) + cls.size
-    total = sum((chi.values[j] * count for j, count in squares.items()), ZERO)
+    total = CyclotomicNumber.sum(chi.values[j] * count for j, count in squares.items())
     nu = (total * Fraction(1, g.order)).as_rational()
     if nu.denominator != 1 or nu not in (-1, 0, 1):
         raise CharacterTableError(f"indicator {nu} outside {{-1,0,1}}")
@@ -623,12 +620,10 @@ def trivial_restriction_multiplicity(chi: Character, g: int) -> int:
     """Multiplicity of the trivial character in chi restricted to <g>."""
     group = chi.group
     n = group.element_orders[g]
-    total = CyclotomicNumber.from_rational(0)
-    x = 0
-    for _ in range(n):
-        total = total + chi.value_on_element(x)
-        x = group.mul(x, g)
-    avg = total * Fraction(1, n)
+    powers = [0]
+    for _ in range(n - 1):
+        powers.append(group.mul(powers[-1], g))
+    avg = CyclotomicNumber.sum(chi.value_on_element(x) for x in powers) * Fraction(1, n)
     if not avg.is_rational:
         raise CharacterTableError(
             f"restriction average {avg} is irrational: corrupted class function"
@@ -654,15 +649,13 @@ def central_idempotent(table: CharacterTable, i: int):
 
 def rational_idempotent(table: CharacterTable, orbit: RationalCharacter) -> GroupAlgebraElement:
     """Sum of the central idempotents over a Galois orbit; coefficients are
-    rational because the orbit is closed under the Galois action."""
+    rational because the orbit is closed under the Galois action.  They are
+    chi(1)/(s*|G|) times the values of the orbit's rational character."""
+    if orbit.table is not table:
+        raise CharacterTableError("orbit from a different table")
     group = table.group
-    scale = Fraction(table[orbit.indices[0]].degree, group.order)
-    per_class = []
-    for k in range(len(group.conjugacy_classes)):
-        total = CyclotomicNumber.from_rational(0)
-        for i in orbit.indices:
-            total = total + table[i].values[k]
-        per_class.append((total * scale).as_rational())
+    scale = Fraction(orbit.complex_degree, orbit.schur_index * group.order)
+    per_class = [v * scale for v in orbit.rational_values]
     return GroupAlgebraElement(group, tuple(per_class[k] for k in group.class_of))
 
 
@@ -745,7 +738,7 @@ def parse_table(text: str, group: FiniteGroup) -> CharacterTable:
     # The regular character sum_i chi_i(1) chi_i is |G| on the identity class
     # and 0 elsewhere; a single altered value always breaks this.
     for k in range(len(group.conjugacy_classes)):
-        total = sum((chi.values[0] * chi.values[k] for chi in rows), ZERO)
+        total = CyclotomicNumber.sum(chi.values[0] * chi.values[k] for chi in rows)
         if total != (group.order if k == 0 else 0):
             raise CharacterTableError("fixture values fail column orthogonality")
     return table

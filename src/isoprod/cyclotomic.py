@@ -26,7 +26,9 @@ v = (1/phi(r)) sum_k c_k c_r(k) zeta_d^(k*u).
 
 Every power sum is brought to the power basis by one routine, `_reduce`:
 construction, lifting to a larger conductor, the Galois action, this
-rewrite and products, which convolve the two vectors first.
+rewrite, sums and products, which convolve the two vectors first.  Its
+table keeps only the nonzero coordinates of each power of zeta_n.  A sum
+of any number of values is minimized once; `+` is its two-term case.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import functools
 import math
 import re
 from fractions import Fraction
+from itertools import compress
 
 Rational = Fraction
 
@@ -126,15 +129,17 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """zeta_n^k written in the basis 1, zeta, ..., zeta^(phi(n)-1), for 0 <= k < n."""
+def _power_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """zeta_n^k in the basis 1, zeta, ..., zeta^(phi(n)-1), for 0 <= k < n,
+    as the positions j and the coefficients c of its nonzero coordinates.
+    The positions are shared objects, so a row costs two pointers per entry."""
     phi = euler_phi(n)
     poly = cyclotomic_polynomial(n)
-    rows = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(n):
-        rows.append(tuple(cur))
+    positions = tuple(range(phi))
+    rows = [((k,), (1,)) for k in positions]
+    cur = [-c for c in poly[:phi]]  # zeta^phi, as Phi_n is monic
+    for _ in range(phi, n):
+        rows.append((tuple(compress(positions, cur)), tuple(compress(cur, cur))))
         # multiply by zeta and reduce the overflow coefficient via Phi_n
         top = cur[phi - 1]
         cur = [0] + cur[:-1]
@@ -157,9 +162,8 @@ def _reduce(n: int, terms) -> list[Fraction]:
         if k < phi:  # zeta^k is itself a basis vector
             acc[k] += c
             continue
-        for j, rj in enumerate(table[k]):
-            if rj:
-                acc[j] += c * rj
+        for j, rj in zip(*table[k]):
+            acc[j] += c * rj
     return acc
 
 
@@ -262,17 +266,21 @@ class CyclotomicNumber:
         return _reduce(m, ((k * step, c) for k, c in enumerate(self.coefficients)))
 
     @staticmethod
-    def _common(a: "CyclotomicNumber", b: "CyclotomicNumber"):
-        # an lcm of canonical conductors is itself canonical (never 2 mod 4)
-        m = math.lcm(a.conductor, b.conductor)
-        return m, a._lifted(m), b._lifted(m)
+    def sum(values) -> "CyclotomicNumber":
+        """The total of `values` (0 if none), minimized once: every value is
+        lifted to the lcm of the conductors, itself canonical (never 2 mod 4),
+        by one power-sum reduction."""
+        values = tuple(values)
+        m = math.lcm(*(v.conductor for v in values))
+        return CyclotomicNumber._minimized(m, _reduce(m, (
+            (k * (m // v.conductor), c) for v in values for k, c in enumerate(v.coefficients)
+        )))
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m, x, y = CyclotomicNumber._common(self, other)
-        return CyclotomicNumber._minimized(m, [a + b for a, b in zip(x, y)])
+        return CyclotomicNumber.sum((self, other))
 
     __radd__ = __add__
 
@@ -300,7 +308,9 @@ class CyclotomicNumber:
             return CyclotomicNumber(other.conductor, tuple(q * c for c in other.coefficients))
         if other.conductor == 1:
             return other * self
-        m, x, y = CyclotomicNumber._common(self, other)
+        # an lcm of canonical conductors is itself canonical (never 2 mod 4)
+        m = math.lcm(self.conductor, other.conductor)
+        x, y = self._lifted(m), other._lifted(m)
         # the product as a polynomial in zeta_m, reduced once
         conv = [_ZERO] * (2 * len(x) - 1)
         for i, xi in enumerate(x):
@@ -429,7 +439,6 @@ def zeta(n: int, k: int = 1) -> CyclotomicNumber:
 
 
 ZERO = CyclotomicNumber.from_rational(0)
-ONE = CyclotomicNumber.from_rational(1)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class BroughtonTable:
 
 
 def broughton(system: SphericalSystem, table: CharacterTable,
-              orbits=None) -> BroughtonTable:
+              orbits) -> BroughtonTable:
     group = system.group
     if table.group is not group:
         raise SurfaceError("system and table belong to different groups")
@@ -83,7 +83,7 @@ def broughton(system: SphericalSystem, table: CharacterTable,
         raise SurfaceError(
             f"multiplicities sum to dimension {total}, expected {2 * system.genus()}"
         )
-    orbits = tuple(orbits if orbits is not None else ct.galois_orbits(table))
+    orbits = tuple(orbits)
     rational = []
     for orbit in orbits:
         values = {mults[i] for i in orbit.indices}
@@ -306,24 +306,19 @@ class SurfaceAnalysis:
         return self.structure.genera()
 
 
-def analyze(structure: RamificationStructure,
-            table: CharacterTable | None = None,
+def analyze(structure: RamificationStructure, table: CharacterTable,
             orbits=None) -> SurfaceAnalysis:
-    group = structure.group
-    if table is None:
-        table = ct.character_table(group)
     orbits = tuple(orbits if orbits is not None else ct.galois_orbits(table))
     b_c = broughton(structure.t1, table, orbits)
     b_d = broughton(structure.t2, table, orbits)
     inv = surface_invariants(structure)
     dz = dim_z(b_c, b_d)
-    if inv.irregularity == 0:
-        expected = inv.hodge_diamond[2][1] - 2 + 2 * inv.geometric_genus
-        if dz.total != expected:
-            raise SurfaceError(
-                f"dim Z = {dz.total} contradicts the Hodge numbers "
-                f"(expected {expected})"
-            )
+    expected = inv.hodge_diamond[2][1] - 2 + 2 * inv.geometric_genus
+    if dz.total != expected:
+        raise SurfaceError(
+            f"dim Z = {dz.total} contradicts the Hodge numbers "
+            f"(expected {expected})"
+        )
     kind, diagnosis = classify_type(dz, inv)
     quotients = tuple(
         quotient_analysis(structure, c.orbit, c.orbit_position)

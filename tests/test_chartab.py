@@ -251,6 +251,27 @@ def test_trivial_restriction_multiplicity(q8, z3z3, tables):
     assert ct.trivial_restriction_multiplicity(triv, g11) == 1
 
 
+def _restriction_by_pairwise_adds(chi, g):
+    """l_g(chi) as one `+` per element of <g>, each partial sum minimized."""
+    group = chi.group
+    n = group.element_orders[g]
+    total, x = ZERO, 0
+    for _ in range(n):
+        total = total + chi.value_on_element(x)
+        x = group.mul(x, g)
+    return (total * Fraction(1, n)).as_integer()
+
+
+def test_trivial_restriction_multiplicity_matches_pairwise_adds(tables):
+    """The one-sum restriction multiplicity on every row and every element of
+    the fixture and zoo tables."""
+    for table in list(tables.values()) + [ct.character_table(g) for g in zoo_groups()]:
+        for chi in table:
+            for g in range(table.group.order):
+                assert (ct.trivial_restriction_multiplicity(chi, g)
+                        == _restriction_by_pairwise_adds(chi, g)), table.group.recipe
+
+
 def test_rational_idempotents(q8, z3z3, tables):
     tq = tables[q8.recipe]
     oq = ct.galois_orbits(tq)
@@ -278,6 +299,10 @@ def test_rational_idempotents(q8, z3z3, tables):
                 sum(values, CyclotomicNumber.from_rational(0)).as_rational()
                 for values in zip(*parts)
             )
+
+    # an orbit is read against its own table only
+    with pytest.raises(ct.CharacterTableError):
+        ct.rational_idempotent(tq, ct.galois_orbits(tables[z3z3.recipe])[0])
 
     # a single constituent idempotent has irrational coefficients
     tz = tables[z3z3.recipe]

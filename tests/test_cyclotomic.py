@@ -264,11 +264,19 @@ def _solve_exact(columns, target):
     return sol
 
 
+def _dense_row(n, k):
+    """zeta_n^k as its full coordinate vector, read from the sparse table."""
+    row = [0] * euler_phi(n)
+    for j, c in zip(*_power_table(n)[k]):
+        row[j] = c
+    return row
+
+
 def _rebase_by_solving(n, coeffs, d):
     """Coordinates over Q(zeta_d), for any d | n, of a vector of Q(zeta_n):
     solve against the images of 1, zeta_d, ..., zeta_d^(phi(d)-1)."""
-    table = _power_table(n)
-    return _solve_exact([table[n // d * i] for i in range(euler_phi(d))], coeffs)
+    return _solve_exact([_dense_row(n, n // d * i) for i in range(euler_phi(d))],
+                        coeffs)
 
 
 def _fixed_set_minimized(n, coeffs):
@@ -326,7 +334,7 @@ def test_conductor_descent_matches_fixed_set_oracle():
             m, folded = _canonical_conductor_terms(n, terms)
             acc = [Fraction(0)] * euler_phi(m)
             for k, c in folded.items():
-                for j, r in enumerate(_power_table(m)[k]):
+                for j, r in zip(*_power_table(m)[k]):
                     acc[j] += c * r
             got = CyclotomicNumber.from_terms(n, terms)
             want = _fixed_set_minimized(m, acc)
@@ -368,3 +376,91 @@ def test_rebase_matches_exact_solve():
                 assert _rebase(n, coeffs, d) == _rebase_by_solving(n, coeffs, d)
                 cases[case] += 1
     assert all(count > 20 for count in cases.values()), cases
+
+
+def test_power_table_rows_are_sparse():
+    """Each row keeps only its nonzero coordinates: zeta^k for k < phi(n) is
+    one basis vector, and the rows above it are few or short."""
+    for n in (2039, 2048):
+        table = _power_table(n)
+        assert len(table) == n
+        assert sum(len(positions) for positions, _ in table) < 3 * n
+        assert all(len(p) == len(c) and all(c) for p, c in table)
+    for n in DESCENT_CONDUCTORS:
+        phi = euler_phi(n)
+        x = [0] * phi
+        x[0] = 1
+        for k in range(n):  # row k is x^k mod Phi_n
+            assert _dense_row(n, k) == x
+            top, x = x[-1], [0] + x[:-1]
+            x = [a - top * b for a, b in zip(x, cyclotomic_polynomial(n))]
+
+
+def _pairwise_add(a, b):
+    """The two-term sum as `+` computed it before the n-ary sum: lift both to
+    the lcm of the conductors and minimize the sum of the coordinates."""
+    m = math.lcm(a.conductor, b.conductor)
+    x, y = a._lifted(m), b._lifted(m)
+    return CyclotomicNumber._minimized(m, [p + q for p, q in zip(x, y)])
+
+
+def _fold(values):
+    total = rat(0)
+    for v in values:
+        total = _pairwise_add(total, v)
+    return total
+
+
+def _same(x, y):
+    return (x.conductor, x.coefficients) == (y.conductor, y.coefficients)
+
+
+def test_sum_matches_pairwise_fold():
+    """The n-ary sum, minimized once, equals the left fold of two-term sums
+    each minimized, on seeded values over every descent conductor.  Some
+    lists cancel down to one value or are Galois-closed, so that their total
+    lies in a smaller field than the lcm of the conductors."""
+    rng = random.Random(3307)
+    mixed = descended = 0
+    for n in DESCENT_CONDUCTORS:
+        for kind in range(3):
+            conductors = [rng.choice(divisors(n)) for _ in range(rng.randint(2, 5))]
+            values = [CyclotomicNumber.from_terms(d, _seeded_terms(rng, d))
+                      for d in conductors]
+            if kind == 1:
+                values += [-v for v in values[1:]]
+                rng.shuffle(values)
+            elif kind == 2:
+                units = [t for t in range(1, n + 1) if math.gcd(t, n) == 1]
+                values = [v.galois(t) for v in values[:2] for t in units]
+            total = CyclotomicNumber.sum(values)
+            assert _same(total, _fold(values))
+            assert _same(CyclotomicNumber.sum(iter(values)), total)
+            mixed += len({v.conductor for v in values}) > 1
+            descended += total.conductor < math.lcm(*(v.conductor for v in values))
+    assert mixed > 100 and descended > 50, (mixed, descended)
+
+
+def test_sum_edge_cases():
+    assert _same(CyclotomicNumber.sum(()), rat(0))
+    for x in (rat(0), rat(Fraction(-3, 4)), zeta(7), zeta(8) - zeta(8, 3)):
+        assert _same(CyclotomicNumber.sum([x]), x)
+    # conductors 3 and 4 meet at their lcm 12
+    total = CyclotomicNumber.sum([zeta(3), zeta(4), rat(2)])
+    assert total.conductor == 12
+    assert _same(total, _fold([zeta(3), zeta(4), rat(2)]))
+    assert _same(total, zeta(3) + zeta(4) + 2)
+    # totals that cancel to a rational or to 0 leave at conductor 1
+    for values, want in (
+        ([zeta(5, k) for k in range(1, 5)], rat(-1)),
+        ([zeta(12), zeta(3), -zeta(12), zeta(3, 2)], rat(-1)),
+        ([zeta(7), -zeta(7), zeta(9, 2), -zeta(9, 2)], rat(0)),
+        ([zeta(8), zeta(8, 3), zeta(8, 5), zeta(8, 7), rat(Fraction(1, 3))],
+         rat(Fraction(1, 3))),
+    ):
+        got = CyclotomicNumber.sum(values)
+        assert _same(got, want) and _same(got, _fold(values))
+    # `+` is the two-term case, with integers and Fractions coerced
+    a, b = zeta(9, 2) * 3, zeta(4) - Fraction(1, 2)
+    assert _same(a + b, CyclotomicNumber.sum((a, b)))
+    assert _same(1 + a, CyclotomicNumber.sum((rat(1), a)))

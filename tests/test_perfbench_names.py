@@ -1,0 +1,59 @@
+"""The benchmark's tracer wraps program functions by name: a rename that
+loses one makes every traced benchmark run fail, so the names are pinned
+here by loading `perfbench/tracing.py` as it is."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from isoprod import chartab as ct
+from isoprod import groups as gr
+
+TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+MODULES = ("cyclotomic", "groups", "chartab", "ramification", "surface",
+           "structfile", "catalog", "cli")
+
+
+def _load_tracing():
+    for name in MODULES:  # the tracer looks the wrapped names up in these
+        importlib.import_module(f"isoprod.{name}")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PY)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+@pytest.fixture
+def tracer():
+    tracing = _load_tracing()
+    t = tracing.Tracer()
+    t.install()
+    try:
+        yield tracing, t
+    finally:
+        t.uninstall()
+
+
+def test_tracer_installs_and_restores():
+    original = ct.character_table
+    t = _load_tracing().Tracer()
+    t.install()  # raises TraceError if a wrapped name is missing
+    try:
+        assert ct.character_table is not original
+    finally:
+        t.uninstall()
+    assert ct.character_table is original
+
+
+def test_tracer_counts_arithmetic_and_dixon_prime(tracer):
+    tracing, t = tracer
+    table = ct.character_table(gr.symmetric_group(4))
+    for orbit in ct.galois_orbits(table):
+        ct.rational_idempotent(table, orbit)
+    counters = t.counters()
+    assert counters[tracing.ARITH_COUNTER] > 0
+    assert counters[tracing.DIXON_COUNTER] > 0
+    assert counters["chartab.character_table.calls"] == 1
+    assert counters["chartab.rational_idempotent.calls"] > 0

@@ -278,3 +278,11 @@ def test_broughton_defect_detection(tables, z3z3_label):
     bad = ct.Character(group, tuple(values))
     with pytest.raises(ct.CharacterTableError):
         ct.trivial_restriction_multiplicity(bad, lab[(1, 1)])
+    # chi(g^2) replaced by chi(g): the restriction sum over <g> is irrational
+    g = lab[(1, 1)]
+    chi = next(c for c in table if not c.value_on_element(g).is_rational)
+    values = list(chi.values)
+    values[group.class_of[group.power(g, 2)]] = chi.value_on_element(g)
+    bad = ct.Character(group, tuple(values))
+    with pytest.raises(ct.CharacterTableError, match="irrational"):
+        ct.trivial_restriction_multiplicity(bad, g)
