@@ -484,20 +484,17 @@ def _nonlinear_characters(group: FiniteGroup, linear, value) -> list[tuple]:
     # C^t for t prime to n = o(C) is a class of the same family as C, and
     # chi(C^t) has the eigenvalues of chi(C) raised to the t: zeta_n^s -> zeta_n^(s*t).
     # So the multiplicities are lifted on the first class of each family only.
+    power_classes = group.power_classes
     family = [None] * nc  # family[j] = (k, t): C_j = C_k^t, C_k the first of the family
-    for k, cls in enumerate(classes):
+    for k, row in enumerate(power_classes):
         if family[k] is None:
-            n = cls.element_order
+            n = len(row)
             for t in range(1, n + 1):
                 if math.gcd(t, n) == 1:
-                    j = group.class_power_map(k, t)
+                    j = row[t % n]
                     if family[j] is None:
                         family[j] = (k, t)
     leaders = [k for k in range(nc) if family[k][0] == k]
-    power_classes = {
-        k: [group.class_power_map(k, t) for t in range(classes[k].element_order)]
-        for k in leaders
-    }
     zpows = {}
     for n in {classes[k].element_order for k in leaders}:
         zn = pow(z, e // n, p)
@@ -619,11 +616,8 @@ def galois_orbits(table: CharacterTable) -> list[RationalCharacter]:
 def trivial_restriction_multiplicity(chi: Character, g: int) -> int:
     """Multiplicity of the trivial character in chi restricted to <g>."""
     group = chi.group
-    n = group.element_orders[g]
-    powers = [0]
-    for _ in range(n - 1):
-        powers.append(group.mul(powers[-1], g))
-    avg = CyclotomicNumber.sum(chi.value_on_element(x) for x in powers) * Fraction(1, n)
+    row = group.power_classes[group.class_of[g]]  # the classes of g^0, ..., g^(n-1)
+    avg = CyclotomicNumber.sum(chi.values[k] for k in row) * Fraction(1, len(row))
     if not avg.is_rational:
         raise CharacterTableError(
             f"restriction average {avg} is irrational: corrupted class function"

@@ -32,10 +32,17 @@ from .surface import SurfaceError
 
 def _load_file(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_structure_file(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise SystemExit(f"error: {exc}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[:exc.start].decode("utf-8") + "x").splitlines()  # x: the bad byte
+        raise ParseError(f"not UTF-8 text ({exc.reason}, byte 0x{data[exc.start]:02x})",
+                         len(lines), len(lines[-1])) from None
+    return parse_structure_file(text)
 
 
 def _check_expectations(sfile, analysis) -> list[str]:

@@ -25,10 +25,10 @@ c_r(k) (r - 1 or -1 for a prime r; 2, 0, -2, 0 for r = 4):
 v = (1/phi(r)) sum_k c_k c_r(k) zeta_d^(k*u).
 
 Every power sum is brought to the power basis by one routine, `_reduce`:
-construction, lifting to a larger conductor, the Galois action, this
-rewrite, sums and products, which convolve the two vectors first.  Its
-table keeps only the nonzero coordinates of each power of zeta_n.  A sum
-of any number of values is minimized once; `+` is its two-term case.
+construction, the Galois action, this rewrite, sums and products, each
+written as one power sum at the lcm of the conductors.  Its table keeps
+only the nonzero coordinates of each power of zeta_n.  A sum of any number
+of values is minimized once; `+` is its two-term case.
 """
 
 from __future__ import annotations
@@ -258,13 +258,6 @@ class CyclotomicNumber:
 
     # -- arithmetic
 
-    def _lifted(self, m: int) -> list[Fraction]:
-        """Coefficient vector of self inside Q(zeta_m); requires conductor | m."""
-        if self.conductor == m:
-            return list(self.coefficients)
-        step = m // self.conductor
-        return _reduce(m, ((k * step, c) for k, c in enumerate(self.coefficients)))
-
     @staticmethod
     def sum(values) -> "CyclotomicNumber":
         """The total of `values` (0 if none), minimized once: every value is
@@ -308,17 +301,18 @@ class CyclotomicNumber:
             return CyclotomicNumber(other.conductor, tuple(q * c for c in other.coefficients))
         if other.conductor == 1:
             return other * self
-        # an lcm of canonical conductors is itself canonical (never 2 mod 4)
+        # an lcm of canonical conductors is itself canonical (never 2 mod 4);
+        # zeta_f1^i * zeta_f2^j = zeta_m^(i*a + j*b), one power sum reduced once
         m = math.lcm(self.conductor, other.conductor)
-        x, y = self._lifted(m), other._lifted(m)
-        # the product as a polynomial in zeta_m, reduced once
-        conv = [_ZERO] * (2 * len(x) - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        conv[i + j] += xi * yj
-        return CyclotomicNumber._minimized(m, _reduce(m, enumerate(conv)))
+        a, b = m // self.conductor, m // other.conductor
+        terms: dict[int, Fraction] = {}
+        for i, x in enumerate(self.coefficients):
+            if x:
+                for j, y in enumerate(other.coefficients):
+                    if y:
+                        k = i * a + j * b
+                        terms[k] = terms.get(k, _ZERO) + x * y
+        return CyclotomicNumber._minimized(m, _reduce(m, terms.items()))
 
     __rmul__ = __mul__
 

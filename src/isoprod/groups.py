@@ -16,6 +16,11 @@ associative (see `FiniteGroup.__init__`), so a recipe that does not define
 a group is rejected with a GroupError instead of yielding a table that is
 not one.
 
+The classes of the powers of an element are read from one cached table,
+`FiniteGroup.power_classes`, whose row k (the classes of r^0..r^(o(r)-1) for
+the representative r of class k) serves every member of class k: class power
+maps, the Dixon lift, l_g, kernels of characters and Sigma-sets all read it.
+
 Polycyclic presentations are handled by collection from the left; they
 are the only finitely presented input accepted (general coset
 enumeration is deliberately out of scope).
@@ -27,6 +32,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 DEFAULT_ORDER_BOUND = 2048
 
@@ -217,9 +223,25 @@ class FiniteGroup:
                 out[i] = k
         return tuple(out)
 
+    @cached_property
+    def power_classes(self) -> tuple[tuple[int, ...], ...]:
+        """power_classes[k][t] is the class of r^t for the representative r of
+        class k, 0 <= t < o(r); the row serves every member g = x^-1 r x of
+        class k, since g^t = x^-1 r^t x.  One multiplication per entry."""
+        mul, class_of = self._mul, self.class_of
+        rows = []
+        for cls in self.conjugacy_classes:
+            r, x, row = cls.representative, 0, []
+            for _ in range(cls.element_order):
+                row.append(class_of[x])
+                x = mul[x][r]
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def class_power_map(self, k: int, e: int) -> int:
         """Class index of (representative of class k) ** e."""
-        return self.class_of[self.power(self.conjugacy_classes[k].representative, e)]
+        row = self.power_classes[k]
+        return row[e % len(row)]
 
     @cached_property
     def _transversal(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -411,11 +433,12 @@ class QuotientGroup:
 
 
 def kernel_of_character(group: FiniteGroup, values) -> Subgroup:
-    """Kernel {g : chi(g) = chi(1)} of a class function given by class values."""
+    """Kernel {g : chi(g) = chi(1)} of a class function given by class values:
+    the union of the classes on which it takes its degree."""
     deg = values[0]
-    members = frozenset(
-        i for i in range(group.order) if values[group.class_of[i]] == deg
-    )
+    members = frozenset(chain.from_iterable(
+        cls.members for cls, v in zip(group.conjugacy_classes, values) if v == deg
+    ))
     sub = Subgroup(group, members, ())
     sub = Subgroup(group, members, sub.small_generators())
     if not group.is_normal(sub):

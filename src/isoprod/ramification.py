@@ -5,7 +5,8 @@ and multiplies to the identity; it encodes a Galois covering of the line
 branched at one point per entry.  The stabilizer locus Sigma(T) is the
 union of all conjugates of all powers of the entries; a pair of systems
 with Sigma-sets meeting only in the identity defines a free diagonal
-action on the product of the two covering curves.
+action on the product of the two covering curves.  Sigma(T) is a union of
+classes, so the search computes and compares it as a set of class indices.
 
 The structure search enumerates ordered tuples whose entry orders match
 a prescribed type, pairs the two sides through their (conjugation
@@ -23,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import FiniteGroup, Subgroup, QuotientGroup
+from .groups import FiniteGroup, QuotientGroup
 
 DEFAULT_SEARCH_BOUND = 512
 MAX_TUPLE_LENGTH = 6
@@ -103,23 +104,16 @@ def genus(order: int, signature) -> int:
 
 def sigma_set(system: SphericalSystem) -> frozenset[int]:
     """Union of all conjugates of all powers of the entries (contains id)."""
-    return _sigma_of_entries(system.group, frozenset(system.entries))
+    classes = system.group.conjugacy_classes
+    return frozenset(itertools.chain.from_iterable(
+        classes[k].members for k in _sigma_classes(system.group, system.entries)))
 
 
-def _sigma_of_entries(group: FiniteGroup, entries: frozenset[int]) -> frozenset[int]:
-    classes = group.conjugacy_classes
-    class_of = group.class_of
-    out = {0}
-    seen_classes = set()
-    for e in entries:
-        x = e
-        while x != 0:
-            k = class_of[x]
-            if k not in seen_classes:
-                seen_classes.add(k)
-                out.update(classes[k].members)
-            x = group.mul(x, e)
-    return frozenset(out)
+def _sigma_classes(group: FiniteGroup, entries) -> frozenset[int]:
+    """Sigma as class indices: the union of the entries' `power_classes` rows."""
+    rows, class_of = group.power_classes, group.class_of
+    return frozenset(itertools.chain.from_iterable(
+        rows[k] for k in {class_of[e] for e in entries}))
 
 
 def is_disjoint(t1: SphericalSystem, t2: SphericalSystem) -> bool:
@@ -168,20 +162,14 @@ class QuotientSystem:
         return 0 if self.system is None else self.system.genus()
 
 
-def quotient_system(system: SphericalSystem, sub: Subgroup,
-                    quot: QuotientGroup | None = None) -> QuotientSystem:
-    """Project a system to G/H (H normal), dropping identity images.
+def quotient_system(system: SphericalSystem, quot: QuotientGroup) -> QuotientSystem:
+    """Project a system to the quotient `quot` = G/H, dropping identity images.
 
-    A projected tuple with fewer than three surviving entries can only
-    describe a genus-zero quotient curve; anything else flags inconsistent
-    input.  A trivial quotient yields genus 0 with no system.  Pass a
-    precomputed `quot` to share one quotient group between projections.
+    A trivial quotient yields genus 0 with no system.  Otherwise the images
+    must still multiply to one and generate G/H, so at least two survive; two
+    survivors are x and x^-1, which generate a cyclic G/H of order m = o(x),
+    and genus(m, (m, m)) = 0.
     """
-    group = system.group
-    if quot is None:
-        quot = group.quotient(sub)
-    elif quot.kernel.members != sub.members:
-        raise RamificationError("precomputed quotient has a different kernel")
     q = quot.group
     if q.order == 1:
         return QuotientSystem(quot, None, tuple(range(system.length)))
@@ -193,13 +181,6 @@ def quotient_system(system: SphericalSystem, sub: Subgroup,
         prod = q.mul(prod, x)
     if prod != 0 or q.closure(survivors) != frozenset(range(q.order)):
         raise RamificationError("projection broke the spherical-system axioms")
-    if len(survivors) < 3:
-        orders = tuple(sorted(q.element_orders[x] for x in survivors))
-        if not orders or genus(q.order, orders) > 0:
-            raise RamificationError(
-                f"only {len(survivors)} branch points survive in a quotient of "
-                f"order {q.order}: inconsistent covering data"
-            )
     projected = SphericalSystem(
         q, survivors, tuple(sorted(q.element_orders[x] for x in survivors))
     )
@@ -319,10 +300,10 @@ def iter_structure_keys(group: FiniteGroup, type_pair, naive: bool = False):
 
     by_sigma1: dict[frozenset, list] = {}
     for t in side1:
-        by_sigma1.setdefault(_sigma_of_entries(group, frozenset(t)), []).append(t)
+        by_sigma1.setdefault(_sigma_classes(group, t), []).append(t)
     by_sigma2: dict[frozenset, list] = {}
     for t in side2:
-        by_sigma2.setdefault(_sigma_of_entries(group, frozenset(t)), []).append(t)
+        by_sigma2.setdefault(_sigma_classes(group, t), []).append(t)
 
     only_id = frozenset({0})
     seen = set()

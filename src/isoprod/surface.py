@@ -237,8 +237,8 @@ def quotient_analysis(structure: RamificationStructure,
     G/H and compute the genera of both intermediate curves."""
     kernel = orbit.kernel()
     quot = structure.group.quotient(kernel)
-    qc = quotient_system(structure.t1, kernel, quot)
-    qd = quotient_system(structure.t2, kernel, quot)
+    qc = quotient_system(structure.t1, quot)
+    qd = quotient_system(structure.t2, quot)
     return QuotientAnalysis(
         orbit, orbit_position, kernel,
         describe_group(qc.quotient.group), qc, qd,

@@ -515,6 +515,32 @@ def test_character_table_matches_full_dixon_oracle(oracle_groups):
         assert [chi.values for chi in ct.character_table(group)] == want, group.recipe
 
 
+def test_power_classes_match_power(oracle_groups):
+    """Row k of the power-class table holds the class of r^t, for the
+    representative r of class k and every 0 <= t < o(r), and the class power
+    map reads it for every exponent."""
+    for group in oracle_groups:
+        rows = group.power_classes
+        assert len(rows) == len(group.conjugacy_classes)
+        for k, cls in enumerate(group.conjugacy_classes):
+            r = cls.representative
+            assert rows[k] == tuple(group.class_of[group.power(r, t)]
+                                    for t in range(cls.element_order)), group.recipe
+            for e in range(-2, group.exponent + 2):
+                assert group.class_power_map(k, e) == group.class_of[group.power(r, e)]
+
+
+def test_kernel_of_character_matches_element_scan(tables):
+    """The kernel as a union of classes equals {g : chi(g) = chi(1)} scanned
+    element by element, on every row of the fixture and zoo tables."""
+    for table in list(tables.values()) + [ct.character_table(g) for g in zoo_groups()]:
+        group = table.group
+        for chi in table:
+            scan = frozenset(i for i in range(group.order)
+                             if chi.value_on_element(i) == chi.values[0])
+            assert gr.kernel_of_character(group, chi.values).members == scan
+
+
 def test_derived_subgroup_and_linear_characters(oracle_groups):
     """G' is the subgroup generated by all commutators, and the linear
     characters are |G/G'| distinct homomorphisms G -> <zeta_e>, trivial on G'."""

@@ -396,12 +396,32 @@ def test_power_table_rows_are_sparse():
             x = [a - top * b for a, b in zip(x, cyclotomic_polynomial(n))]
 
 
+def _lifted(x, m):
+    """Coefficient vector of x inside Q(zeta_m), for a conductor dividing m."""
+    step = m // x.conductor
+    return _reduce(m, ((k * step, c) for k, c in enumerate(x.coefficients)))
+
+
 def _pairwise_add(a, b):
     """The two-term sum as `+` computed it before the n-ary sum: lift both to
     the lcm of the conductors and minimize the sum of the coordinates."""
     m = math.lcm(a.conductor, b.conductor)
-    x, y = a._lifted(m), b._lifted(m)
+    x, y = _lifted(a, m), _lifted(b, m)
     return CyclotomicNumber._minimized(m, [p + q for p, q in zip(x, y)])
+
+
+def _convolved_product(a, b):
+    """The product as `*` computed it before one power sum: lift both to the
+    lcm of the conductors, convolve the vectors and reduce once."""
+    m = math.lcm(a.conductor, b.conductor)
+    x, y = _lifted(a, m), _lifted(b, m)
+    conv = [Fraction(0)] * (2 * len(x) - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    conv[i + j] += xi * yj
+    return CyclotomicNumber._minimized(m, _reduce(m, enumerate(conv)))
 
 
 def _fold(values):
@@ -464,3 +484,24 @@ def test_sum_edge_cases():
     a, b = zeta(9, 2) * 3, zeta(4) - Fraction(1, 2)
     assert _same(a + b, CyclotomicNumber.sum((a, b)))
     assert _same(1 + a, CyclotomicNumber.sum((rat(1), a)))
+
+
+def test_product_matches_lifted_convolution():
+    """`*` as one power sum at the lcm of the conductors equals the product
+    of the lifted vectors: on values at two different divisors of every
+    descent conductor, and on x * conj(x), which lies in a real subfield."""
+    rng = random.Random(6211)
+    mixed = descended = 0
+    for n in DESCENT_CONDUCTORS:
+        conductors = [d for d in divisors(n) if d > 2 and d % 4 != 2]
+        d1, d2 = rng.sample(conductors, 2) if len(conductors) > 1 else (n, n)
+        a, b = (CyclotomicNumber.from_terms(d, {rng.randrange(d): rng.randint(1, 3)
+                                                for _ in range(3)}) for d in (d1, d2))
+        c = CyclotomicNumber.from_terms(n, _seeded_terms(rng, n))
+        assert _same(a * b, b * a)
+        for x, y in ((a, b), (c, a), (a, a.conjugate()), (c, c.conjugate())):
+            product = x * y
+            assert _same(product, _convolved_product(x, y)), (x, y)
+            mixed += 1 < x.conductor != y.conductor > 1
+            descended += product.conductor < math.lcm(x.conductor, y.conductor)
+    assert mixed > 50 and descended > 50, (mixed, descended)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -125,6 +126,35 @@ def test_sigma_brute_force_oracle(g128, z3z3_structure, z2cubed_z4):
         assert rm.sigma_set(system) == frozenset(brute)
 
 
+def test_sigma_classes_match_brute_force(g128, z2cubed_z4, psl27):
+    """Sigma as a class set, expanded to elements, is the set of conjugates
+    of powers of the entries, for every tuple of several types: class 0 is
+    {id}, so class sets meet only in 0 exactly when the Sigma-sets meet only
+    in id."""
+    cases = [(gr.symmetric_group(4), (2, 3, 4)), (gr.symmetric_group(4), (2, 2, 2, 3)),
+             (gr.alternating_group(5), (2, 5, 5)), (psl27, (3, 3, 4)),
+             (z2cubed_z4, (2, 2, 4, 4)), (g128, (4, 4, 4))]
+    for group, signature in cases:
+        brute = {}  # entry -> its conjugates of powers
+        for e in range(group.order):
+            x, out = 0, set()
+            for _ in range(group.element_orders[e]):
+                out.update(group.conjugate(x, t) for t in range(group.order))
+                x = group.mul(x, e)
+            brute[e] = out
+        classes = group.conjugacy_classes
+        assert classes[0].members == (0,)
+        count = 0
+        for t in itertools.islice(rm._systems_of_type(group, signature, False), 400):
+            sigma = set().union(*(brute[e] for e in t))
+            ks = rm._sigma_classes(group, t)
+            assert 0 in ks
+            assert set().union(*(classes[k].members for k in ks)) == sigma
+            assert rm.sigma_set(rm.validate_spherical(group, t)) == frozenset(sigma)
+            count += 1
+        assert count > 20, (group.recipe, signature)
+
+
 def test_disjointness(z3z3_structure):
     assert rm.is_disjoint(z3z3_structure.t1, z3z3_structure.t2)
     assert rm.is_disjoint(z3z3_structure.t2, z3z3_structure.t1)  # symmetric
@@ -144,11 +174,11 @@ def test_disjointness_g128(g128):
 def test_quotient_systems(z3z3_label, z3z3_structure):
     group, lab = z3z3_label
     h = group.subgroup([lab[(2, 1)]])
-    qc = rm.quotient_system(z3z3_structure.t1, h)
+    qc = rm.quotient_system(z3z3_structure.t1, group.quotient(h))
     assert qc.genus == 1
     assert qc.system.signature == (3, 3, 3)
     assert len(qc.dropped) == 2
-    qd = rm.quotient_system(z3z3_structure.t2, h)
+    qd = rm.quotient_system(z3z3_structure.t2, group.quotient(h))
     assert qd.genus == 2
     assert qd.system.signature == (3, 3, 3, 3)
     assert qd.dropped == ()
@@ -159,7 +189,7 @@ def test_quotient_system_g128(g128):
     w = lambda s: gr.parse_word(s, al, g128)
     tc = rm.validate_spherical(g128, [w("g1*g2*g4*g6"), w("g1*g4*g5*g6"), w("g2*g3*g4*g7")])
     h = g128.subgroup([w("g7"), w("g6"), w("g3*g4"), w("g4*g5")])
-    qc = rm.quotient_system(tc, h)
+    qc = rm.quotient_system(tc, g128.quotient(h))
     assert qc.quotient.group.order == 8
     assert gr.identify_q8(qc.quotient.group)
     assert qc.genus == 2
@@ -167,18 +197,45 @@ def test_quotient_system_g128(g128):
 
 def test_quotient_round_trip(z3z3_structure, z3z3_label):
     group, _ = z3z3_label
-    q = rm.quotient_system(z3z3_structure.t1, group.trivial_subgroup())
-    assert q.genus == z3z3_structure.t1.genus()
+    t1 = z3z3_structure.t1
+    q = rm.quotient_system(t1, group.quotient(group.trivial_subgroup()))
+    assert q.genus == t1.genus()
     assert q.dropped == ()
     # quotient by the full group: genus 0, no system survives
-    q = rm.quotient_system(z3z3_structure.t1, group.full_subgroup())
+    q = rm.quotient_system(t1, group.quotient(group.full_subgroup()))
     assert q.genus == 0 and q.system is None
     # a genus-zero two-point quotient is legitimate, not an error
     z4 = gr.cyclic_group(4)
     t = rm.validate_spherical(z4, [1, 1, 2])
     sub = z4.subgroup([2])
-    q = rm.quotient_system(t, sub)
+    q = rm.quotient_system(t, z4.quotient(sub))
     assert q.genus == 0 and len(q.system.entries) == 2
+
+
+def test_two_survivors_give_genus_zero():
+    """When exactly two images survive in G/H they are x and x^-1, which
+    generate a cyclic G/H of order o(x), and the quotient curve has genus 0:
+    every system of these types, projected to every normal subgroup."""
+    cases = [(gr.symmetric_group(3), (2, 2, 3)), (gr.cyclic_group(6), (2, 3, 6)),
+             (gr.dihedral_group(4), (2, 2, 2, 4)), (gr.alternating_group(4), (2, 3, 3))]
+    two = 0
+    for group, signature in cases:
+        n = group.order
+        subgroups = [group.subgroup(h) for h in
+                     {group.closure([x, y]) for x in range(n) for y in range(x, n)}]
+        quotients = [group.quotient(h) for h in subgroups if group.is_normal(h)]
+        for entries in rm._systems_of_type(group, signature, first_entry_reps=True):
+            system = rm.validate_spherical(group, entries)
+            for quot in quotients:
+                q = rm.quotient_system(system, quot)
+                if q.system is None or q.system.length != 2:
+                    continue
+                two += 1
+                x, y = q.system.entries
+                assert y == quot.group.inverse(x)
+                assert quot.group.element_orders[x] == quot.group.order
+                assert q.genus == 0
+    assert two > 20, two
 
 
 def test_search_z2_empty():

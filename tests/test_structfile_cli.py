@@ -169,6 +169,20 @@ def test_cli_inconsistent_group_is_a_positioned_error(tmp_path, capsys):
     assert err.startswith("error: line 1, column 1: ") and "engine defect" not in err
 
 
+def test_non_utf8_file_is_a_positioned_error(tmp_path, capsys):
+    p = tmp_path / "latin1.struct"
+    p.write_bytes(b"group = cyclic 3\n\xff")
+    for command in ("analyze", "search"):
+        assert cli.main([command, str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2, column 1: not UTF-8 text")
+    # the bad byte's column counts the characters before it on its line
+    p.write_bytes("group = cyclic 3\r\ntuple C = [\u00e9".encode() + b"\xe9]\n")
+    assert cli.main(["analyze", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2, column 13: ")
+
+
 def test_non_ascii_digits_are_rejected(tmp_path, capsys):
     three, seven = "\u0663", "\u0667"  # Arabic-Indic 3 and 7
     recipes = [
