@@ -19,12 +19,14 @@ repeated runs produce identical tables.
 
 On top of the complex table this module computes Frobenius-Schur
 indicators, the partition of the irreducibles into Galois orbits
-(rational characters with a Schur-index annotation), restriction
-multiplicities, and the rational central idempotents of the group
-algebra.  The Galois action needs no cyclotomic arithmetic: for t prime
-to exp(G), chi^sigma_t(C) = chi(C^t), so every Galois image of a row is
-that row with its columns permuted by a class power map.  Each total of
-character values is one `CyclotomicNumber.sum`, minimized once.
+(rational characters with a Schur-index annotation), Broughton's
+restriction multiplicities l_g(chi), summed at most once per class of each
+character (kernels read them: g is in ker chi iff l_g(chi) = chi(1)), and
+the rational central idempotents of the group algebra.  The Galois action
+needs no cyclotomic arithmetic: for t prime to exp(G), chi^sigma_t(C) =
+chi(C^t), so every Galois image of a row is that row with its columns
+permuted by a class power map.  Each total of character values is one
+`CyclotomicNumber.sum`, minimized once.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .cyclotomic import (
     prime_factors,
     render_cyclotomic,
 )
-from .groups import FiniteGroup, Subgroup, kernel_of_character
+from .groups import FiniteGroup, Subgroup
 
 
 class CharacterTableError(RuntimeError):
@@ -87,6 +89,10 @@ class Character:
 
     def sort_key(self):
         return (self.degree, tuple(v.sort_key() for v in self.values))
+
+    @cached_property
+    def _trivial_multiplicities(self) -> dict[int, int]:
+        return {}  # class of g -> l_g, filled by trivial_restriction_multiplicity
 
     def __str__(self):
         return "[" + ", ".join(str(v) for v in self.values) + "]"
@@ -172,14 +178,19 @@ class RationalCharacter:
                      for column in zip(*rows))
 
     def kernel(self) -> Subgroup:
-        """Common kernel of the orbit's constituents."""
-        chi = self.table[self.indices[0]]
-        ker = kernel_of_character(self.table.group, chi.values)
-        for i in self.indices[1:]:
-            other = kernel_of_character(self.table.group, self.table[i].values)
-            if other.members != ker.members:
-                raise CharacterTableError("Galois conjugates with different kernels")
-        return ker
+        """Common kernel of the constituents: the classes where l_g(chi) = chi(1)."""
+        group = self.table.group
+        classes = group.conjugacy_classes
+        kernels = {tuple(k for k, c in enumerate(classes)
+                         if trivial_restriction_multiplicity(chi, c.representative) == chi.degree)
+                   for chi in map(self.table.__getitem__, self.indices)}
+        if len(kernels) != 1:
+            raise CharacterTableError("Galois conjugates with different kernels")
+        members = frozenset(x for k in kernels.pop() for x in classes[k].members)
+        gens = Subgroup(group, members, ()).small_generators()
+        if group.closure(gens) != members:  # a union of classes need not be a subgroup
+            raise CharacterTableError("kernel is not a subgroup (corrupt values)")
+        return Subgroup(group, members, gens)
 
 
 @dataclass(frozen=True)
@@ -614,10 +625,15 @@ def galois_orbits(table: CharacterTable) -> list[RationalCharacter]:
 
 
 def trivial_restriction_multiplicity(chi: Character, g: int) -> int:
-    """Multiplicity of the trivial character in chi restricted to <g>."""
+    """Multiplicity of the trivial character in chi restricted to <g>,
+    summed once per class of g and then read from chi's memo."""
     group = chi.group
-    row = group.power_classes[group.class_of[g]]  # the classes of g^0, ..., g^(n-1)
-    avg = CyclotomicNumber.sum(chi.values[k] for k in row) * Fraction(1, len(row))
+    k = group.class_of[g]
+    memo = chi._trivial_multiplicities
+    if k in memo:
+        return memo[k]
+    row = group.power_classes[k]  # the classes of g^0, ..., g^(n-1)
+    avg = CyclotomicNumber.sum(chi.values[j] for j in row) * Fraction(1, len(row))
     if not avg.is_rational:
         raise CharacterTableError(
             f"restriction average {avg} is irrational: corrupted class function"
@@ -627,7 +643,8 @@ def trivial_restriction_multiplicity(chi: Character, g: int) -> int:
         raise CharacterTableError(
             f"restriction multiplicity {q} is not a non-negative integer"
         )
-    return int(q)
+    memo[k] = int(q)
+    return memo[k]
 
 
 def central_idempotent(table: CharacterTable, i: int):

@@ -19,7 +19,7 @@ not one.
 The classes of the powers of an element are read from one cached table,
 `FiniteGroup.power_classes`, whose row k (the classes of r^0..r^(o(r)-1) for
 the representative r of class k) serves every member of class k: class power
-maps, the Dixon lift, l_g, kernels of characters and Sigma-sets all read it.
+maps, the Dixon lift, l_g and Sigma-sets all read it.
 
 Polycyclic presentations are handled by collection from the left; they
 are the only finitely presented input accepted (general coset
@@ -32,7 +32,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 DEFAULT_ORDER_BOUND = 2048
 
@@ -428,24 +427,6 @@ class QuotientGroup:
         return self.projection[i]
 
 
-# ---------------------------------------------------------------------------
-# characters-as-class-functions utilities (value objects stay opaque here)
-
-
-def kernel_of_character(group: FiniteGroup, values) -> Subgroup:
-    """Kernel {g : chi(g) = chi(1)} of a class function given by class values:
-    the union of the classes on which it takes its degree."""
-    deg = values[0]
-    members = frozenset(chain.from_iterable(
-        cls.members for cls, v in zip(group.conjugacy_classes, values) if v == deg
-    ))
-    sub = Subgroup(group, members, ())
-    sub = Subgroup(group, members, sub.small_generators())
-    if not group.is_normal(sub):
-        raise GroupError("character kernel failed normality check (corrupt values)")
-    return sub
-
-
 def identify_q8(group: FiniteGroup) -> bool:
     """True iff the group is the quaternion group of order 8."""
     if group.order != 8:
@@ -478,9 +459,21 @@ def describe_group(group: FiniteGroup) -> str:
 # recipes
 
 
+def _check_order(factors, order_bound) -> None:
+    """Refuse a group whose order, the product of `factors`, exceeds the
+    bound, before anything is built; stops at the first partial product
+    above it, so `symmetric 1000000` costs nothing."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > order_bound:
+            raise GroupError(f"group order exceeds the bound {order_bound}")
+
+
 def cyclic_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic order must be >= 1")
+    _check_order([n], order_bound)
     labels = list(range(n))
     return FiniteGroup(labels, lambda a, b: (a + b) % n,
                        [1 % n] if n > 1 else [0],
@@ -491,6 +484,7 @@ def abelian_group(orders, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     orders = tuple(int(n) for n in orders)
     if not orders or any(n < 1 for n in orders):
         raise GroupError("abelian recipe needs positive cyclic orders")
+    _check_order(orders, order_bound)
     identity = (0,) * len(orders)
 
     def mul(a, b):
@@ -512,6 +506,7 @@ def dihedral_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n."""
     if n < 1:
         raise GroupError("dihedral index must be >= 1")
+    _check_order([2, n], order_bound)
 
     def mul(a, b):
         (i, f), (j, g) = a, b
@@ -575,6 +570,7 @@ def permutation_group(generators, degree=None, recipe=None,
 def symmetric_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     if n < 1:
         raise GroupError("symmetric index must be >= 1")
+    _check_order(range(2, n + 1), order_bound)
     if n == 1:
         return permutation_group([[[0]]], degree=1, recipe="symmetric 1",
                                  order_bound=order_bound)
@@ -586,6 +582,7 @@ def symmetric_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
 
 
 def alternating_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
+    _check_order(range(3, n + 1), order_bound)  # n!/2, and 1 for n < 3
     if n < 3:
         return permutation_group([[[0]]], degree=max(n, 1),
                                  recipe=f"alternating {n}", order_bound=order_bound)
@@ -736,9 +733,8 @@ def polycyclic_group(relative_orders, powers=None, conjugates=None,
                      order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     pres = PolycyclicPresentation(relative_orders, powers, conjugates)
     k = len(pres.orders)
+    _check_order(pres.orders, order_bound)
     predicted = math.prod(pres.orders)
-    if predicted > order_bound:
-        raise GroupError(f"group order exceeds the bound {order_bound}")
 
     def expand(exps):
         out = []
@@ -812,8 +808,9 @@ def default_aliases(group: FiniteGroup) -> dict[str, int]:
     return {f"g{i + 1}": g for i, g in enumerate(group.generators)}
 
 
-def _parse_gen_word_positive(text: str, k: int) -> tuple[int, ...]:
-    """Word over g1..gk with positive exponents, as a flat generator list."""
+def _parse_gen_word_positive(text: str, orders) -> tuple[int, ...]:
+    """Word over g1..gk with exponents in the normal-form range 0 <= e < r_i
+    of each generator's relative order, as a flat generator list."""
     out: list[int] = []
     text = text.strip()
     if text in ("", "id", "1"):
@@ -824,10 +821,13 @@ def _parse_gen_word_positive(text: str, k: int) -> tuple[int, ...]:
             raise GroupError(f"malformed relation word atom {atom.strip()!r}")
         idx = int(m.group(1)[1:]) - 1
         exp = int(m.group(2) or 1)
-        if not 0 <= idx < k:
+        if not 0 <= idx < len(orders):
             raise GroupError(f"unknown generator {m.group(1)!r}")
         if exp < 0:
             raise GroupError("relation words must use non-negative exponents")
+        if exp >= orders[idx]:
+            raise GroupError(f"exponent {exp} of {m.group(1)} in a relation word is not "
+                             f"below its relative order {orders[idx]}")
         out.extend([idx] * exp)
     return tuple(out)
 
@@ -902,6 +902,11 @@ def _dispatch_recipe(kind, rest, tail, order_bound) -> FiniteGroup:
                 raise GroupError(f"no cycles in permutation {part.strip()!r}")
             if any(x < 0 for cyc in cycles for x in cyc):
                 raise GroupError("permutation points are 1-based")
+            if any(x >= order_bound for cyc in cycles for x in cyc):
+                # every group within the bound acts faithfully on its own
+                # elements (Cayley), so no recipe needs a larger point
+                raise GroupError(f"permutation points must not exceed the order "
+                                 f"bound {order_bound}")
             gens.append(cycles)
         group = permutation_group(gens, order_bound=order_bound)
     elif kind == "product":
@@ -940,6 +945,7 @@ def _dispatch_recipe(kind, rest, tail, order_bound) -> FiniteGroup:
         group = semidirect_product(k, h, action, order_bound=order_bound)
     elif kind == "polycyclic":
         orders = [int(x) for x in rest.split()]
+        _check_order(orders, order_bound)  # before any relation word is expanded
         nk = len(orders)
         powers: dict[int, tuple[int, ...]] = {}
         conjugates: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -950,7 +956,7 @@ def _dispatch_recipe(kind, rest, tail, order_bound) -> FiniteGroup:
             m = re.match(r"g([0-9]+)\s*\^\s*g([0-9]+)\s*=\s*(.+)$", body)
             if m:
                 i, j = int(m.group(1)) - 1, int(m.group(2)) - 1
-                conjugates[(i, j)] = _parse_gen_word_positive(m.group(3), nk)
+                conjugates[(i, j)] = _parse_gen_word_positive(m.group(3), orders)
                 continue
             m = re.match(r"g([0-9]+)\s*\^\s*([0-9]+)\s*=\s*(.+)$", body)
             if m:
@@ -958,7 +964,7 @@ def _dispatch_recipe(kind, rest, tail, order_bound) -> FiniteGroup:
                 if not 0 <= i < nk or e != orders[i]:
                     raise GroupError(f"power relation exponent must match the "
                                      f"relative order: {ln!r}")
-                powers[i] = _parse_gen_word_positive(m.group(3), nk)
+                powers[i] = _parse_gen_word_positive(m.group(3), orders)
                 continue
             raise GroupError(f"malformed rel line: {ln!r}")
         group = polycyclic_group(orders, powers, conjugates, order_bound=order_bound)

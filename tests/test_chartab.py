@@ -531,14 +531,40 @@ def test_power_classes_match_power(oracle_groups):
 
 
 def test_kernel_of_character_matches_element_scan(tables):
-    """The kernel as a union of classes equals {g : chi(g) = chi(1)} scanned
-    element by element, on every row of the fixture and zoo tables."""
+    """Each Galois orbit's kernel, read from l_g, equals the intersection of
+    the kernels {g : chi(g) = chi(1)} of its constituents scanned element by
+    element, on every orbit of the fixture and zoo tables."""
     for table in list(tables.values()) + [ct.character_table(g) for g in zoo_groups()]:
         group = table.group
-        for chi in table:
-            scan = frozenset(i for i in range(group.order)
-                             if chi.value_on_element(i) == chi.values[0])
-            assert gr.kernel_of_character(group, chi.values).members == scan
+        for orbit in ct.galois_orbits(table):
+            scan = frozenset(range(group.order)).intersection(*(
+                {i for i in range(group.order) if chi.value_on_element(i) == chi.values[0]}
+                for chi in map(table.__getitem__, orbit.indices)
+            ))
+            kernel = orbit.kernel()
+            assert kernel.members == scan, group.recipe
+            assert group.closure(kernel.gens) == scan
+
+
+def test_kernel_of_corrupt_row_is_refused():
+    """A row of S4 that is chi(1) = 1 on the identity and the transpositions,
+    with integral l_g everywhere, marks a union of classes of 7 elements: it
+    is closed under conjugation, but its generators span all of S4."""
+    s4 = gr.symmetric_group(4)
+    table = ct.character_table(s4)
+    transpositions = s4.class_of[s4.generators[0]]
+    by_order = {1: 1, 2: -1, 3: Fraction(-1, 2), 4: 0}
+    values = tuple(rat(1 if k == transpositions else by_order[c.element_order])
+                   for k, c in enumerate(s4.conjugacy_classes))
+    sign = next(i for i, chi in enumerate(table)
+                if chi.degree == 1 and i != table.trivial_index)
+    rows = list(table)
+    rows[sign] = ct.Character(s4, values)
+    orbit = ct.RationalCharacter(ct.CharacterTable(s4, rows), (sign,), 1, False)
+    assert [ct.trivial_restriction_multiplicity(rows[sign], c.representative)
+            for c in s4.conjugacy_classes].count(1) == 2
+    with pytest.raises(ct.CharacterTableError, match="not a subgroup"):
+        orbit.kernel()
 
 
 def test_derived_subgroup_and_linear_characters(oracle_groups):

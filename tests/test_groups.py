@@ -327,36 +327,25 @@ def test_semidirect_quotients_are_cyclic_of_order_four(z2cubed_z4):
 
 
 def test_kernel_of_character(z3z3, tables):
-    table = tables[z3z3.recipe]
-    triv = table[table.trivial_index]
-    assert gr.kernel_of_character(z3z3, triv.values).order == z3z3.order
-    # the row with kernel of order 3 equal to <(2,1)>
+    orbits = ct.galois_orbits(tables[z3z3.recipe])
+    triv = next(o for o in orbits if o.contains_trivial())
+    assert triv.kernel().order == z3z3.order
+    # the orbit with kernel of order 3 equal to <(2,1)>
     lab = {l: i for i, l in enumerate(z3z3.labels)}
-    target = {0, lab[(2, 1)], lab[(1, 2)]}
-    kernels = [
-        frozenset(gr.kernel_of_character(z3z3, chi.values).members) for chi in table
-    ]
-    assert frozenset(target) in kernels
+    target = frozenset({0, lab[(2, 1)], lab[(1, 2)]})
+    assert target in [o.kernel().members for o in orbits]
 
 
 def test_kernel_of_g128_quaternionic_character(g128, tables):
-    table = tables[g128.recipe]
     al = gr.default_aliases(g128)
     expected = g128.subgroup([
         gr.parse_word(w, al, g128) for w in ("g7", "g6", "g3*g4", "g4*g5")
     ])
     assert expected.order == 16
-    deg2 = [chi for chi in table if chi.degree == 2]
-    kernels = {
-        frozenset(gr.kernel_of_character(g128, chi.values).members) for chi in deg2
-    }
-    assert expected.members in kernels
-    ker = gr.kernel_of_character(
-        g128,
-        next(chi for chi in deg2
-             if frozenset(gr.kernel_of_character(g128, chi.values).members)
-             == expected.members).values,
-    )
+    kernels = [o.kernel() for o in ct.galois_orbits(tables[g128.recipe])
+               if o.complex_degree == 2]
+    assert expected.members in [k.members for k in kernels]
+    ker = next(k for k in kernels if k.members == expected.members)
     q = g128.quotient(ker)
     assert q.group.order == 8 and gr.identify_q8(q.group)
 

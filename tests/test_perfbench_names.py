@@ -4,12 +4,15 @@ here by loading `perfbench/tracing.py` as it is."""
 
 import importlib
 import importlib.util
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from isoprod import chartab as ct
 from isoprod import groups as gr
+from isoprod import surface as sf
+from isoprod.structfile import parse_structure_file
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = ("cyclotomic", "groups", "chartab", "ramification", "surface",
@@ -57,3 +60,30 @@ def test_tracer_counts_arithmetic_and_dixon_prime(tracer):
     assert counters[tracing.DIXON_COUNTER] > 0
     assert counters["chartab.character_table.calls"] == 1
     assert counters["chartab.rational_idempotent.calls"] > 0
+
+
+def test_analyze_spans_survive_warm_caches():
+    """The benchmark traces `analyze` after untraced passes over the same
+    table, so a cache that skips a wrapped function on a warm pass would
+    read as a span with zero calls: the traced run must still see each one."""
+    sfile = parse_structure_file(
+        resources.files("isoprod.data").joinpath("z3xz3.struct").read_text())
+    structure = sfile.structure()
+    table = ct.character_table(structure.group)
+    orbits = ct.galois_orbits(table)
+
+    def one_pass():
+        sf.render_report(sf.analysis_report(sf.analyze(structure, table, orbits)))
+
+    one_pass()
+    tracing = _load_tracing()
+    t = tracing.Tracer()
+    t.install()
+    try:
+        one_pass()
+    finally:
+        t.uninstall()
+    counters = t.counters()
+    home = [name for name, spec in tracing.SPANS.items() if spec[3] == "analyze"]
+    assert "chartab.trivial_restriction_multiplicity" in home
+    assert [name for name in home if not counters[f"{name}.calls"]] == []

@@ -169,6 +169,44 @@ def test_cli_inconsistent_group_is_a_positioned_error(tmp_path, capsys):
     assert err.startswith("error: line 1, column 1: ") and "engine defect" not in err
 
 
+def test_oversized_recipes_are_refused_before_building(tmp_path, capsys, monkeypatch):
+    """A recipe's order (or a permutation point) above the bound is refused
+    from its numbers alone: no label list, permutation or table is built,
+    so neither time nor memory grows with the numbers."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversized recipe reached the group builder")
+
+    recipes = ["cyclic 2049", "dihedral 1025", "abelian" + " 2" * 12, "symmetric 7",
+               "alternating 8", "perm (1 2049)", "perm (1 1000000), (2 3 4)"]
+    with monkeypatch.context() as m:
+        m.setattr(gr.FiniteGroup, "__init__", unreachable)
+        m.setattr(gr, "_cycles_to_perm", unreachable)
+        for recipe in recipes:
+            p = tmp_path / "big.struct"
+            p.write_text(f"group = {recipe}\n")
+            assert cli.main(["chartab", str(p)]) == 1, recipe
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: line 1, column 1: "), recipe
+    assert gr.build_group("group = perm (1 2048)").order == 2
+    assert gr.build_group("group = symmetric 6").order == 720
+
+
+def test_relation_exponents_stay_below_the_relative_order(tmp_path, capsys):
+    """Relation words are in normal form: g2^3 in `polycyclic 2 3` is refused,
+    and g2^1000000 before it is expanded into a million-letter word."""
+    for word in ("g2^3", "g2^1000000"):
+        with pytest.raises(GroupError, match="relative order 3"):
+            gr.build_group(f"group = polycyclic 2 3\nrel g1^2 = {word}")
+    with pytest.raises(GroupError, match="relative order 3"):
+        gr.build_group("group = polycyclic 2 3\nrel g2^g1 = g2^4")
+    assert gr.build_group("group = polycyclic 2 3\nrel g1^2 = g2^2").order == 6
+    p = tmp_path / "rel.struct"
+    p.write_text("group = polycyclic 2 3\nrel g1^2 = g2^1000000\n")
+    assert cli.main(["chartab", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1, column 1: ")
+
+
 def test_non_utf8_file_is_a_positioned_error(tmp_path, capsys):
     p = tmp_path / "latin1.struct"
     p.write_bytes(b"group = cyclic 3\n\xff")

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -286,3 +287,26 @@ def test_broughton_defect_detection(tables, z3z3_label):
     bad = ct.Character(group, tuple(values))
     with pytest.raises(ct.CharacterTableError, match="irrational"):
         ct.trivial_restriction_multiplicity(bad, g)
+
+
+def test_restriction_sums_once_per_character_and_class(psl27, monkeypatch):
+    """Two analyses of one PSL(2,7) structure over one fresh table sum each
+    (row, class) restriction at most once: at most 6 x 6 sums in all, and
+    none in the second pass."""
+    table = ct.character_table(psl27)
+    orbits = ct.galois_orbits(table)
+    (structure,) = rm.search_structures(psl27, ((7, 7, 7), (3, 3, 4)), limit=1)
+    original = CyclotomicNumber.sum
+    sums = []
+
+    def counting_sum(values):
+        if sys._getframe(1).f_code is ct.trivial_restriction_multiplicity.__code__:
+            sums.append(1)
+        return original(values)
+
+    monkeypatch.setattr(CyclotomicNumber, "sum", staticmethod(counting_sum))
+    first = sf.analysis_report(sf.analyze(structure, table, orbits))
+    after_first = len(sums)
+    second = sf.analysis_report(sf.analyze(structure, table, orbits))
+    assert first == second
+    assert 0 < after_first == len(sums) <= len(table) * len(psl27.conjugacy_classes)
