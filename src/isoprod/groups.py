@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,7 +40,20 @@ _COLLECT_STEP_BOUND = 200_000
 
 
 class GroupError(ValueError):
-    """Malformed recipe, inconsistent presentation, or exceeded bound."""
+    """Malformed recipe, inconsistent presentation, or exceeded bound.
+
+    `recipe_line` is the line of the recipe at fault, counting its nonblank,
+    non-comment lines from 0: 0 is the `group` line, k its k-th `rel` or
+    `act` line."""
+
+    recipe_line = 0
+
+
+class OrderBoundError(GroupError):
+    """A group order above the order bound."""
+
+    def __init__(self, order_bound: int):
+        super().__init__(f"group order exceeds the bound {order_bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +95,7 @@ class FiniteGroup:
                 k = index.get(y)
                 if k is None:
                     if len(elems) >= order_bound:
-                        raise GroupError(
-                            f"group order exceeds the bound {order_bound}"
-                        )
+                        raise OrderBoundError(order_bound)
                     k = index[y] = len(elems)
                     elems.append(y)
                     parents.append((queue, gpos))
@@ -467,7 +479,7 @@ def _check_order(factors, order_bound) -> None:
     for f in factors:
         order *= f
         if order > order_bound:
-            raise GroupError(f"group order exceeds the bound {order_bound}")
+            raise OrderBoundError(order_bound)
 
 
 def cyclic_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
@@ -656,6 +668,26 @@ def semidirect_product(k: FiniteGroup, h: FiniteGroup,
 # -- polycyclic presentations
 
 
+def _check_power_relation(i: int, word, k: int) -> None:
+    """Refuse g_i^{r_i} = word unless g_i exists and the word uses later
+    generators only."""
+    if not 0 <= i < k:
+        raise GroupError(f"power relation for unknown generator {i + 1}")
+    if any(g <= i or g >= k for g in word):
+        raise GroupError(f"power relation for g{i + 1} must use later generators only")
+
+
+def _check_conjugation_relation(i: int, j: int, word, k: int) -> None:
+    """Refuse g_i^{g_j} = word unless j < i < k and the word uses generators
+    after g_j only."""
+    if not (0 <= j < i < k):
+        raise GroupError(f"conjugation relation g{i + 1}^g{j + 1} needs j < i")
+    if any(g <= j or g >= k for g in word):
+        raise GroupError(
+            f"conjugation relation g{i + 1}^g{j + 1} must use later generators"
+        )
+
+
 class PolycyclicPresentation:
     """Power/conjugate relations over generators g1..gk with relative orders.
 
@@ -672,23 +704,11 @@ class PolycyclicPresentation:
         k = len(self.orders)
         self.powers = {}
         for i, word in (powers or {}).items():
-            if not 0 <= i < k:
-                raise GroupError(f"power relation for unknown generator {i + 1}")
-            if any(g <= i or g >= k for g in word):
-                raise GroupError(
-                    f"power relation for g{i + 1} must use later generators only"
-                )
+            _check_power_relation(i, word, k)
             self.powers[i] = tuple(word)
         self.conjugates = {}
         for (i, j), word in (conjugates or {}).items():
-            if not (0 <= j < i < k):
-                raise GroupError(
-                    f"conjugation relation g{i + 1}^g{j + 1} needs j < i"
-                )
-            if any(g <= j or g >= k for g in word):
-                raise GroupError(
-                    f"conjugation relation g{i + 1}^g{j + 1} must use later generators"
-                )
+            _check_conjugation_relation(i, j, word, k)
             self.conjugates[(i, j)] = tuple(word)
 
     def collect(self, word) -> tuple[int, ...]:
@@ -859,6 +879,13 @@ def _split_bracketed(text: str) -> tuple[list[str], str]:
 
 def build_group(recipe: str, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     """Build a group from its textual recipe (see the module grammar)."""
+    return _build_recipe(recipe, order_bound, order_bound)
+
+
+def _build_recipe(recipe: str, order_bound, point_bound) -> FiniteGroup:
+    """`build_group` under `order_bound`, with permutation points bounded by
+    `point_bound`: the caller's bound, also inside the second factor of a
+    product, whose order bound is only the share that the first leaves."""
     lines = [ln.strip() for ln in recipe.strip().splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -874,14 +901,34 @@ def build_group(recipe: str, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     rest = rest.strip()
 
     try:
-        return _dispatch_recipe(kind, rest, tail, order_bound)
+        return _dispatch_recipe(kind, rest, tail, order_bound, point_bound)
     except ValueError as exc:
         if isinstance(exc, GroupError):
             raise
         raise GroupError(f"bad arguments in recipe {head!r}: {exc}") from exc
 
 
-def _dispatch_recipe(kind, rest, tail, order_bound) -> FiniteGroup:
+@contextmanager
+def _at_recipe_line(pos: int):
+    """Mark a GroupError raised in the block as one about recipe line `pos`."""
+    try:
+        yield
+    except GroupError as exc:
+        exc.recipe_line = pos
+        raise
+
+
+def _second_factor(block: str, k: FiniteGroup, order_bound, point_bound) -> FiniteGroup:
+    """The second factor H of a product with K, built under order_bound // |K|
+    so that no H too large for the product is built in full; a refusal names
+    the product's bound."""
+    try:
+        return _build_recipe(block, order_bound // k.order, point_bound)
+    except OrderBoundError:
+        raise OrderBoundError(order_bound) from None
+
+
+def _dispatch_recipe(kind, rest, tail, order_bound, point_bound) -> FiniteGroup:
     if kind in ("cyclic", "dihedral", "symmetric", "alternating"):
         n = int(rest)
         builder = {
@@ -902,41 +949,41 @@ def _dispatch_recipe(kind, rest, tail, order_bound) -> FiniteGroup:
                 raise GroupError(f"no cycles in permutation {part.strip()!r}")
             if any(x < 0 for cyc in cycles for x in cyc):
                 raise GroupError("permutation points are 1-based")
-            if any(x >= order_bound for cyc in cycles for x in cyc):
+            if any(x >= point_bound for cyc in cycles for x in cyc):
                 # every group within the bound acts faithfully on its own
                 # elements (Cayley), so no recipe needs a larger point
                 raise GroupError(f"permutation points must not exceed the order "
-                                 f"bound {order_bound}")
+                                 f"bound {point_bound}")
             gens.append(cycles)
         group = permutation_group(gens, order_bound=order_bound)
     elif kind == "product":
         blocks, extra = _split_bracketed(rest)
         if len(blocks) != 2 or extra:
             raise GroupError("product recipe needs exactly two [ ] blocks")
-        group = direct_product(
-            build_group(blocks[0], order_bound), build_group(blocks[1], order_bound),
-            order_bound=order_bound,
-        )
+        k = _build_recipe(blocks[0], order_bound, point_bound)
+        h = _second_factor(blocks[1], k, order_bound, point_bound)
+        group = direct_product(k, h, order_bound=order_bound)
     elif kind == "semidirect":
         blocks, extra = _split_bracketed(rest)
         if len(blocks) != 2 or extra:
             raise GroupError("semidirect recipe needs exactly two [ ] blocks")
-        k = build_group(blocks[0], order_bound)
-        h = build_group(blocks[1], order_bound)
+        k = _build_recipe(blocks[0], order_bound, point_bound)
+        h = _second_factor(blocks[1], k, order_bound, point_bound)
         nk = len(k.generators)
         action: dict[int, dict[int, int]] = {}
-        for ln in tail:
-            if not ln.startswith("act "):
-                raise GroupError(f"unexpected line in semidirect recipe: {ln!r}")
-            m = re.match(r"act\s+g([0-9]+)\s*:\s*g([0-9]+)\s*->\s*(.+)$", ln)
-            if not m:
-                raise GroupError(f"malformed act line: {ln!r}")
-            hpos = int(m.group(1)) - 1 - nk
-            kpos = int(m.group(2)) - 1
-            if not 0 <= hpos < len(h.generators) or not 0 <= kpos < nk:
-                raise GroupError(f"act line references unknown generators: {ln!r}")
-            hg = h.generators[hpos]
-            img = parse_word(m.group(3), default_aliases(k), k)
+        for pos, ln in enumerate(tail, start=1):
+            with _at_recipe_line(pos):
+                if not ln.startswith("act "):
+                    raise GroupError(f"unexpected line in semidirect recipe: {ln!r}")
+                m = re.match(r"act\s+g([0-9]+)\s*:\s*g([0-9]+)\s*->\s*(.+)$", ln)
+                if not m:
+                    raise GroupError(f"malformed act line: {ln!r}")
+                hpos = int(m.group(1)) - 1 - nk
+                kpos = int(m.group(2)) - 1
+                if not 0 <= hpos < len(h.generators) or not 0 <= kpos < nk:
+                    raise GroupError(f"act line references unknown generators: {ln!r}")
+                hg = h.generators[hpos]
+                img = parse_word(m.group(3), default_aliases(k), k)
             action.setdefault(hg, {})[k.generators[kpos]] = img
         for hg in h.generators:
             images = action.setdefault(hg, {})
@@ -949,28 +996,34 @@ def _dispatch_recipe(kind, rest, tail, order_bound) -> FiniteGroup:
         nk = len(orders)
         powers: dict[int, tuple[int, ...]] = {}
         conjugates: dict[tuple[int, int], tuple[int, ...]] = {}
-        for ln in tail:
-            if not ln.startswith("rel "):
-                raise GroupError(f"unexpected line in polycyclic recipe: {ln!r}")
-            body = ln[4:]
-            m = re.match(r"g([0-9]+)\s*\^\s*g([0-9]+)\s*=\s*(.+)$", body)
-            if m:
-                i, j = int(m.group(1)) - 1, int(m.group(2)) - 1
-                conjugates[(i, j)] = _parse_gen_word_positive(m.group(3), orders)
-                continue
-            m = re.match(r"g([0-9]+)\s*\^\s*([0-9]+)\s*=\s*(.+)$", body)
-            if m:
-                i, e = int(m.group(1)) - 1, int(m.group(2))
-                if not 0 <= i < nk or e != orders[i]:
-                    raise GroupError(f"power relation exponent must match the "
-                                     f"relative order: {ln!r}")
-                powers[i] = _parse_gen_word_positive(m.group(3), orders)
-                continue
-            raise GroupError(f"malformed rel line: {ln!r}")
+        for pos, ln in enumerate(tail, start=1):
+            with _at_recipe_line(pos):
+                if not ln.startswith("rel "):
+                    raise GroupError(f"unexpected line in polycyclic recipe: {ln!r}")
+                body = ln[4:]
+                m = re.match(r"g([0-9]+)\s*\^\s*g([0-9]+)\s*=\s*(.+)$", body)
+                if m:
+                    i, j = int(m.group(1)) - 1, int(m.group(2)) - 1
+                    word = _parse_gen_word_positive(m.group(3), orders)
+                    _check_conjugation_relation(i, j, word, nk)
+                    conjugates[(i, j)] = word
+                    continue
+                m = re.match(r"g([0-9]+)\s*\^\s*([0-9]+)\s*=\s*(.+)$", body)
+                if m:
+                    i, e = int(m.group(1)) - 1, int(m.group(2))
+                    if not 0 <= i < nk or e != orders[i]:
+                        raise GroupError(f"power relation exponent must match the "
+                                         f"relative order: {ln!r}")
+                    word = _parse_gen_word_positive(m.group(3), orders)
+                    _check_power_relation(i, word, nk)
+                    powers[i] = word
+                    continue
+                raise GroupError(f"malformed rel line: {ln!r}")
         group = polycyclic_group(orders, powers, conjugates, order_bound=order_bound)
     else:
         raise GroupError(f"unknown recipe keyword {kind!r}")
 
     if kind not in ("semidirect", "polycyclic") and tail:
-        raise GroupError(f"unexpected extra recipe lines for {kind!r}")
+        with _at_recipe_line(1):
+            raise GroupError(f"unexpected extra recipe lines for {kind!r}")
     return group

@@ -10,12 +10,32 @@ classes, so the search computes and compares it as a set of class indices.
 
 The structure search enumerates ordered tuples whose entry orders match
 a prescribed type, pairs the two sides through their (conjugation
-invariant) Sigma-sets, and deduplicates pairs under simultaneous
-conjugation using a lexicographically minimal canonical form.  That
-minimum starts with the representative of the first entry's class, so it
-is taken over the one coset of the representative's centraliser that
-conjugates the first entry there, not over all of G; the keys, and so the
-structure counts, are those of the minimum over all of G.
+invariant) Sigma-sets, and names each pair up to simultaneous conjugation
+by its canonical key, the lexicographically least conjugate of the
+concatenated tuple.  That minimum starts with the representative r of the
+first entry's class, so it is taken over the one coset of C_G(r) that
+conjugates the first entry to r, not over all of G.
+
+The search visits each structure once and keeps no set of keys.  Side 1
+starts every tuple t1 at a class representative r and keeps t1 only when
+it is the least of its conjugates under C_G(r); then t1 + t2 is already
+the canonical key of every Sigma-disjoint pair (t1, t2):
+
+- the key minimises over the coset t0 C_G(r), and lexicographic order
+  minimises the t1 part first;
+- t1 generates G, so the conjugators that fix t1 are those of Z(G), and
+  they fix t2 as well: the key is exactly t1 + t2.
+
+Every structure is met this way: take one of its pairs whose t1 starts
+at r; conjugating it by the element of C_G(r) that makes t1 least keeps r
+first and keeps both Sigma-sets, so it gives a pair of the two sides.
+The key order is that of the search that canonicalises every pair and
+yields each key at its first visit: within a Sigma bucket, the tuples
+with one pattern of entry orders come out of the enumeration in
+lexicographic order, so the least member of each C_G(r) orbit comes
+first, and a key is first met at the pair (least t1, t2).
+`iter_structure_keys(..., naive=True)` keeps the canonicalise-every-pair
+search, over all tuples, as the oracle.
 """
 
 from __future__ import annotations
@@ -286,7 +306,8 @@ def _naive_systems_of_type(group: FiniteGroup, signature):
 def iter_structure_keys(group: FiniteGroup, type_pair, naive: bool = False):
     """Canonical keys of all structures of the given type pair, in discovery
     order, without duplicates.  `naive` switches the tuple enumeration to
-    plain exhaustion (the completeness oracle for the pruned search)."""
+    plain exhaustion and canonicalises and deduplicates every pair (the
+    completeness oracle for the pruned search)."""
     a1, a2 = type_pair
     if naive:
         side1 = list(_naive_systems_of_type(group, a1))
@@ -294,10 +315,24 @@ def iter_structure_keys(group: FiniteGroup, type_pair, naive: bool = False):
             side1 if tuple(sorted(a1)) == tuple(sorted(a2))
             else list(_naive_systems_of_type(group, a2))
         )
-    else:
-        side1 = list(_systems_of_type(group, a1, first_entry_reps=True))
-        side2 = list(_systems_of_type(group, a2, first_entry_reps=False))
+        seen = set()
+        for t1, t2 in _disjoint_pairs(group, side1, side2):
+            key = _canonical_pair_key(group, t1, t2)
+            if key not in seen:
+                seen.add(key)
+                yield key
+        return
+    # only the least tuple of each C_G(r) orbit: see the module docstring
+    side1 = [t for t in _systems_of_type(group, a1, first_entry_reps=True)
+             if group.min_conjugate(t) == t]
+    side2 = list(_systems_of_type(group, a2, first_entry_reps=False))
+    for t1, t2 in _disjoint_pairs(group, side1, side2):
+        yield t1 + t2
 
+
+def _disjoint_pairs(group: FiniteGroup, side1, side2):
+    """Every pair (t1, t2) with Sigma-sets meeting only in the identity,
+    bucket by bucket, in the order of the two sides."""
     by_sigma1: dict[frozenset, list] = {}
     for t in side1:
         by_sigma1.setdefault(_sigma_classes(group, t), []).append(t)
@@ -306,17 +341,13 @@ def iter_structure_keys(group: FiniteGroup, type_pair, naive: bool = False):
         by_sigma2.setdefault(_sigma_classes(group, t), []).append(t)
 
     only_id = frozenset({0})
-    seen = set()
     for s1, group1 in by_sigma1.items():
         for s2, group2 in by_sigma2.items():
             if s1 & s2 != only_id:
                 continue
             for t1 in group1:
                 for t2 in group2:
-                    key = _canonical_pair_key(group, t1, t2)
-                    if key not in seen:
-                        seen.add(key)
-                        yield key
+                    yield t1, t2
 
 
 def search_structures(group: FiniteGroup, type_pair, limit: int | None = None,
@@ -352,9 +383,14 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
             break
         keys.append(key)
     keys.sort()
-    out = []
-    for key in keys:
-        t1 = validate_spherical(group, key[:len(a1)])
-        t2 = validate_spherical(group, key[len(a1):])
-        out.append(RamificationStructure(t1, t2))
+    systems: dict[tuple[int, ...], SphericalSystem] = {}  # one per entries tuple
+
+    def system(entries):
+        found = systems.get(entries)
+        if found is None:
+            found = systems[entries] = validate_spherical(group, entries)
+        return found
+
+    out = [RamificationStructure(system(key[:len(a1)]), system(key[len(a1):]))
+           for key in keys]
     return out, limited

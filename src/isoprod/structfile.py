@@ -46,6 +46,7 @@ class ParseError(ValueError):
 @dataclass
 class StructureFile:
     group_lines: list[str]
+    group_linenos: list[int]                     # file line of each group line
     aliases: list[tuple[str, str, int]]          # (name, word, line number)
     tuples: dict[str, tuple[list[str], int]]     # label -> (words, line number)
     type_pair: tuple[tuple[int, ...], tuple[int, ...]] | None
@@ -58,7 +59,7 @@ class StructureFile:
         try:
             return build_group("\n".join(self.group_lines), **kwargs)
         except GroupError as exc:
-            raise ParseError(str(exc), 1) from exc
+            raise ParseError(str(exc), self.group_linenos[exc.recipe_line]) from exc
 
     def alias_table(self, group: FiniteGroup) -> dict[str, int]:
         table = default_aliases(group)
@@ -113,6 +114,7 @@ def _int_list(body: str, lineno: int) -> tuple[int, ...]:
 def parse_structure_file(text: str) -> StructureFile:
     lines = text.splitlines()
     group_lines: list[str] = []
+    group_linenos: list[int] = []
     aliases: list[tuple[str, str, int]] = []
     tuples: dict[str, tuple[list[str], int]] = {}
     type_pair = None
@@ -130,10 +132,12 @@ def parse_structure_file(text: str) -> StructureFile:
             if "=" not in line:
                 raise ParseError("group line needs `group = <recipe>`", lineno)
             group_lines.append(line)
+            group_linenos.append(lineno)
         elif keyword in ("rel", "act"):
             if not group_lines:
                 raise ParseError(f"{keyword} line before the group line", lineno)
             group_lines.append(line)
+            group_linenos.append(lineno)
         elif keyword == "gen":
             m = _GEN_RE.match(line)
             if not m:
@@ -177,4 +181,5 @@ def parse_structure_file(text: str) -> StructureFile:
 
     if not group_lines:
         raise ParseError("missing group line", 1, 1)
-    return StructureFile(group_lines, aliases, tuples, type_pair, expectations)
+    return StructureFile(group_lines, group_linenos, aliases, tuples, type_pair,
+                         expectations)

@@ -11,6 +11,7 @@ import pytest
 
 from isoprod import chartab as ct
 from isoprod import groups as gr
+from isoprod import ramification as rm
 from isoprod import surface as sf
 from isoprod.structfile import parse_structure_file
 
@@ -86,4 +87,19 @@ def test_analyze_spans_survive_warm_caches():
     counters = t.counters()
     home = [name for name, spec in tracing.SPANS.items() if spec[3] == "analyze"]
     assert "chartab.trivial_restriction_multiplicity" in home
+    assert [name for name in home if not counters[f"{name}.calls"]] == []
+
+
+def test_search_spans_see_a_full_search(tracer):
+    """A traced `search` run fails on a span of its own with no calls, so a
+    search that stops calling `sigma_set` or `validate_spherical` (for
+    instance by trusting tuples it has already checked) must show up here."""
+    tracing, t = tracer
+    sfile = parse_structure_file(
+        resources.files("isoprod.data").joinpath("psl2f7_a.search").read_text())
+    assert len(rm.search_structures(sfile.build(), sfile.type_pair)) == 4032
+    counters = t.counters()
+    home = [name for name, spec in tracing.SPANS.items() if spec[3] == "search"]
+    assert {"ramification.validate_spherical", "ramification.sigma_set",
+            "groups.closure"} <= set(home)
     assert [name for name in home if not counters[f"{name}.calls"]] == []

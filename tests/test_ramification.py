@@ -348,3 +348,63 @@ def test_search_completeness_s4():
     pruned = sorted(rm.iter_structure_keys(group, types))
     assert pruned == sorted(rm.iter_structure_keys(group, types, naive=True))
     assert len(pruned) == 3456
+
+
+def _canonicalise_every_pair(group, type_pair):
+    """The search before side 1 was cut to centraliser-minimal tuples: every
+    Sigma-disjoint pair of the two sides is canonicalised, and each key is
+    kept at its first visit."""
+    buckets = []
+    for types, reps in zip(type_pair, (True, False)):
+        by_sigma = {}
+        for t in rm._systems_of_type(group, types, first_entry_reps=reps):
+            by_sigma.setdefault(rm._sigma_classes(group, t), []).append(t)
+        buckets.append(by_sigma)
+    seen = set()
+    for s1, side1 in buckets[0].items():
+        for s2, side2 in buckets[1].items():
+            if s1 & s2 != {0}:
+                continue
+            for t1, t2 in itertools.product(side1, side2):
+                key = rm._canonical_pair_key(group, t1, t2)
+                if key not in seen:
+                    seen.add(key)
+                    yield key
+
+
+@pytest.mark.parametrize("recipe, types, count", [
+    ("abelian 3 3", ((3, 3, 3, 3, 3), (3, 3, 3, 3)), None),
+    ("perm (1 2 3 4), (1 2)", ((2, 2, 3, 3), (4, 4, 4, 4)), None),
+    ("abelian 2 2 2", ((2,) * 6, (2,) * 6), None),
+    ("alternating 5", ((2, 5, 5), (3, 3, 3, 3)), None),
+    ("perm (1 2 3 4 5 6 7), (1 8)(2 7)(3 4)(5 6)", ((7, 7, 7), (3, 3, 4)), None),
+    ("perm (1 2 3 4 5 6 7), (1 8)(2 7)(3 4)(5 6)", ((3, 3, 7), (4, 4, 4)), None),
+    # non-abelian with centre Z2: the conjugators fixing t1 are not only 1
+    ("product [perm (1 2 3 4), (1 2)] [cyclic 2]", ((2, 2, 2, 3), (4, 4, 4, 4)), 5000),
+])
+def test_minimal_first_tuples_keep_keys_and_order(recipe, types, count):
+    """Keeping only the least first tuple of each C_G(r) orbit yields the
+    keys of the canonicalise-every-pair search, in the same order."""
+    group = gr.build_group(recipe)
+    pruned = list(itertools.islice(rm.iter_structure_keys(group, types), count))
+    assert pruned
+    assert pruned == list(itertools.islice(_canonicalise_every_pair(group, types), count))
+
+
+def test_search_validates_each_distinct_tuple_once(monkeypatch):
+    group = gr.alternating_group(5)
+    calls = []
+    validate = rm.validate_spherical
+
+    def counting(group, entries):
+        calls.append(tuple(entries))
+        return validate(group, entries)
+
+    monkeypatch.setattr(rm, "validate_spherical", counting)
+    found = rm.search_structures(group, ((2, 5, 5), (3, 3, 3, 3)))
+    monkeypatch.undo()
+    assert len(found) == 6480
+    assert len(calls) == len(set(calls)) == 1086  # 2 x 6480 before
+    for s in found:
+        for system in (s.t1, s.t2):
+            assert system == rm.validate_spherical(group, system.entries)

@@ -191,6 +191,33 @@ def test_oversized_recipes_are_refused_before_building(tmp_path, capsys, monkeyp
     assert gr.build_group("group = perm (1 2048)").order == 2
     assert gr.build_group("group = symmetric 6").order == 720
 
+    # a product builds its first factor K in full, and its second under the
+    # bound 2048 // |K|: only K is built, and the refusal names the user's bound
+    built = []
+    real_init = gr.FiniteGroup.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(kwargs["recipe"])
+        real_init(self, *args, **kwargs)
+
+    products = ["product [cyclic 2048] [cyclic 2048]",
+                "semidirect [cyclic 2048] [cyclic 2048]\nact g2: g1 -> g1^5",
+                "product [cyclic 64] [dihedral 32]",
+                "product [product [cyclic 64] [cyclic 64]] [cyclic 2]"]
+    with monkeypatch.context() as m:
+        m.setattr(gr.FiniteGroup, "__init__", recording)
+        for recipe in products:
+            built.clear()
+            p = tmp_path / "big.struct"
+            p.write_text(f"group = {recipe}\n")
+            assert cli.main(["chartab", str(p)]) == 1, recipe
+            captured = capsys.readouterr()
+            assert captured.err == ("error: line 1, column 1: group order exceeds "
+                                    "the bound 2048\n"), recipe
+            assert built == [recipe.split("[")[-2].rstrip("] ")], (recipe, built)
+    # a factor's permutation points stay bounded by the user's bound alone
+    assert gr.build_group("group = product [cyclic 1024] [perm (3 4)]").order == 2048
+
 
 def test_relation_exponents_stay_below_the_relative_order(tmp_path, capsys):
     """Relation words are in normal form: g2^3 in `polycyclic 2 3` is refused,
@@ -204,7 +231,31 @@ def test_relation_exponents_stay_below_the_relative_order(tmp_path, capsys):
     p = tmp_path / "rel.struct"
     p.write_text("group = polycyclic 2 3\nrel g1^2 = g2^1000000\n")
     assert cli.main(["chartab", str(p)]) == 1
-    assert capsys.readouterr().err.startswith("error: line 1, column 1: ")
+    assert capsys.readouterr().err.startswith("error: line 2, column 1: ")
+
+
+def test_recipe_line_errors_name_their_file_line(tmp_path, capsys):
+    """A faulty `rel` or `act` line is reported at its own file line; an
+    error of the recipe as a whole stays at the `group` line."""
+    cases = [
+        ("group = polycyclic 2 3\nrel g1^2 = g2^5\n", 2, "relative order 3"),
+        ("# S3\n\ngroup = polycyclic 2 3\ngen a = g1\nrel g2^g1 = g2^2\n"
+         "rel g1^2 = g2^5\n", 6, "relative order 3"),
+        ("group = polycyclic 2 2\nrel g2^g1 = g2\nrel g1^g2 = g1\n", 3, "needs j < i"),
+        ("group = polycyclic 2 2\nrel g1^2 = g1\n", 2, "later generators"),
+        ("group = semidirect [cyclic 7] [cyclic 3]\nact g2: g1 -> g1^2\n"
+         "act g9: g1 -> g1\n", 3, "unknown generators"),
+        ("group = cyclic 3\nrel g1^3 = id\n", 2, "extra recipe lines"),
+        ("# header\ngroup = polycyclic 2 3 2\nrel g2^g1 = g2^2*g3\n", 2,
+         "not associative"),
+    ]
+    for text, lineno, message in cases:
+        p = tmp_path / "bad.struct"
+        p.write_text(text)
+        assert cli.main(["chartab", str(p)]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {lineno}, column 1: "), (text, err)
+        assert message in err, (text, err)
 
 
 def test_non_utf8_file_is_a_positioned_error(tmp_path, capsys):
@@ -243,7 +294,7 @@ def test_non_ascii_digits_are_rejected(tmp_path, capsys):
 
     # (file, original line, replacement, line number of the error)
     cases = [
-        ("z3xz3.struct", "group = abelian 3 3", f"group = abelian {three} 3", 1),
+        ("z3xz3.struct", "group = abelian 3 3", f"group = abelian {three} 3", 2),
         ("z3xz3.struct", "expect genus = (7, 4)", f"expect genus = ({seven}, 4)", 7),
         ("z3xz3.struct", "tuple D = [b^2, b, a, a^2]", f"tuple D = [b^2, b, a, a^{chr(0x662)}]", 6),
         ("psl2f7_a.search", "types = ([7, 7, 7], [3, 3, 4])",
