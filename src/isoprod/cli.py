@@ -131,7 +131,11 @@ def cmd_search(args) -> int:
 
 def cmd_catalog(args) -> int:
     names = [args.entry] if args.entry else None
-    results = cat.run_catalog(names, cache_dir=args.cache)
+    try:
+        results = cat.run_catalog(names, cache_dir=args.cache)
+    except KeyError as exc:  # an unknown --entry name
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     if args.json:
         sys.stdout.write(cat.catalog_json(results))
     else:

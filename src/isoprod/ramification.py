@@ -6,7 +6,8 @@ branched at one point per entry.  The stabilizer locus Sigma(T) is the
 union of all conjugates of all powers of the entries; a pair of systems
 with Sigma-sets meeting only in the identity defines a free diagonal
 action on the product of the two covering curves.  Sigma(T) is a union of
-classes, so the search computes and compares it as a set of class indices.
+classes, so it is kept everywhere as a set of class indices; class 0 is {id},
+so Sigma-sets meet only in id exactly when their class sets meet only in 0.
 
 The structure search enumerates ordered tuples whose entry orders match
 a prescribed type, pairs the two sides through their (conjugation
@@ -41,6 +42,7 @@ search, over all tuples, as the oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,22 +113,19 @@ def genus(order: int, signature) -> int:
     signature = tuple(signature)
     if any(m < 2 for m in signature):
         raise RamificationError(f"branching orders must be >= 2: {signature}")
-    g = Fraction(1 - order)
-    for m in signature:
-        g += Fraction(order, 2 * m) * (m - 1)
-    if g.denominator != 1 or g < 0:
+    den = 2 * math.lcm(*signature)  # g = num / den, with every term an integer
+    num = den * (1 - order) + sum(order * (m - 1) * (den // (2 * m)) for m in signature)
+    if num % den or num < 0:
         raise RamificationError(
             f"type {list(signature)} is inconsistent with a group of order {order} "
-            f"(genus would be {g})"
+            f"(genus would be {Fraction(num, den)})"
         )
-    return int(g)
+    return num // den
 
 
 def sigma_set(system: SphericalSystem) -> frozenset[int]:
-    """Union of all conjugates of all powers of the entries (contains id)."""
-    classes = system.group.conjugacy_classes
-    return frozenset(itertools.chain.from_iterable(
-        classes[k].members for k in _sigma_classes(system.group, system.entries)))
+    """Sigma(T) as the indices of the classes it is the union of (with 0, id)."""
+    return _sigma_classes(system.group, system.entries)
 
 
 def _sigma_classes(group: FiniteGroup, entries) -> frozenset[int]:
@@ -163,9 +162,7 @@ class RamificationStructure:
         return self.t1.genus(), self.t2.genus()
 
     def canonical_key(self) -> tuple[int, ...]:
-        return _canonical_pair_key(
-            self.group, self.t1.entries, self.t2.entries
-        )
+        return self.group.min_conjugate(self.t1.entries + self.t2.entries)
 
 
 @dataclass(frozen=True)
@@ -186,35 +183,21 @@ def quotient_system(system: SphericalSystem, quot: QuotientGroup) -> QuotientSys
     """Project a system to the quotient `quot` = G/H, dropping identity images.
 
     A trivial quotient yields genus 0 with no system.  Otherwise the images
-    must still multiply to one and generate G/H, so at least two survive; two
-    survivors are x and x^-1, which generate a cyclic G/H of order m = o(x),
-    and genus(m, (m, m)) = 0.
+    still multiply to one and generate G/H (`validate_spherical` checks it),
+    so at least two survive; two survivors are x and x^-1, which generate a
+    cyclic G/H of order m = o(x), and genus(m, (m, m)) = 0.
     """
     q = quot.group
     if q.order == 1:
         return QuotientSystem(quot, None, tuple(range(system.length)))
     images = [quot.project(e) for e in system.entries]
-    survivors = tuple(x for x in images if x != 0)
+    survivors = [x for x in images if x != 0]
     dropped = tuple(i for i, x in enumerate(images) if x == 0)
-    prod = 0
-    for x in survivors:
-        prod = q.mul(prod, x)
-    if prod != 0 or q.closure(survivors) != frozenset(range(q.order)):
-        raise RamificationError("projection broke the spherical-system axioms")
-    projected = SphericalSystem(
-        q, survivors, tuple(sorted(q.element_orders[x] for x in survivors))
-    )
-    return QuotientSystem(quot, projected, dropped)
+    return QuotientSystem(quot, validate_spherical(q, survivors), dropped)
 
 
 # ---------------------------------------------------------------------------
 # search
-
-
-def _canonical_pair_key(group: FiniteGroup, e1, e2) -> tuple[int, ...]:
-    """Lexicographically minimal concatenated index tuple over simultaneous
-    conjugation of both tuples by all group elements."""
-    return group.min_conjugate(tuple(e1) + tuple(e2))
 
 
 def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool):
@@ -226,7 +209,6 @@ def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool):
     class representatives (complete up to simultaneous conjugation).
     """
     signature = tuple(sorted(signature))
-    r = len(signature)
     by_order: dict[int, list[int]] = {}
     for i in range(1, group.order):
         by_order.setdefault(group.element_orders[i], []).append(i)
@@ -317,7 +299,7 @@ def iter_structure_keys(group: FiniteGroup, type_pair, naive: bool = False):
         )
         seen = set()
         for t1, t2 in _disjoint_pairs(group, side1, side2):
-            key = _canonical_pair_key(group, t1, t2)
+            key = group.min_conjugate(t1 + t2)
             if key not in seen:
                 seen.add(key)
                 yield key

@@ -17,7 +17,8 @@ analysis.  Lines, in any order after the group block:
     expect type = c
 
 Words are products of aliases and integer powers, e.g. g1*g2^-1*g4^2.
-Parsing stops at the first error, reported with line and column.
+Parsing stops at the first error, reported with line and column (a tuple
+that is no spherical system at its line, a non-disjoint pair at tuple D).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .groups import (
     default_aliases,
     parse_word,
 )
-from .ramification import RamificationStructure, validate_spherical
+from .ramification import RamificationError, RamificationStructure, validate_spherical
 
 
 class ParseError(ValueError):
@@ -89,9 +90,17 @@ class StructureFile:
         for label in ("C", "D"):
             if label not in self.tuples:
                 raise ParseError(f"missing `tuple {label} = [...]` line", 1)
-        t1 = validate_spherical(group, self.tuple_entries("C", group, aliases))
-        t2 = validate_spherical(group, self.tuple_entries("D", group, aliases))
-        return RamificationStructure(t1, t2)
+        systems = []
+        for label in ("C", "D"):
+            entries = self.tuple_entries(label, group, aliases)
+            try:
+                systems.append(validate_spherical(group, entries))
+            except RamificationError as exc:
+                raise ParseError(f"tuple {label}: {exc}", self.tuples[label][1]) from exc
+        try:
+            return RamificationStructure(*systems)
+        except RamificationError as exc:  # not disjoint: reported at tuple D
+            raise ParseError(str(exc), self.tuples["D"][1]) from exc
 
 
 _TUPLE_RE = re.compile(r"tuple\s+([A-Za-z]\w*)\s*=\s*\[(.*)\]\s*$")

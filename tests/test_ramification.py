@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,21 @@ from isoprod import ramification as rm
 
 def entries(group, labels, lab):
     return [lab[x] for x in labels]
+
+
+def sigma_elements(system):
+    """`sigma_set` expanded from class indices to the elements of the classes."""
+    classes = system.group.conjugacy_classes
+    return frozenset(x for k in rm.sigma_set(system) for x in classes[k].members)
+
+
+def conjugates_of_powers(group, e):
+    """Every t x t^-1 with x a power of e, by brute force."""
+    x, out = 0, set()
+    for _ in range(group.element_orders[e]):
+        out.update(group.conjugate(x, t) for t in range(group.order))
+        x = group.mul(x, e)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -63,22 +80,48 @@ def test_genus_formula():
         rm.genus(12, [2, 2])  # negative
 
 
+def test_genus_matches_fraction_formula():
+    """Riemann-Hurwitz in integers gives the value and the refusals of the
+    plain sum of Fractions, message included, over orders 1-200 and every
+    signature of length at most 4 with entries 2-12."""
+    seen = Counter()
+    for r in range(5):
+        for signature in itertools.combinations_with_replacement(range(2, 13), r):
+            # g = 1 - d + sum_i (d / 2 m_i)(m_i - 1) = 1 + d c
+            c = sum((Fraction(m - 1, 2 * m) for m in signature), Fraction(-1))
+            for order in range(1, 201):
+                g = Fraction(c.denominator + order * c.numerator, c.denominator)
+                try:
+                    got = rm.genus(order, signature)
+                except rm.RamificationError as exc:
+                    assert g.denominator != 1 or g < 0, (order, signature)
+                    assert str(exc) == (
+                        f"type {list(signature)} is inconsistent with a group of "
+                        f"order {order} (genus would be {g})")
+                    seen["refused"] += 1
+                else:
+                    assert type(got) is int and got == g, (order, signature)
+                    seen["valid"] += 1
+    assert seen["valid"] > 1000 and seen["refused"] > 1000, seen
+
+
 def test_sigma_sets(z3z3_label):
     group, lab = z3z3_label
     t2 = rm.validate_spherical(group, entries(group, [(0, 2), (0, 1), (1, 0), (2, 0)], lab))
-    assert rm.sigma_set(t2) == frozenset(
+    assert 0 in rm.sigma_set(t2)
+    assert sigma_elements(t2) == frozenset(
         {0, lab[(0, 1)], lab[(0, 2)], lab[(1, 0)], lab[(2, 0)]}
     )
     t1 = rm.validate_spherical(
         group, entries(group, [(1, 1), (2, 1), (1, 1), (1, 2), (1, 1)], lab)
     )
-    assert rm.sigma_set(t1) == frozenset(
+    assert sigma_elements(t1) == frozenset(
         {0, lab[(1, 1)], lab[(2, 2)], lab[(2, 1)], lab[(1, 2)]}
     )
     # a system containing a generator of a cyclic group has full sigma set
     z6 = gr.cyclic_group(6)
     t = rm.validate_spherical(z6, [1, z6.inverse(1)])
-    assert rm.sigma_set(t) == frozenset(range(6))
+    assert sigma_elements(t) == frozenset(range(6))
 
 
 def test_sigma_closure_properties(g128, z3z3_structure):
@@ -89,7 +132,7 @@ def test_sigma_closure_properties(g128, z3z3_structure):
     ])
     for system in (tc, z3z3_structure.t1):
         group = system.group
-        sigma = rm.sigma_set(system)
+        sigma = sigma_elements(system)
         for x in sigma:
             for g in group.generators:
                 assert group.conjugate(x, g) in sigma
@@ -116,14 +159,8 @@ def test_sigma_brute_force_oracle(g128, z3z3_structure, z2cubed_z4):
     for system in systems:
         group = system.group
         assert group.order <= 128
-        brute = set()
-        for e in system.entries:
-            x = 0
-            for _ in range(group.element_orders[e]):
-                for t in range(group.order):
-                    brute.add(group.conjugate(x, t))
-                x = group.mul(x, e)
-        assert rm.sigma_set(system) == frozenset(brute)
+        brute = set().union(*(conjugates_of_powers(group, e) for e in system.entries))
+        assert sigma_elements(system) == frozenset(brute)
 
 
 def test_sigma_classes_match_brute_force(g128, z2cubed_z4, psl27):
@@ -135,13 +172,7 @@ def test_sigma_classes_match_brute_force(g128, z2cubed_z4, psl27):
              (gr.alternating_group(5), (2, 5, 5)), (psl27, (3, 3, 4)),
              (z2cubed_z4, (2, 2, 4, 4)), (g128, (4, 4, 4))]
     for group, signature in cases:
-        brute = {}  # entry -> its conjugates of powers
-        for e in range(group.order):
-            x, out = 0, set()
-            for _ in range(group.element_orders[e]):
-                out.update(group.conjugate(x, t) for t in range(group.order))
-                x = group.mul(x, e)
-            brute[e] = out
+        brute = {e: conjugates_of_powers(group, e) for e in range(group.order)}
         classes = group.conjugacy_classes
         assert classes[0].members == (0,)
         count = 0
@@ -150,7 +181,7 @@ def test_sigma_classes_match_brute_force(g128, z2cubed_z4, psl27):
             ks = rm._sigma_classes(group, t)
             assert 0 in ks
             assert set().union(*(classes[k].members for k in ks)) == sigma
-            assert rm.sigma_set(rm.validate_spherical(group, t)) == frozenset(sigma)
+            assert sigma_elements(rm.validate_spherical(group, t)) == frozenset(sigma)
             count += 1
         assert count > 20, (group.recipe, signature)
 
@@ -169,6 +200,33 @@ def test_disjointness_g128(g128):
     tc = rm.validate_spherical(g128, [w("g1*g2*g4*g6"), w("g1*g4*g5*g6"), w("g2*g3*g4*g7")])
     td = rm.validate_spherical(g128, [w("g1*g2*g3*g6*g7"), w("g2*g5*g7"), w("g1*g3*g4*g7")])
     assert rm.is_disjoint(tc, td)
+
+
+def test_is_disjoint_matches_element_sets(psl27, z2cubed_z4):
+    """On class sets, `is_disjoint` gives the verdict of the element-level
+    Sigma-sets built by brute force, both ways, on seeded pairs of systems."""
+    cases = [(gr.symmetric_group(4), [(2, 2, 3, 3), (4, 4, 4, 4), (2, 3, 4)]),
+             (gr.alternating_group(5), [(2, 5, 5), (3, 3, 3, 3)]),
+             (psl27, [(7, 7, 7), (3, 3, 4)]),
+             (z2cubed_z4, [(2, 2, 4, 4), (2, 2, 2, 2, 4)])]
+    rng = random.Random(2015)
+    for group, signatures in cases:
+        # three seeded systems from each Sigma class set, so every pair of
+        # class sets that occurs is tried
+        by_sigma = {}
+        for signature in signatures:
+            for t in rm._systems_of_type(group, signature, first_entry_reps=False):
+                by_sigma.setdefault(rm._sigma_classes(group, t), []).append(t)
+        systems = [rm.validate_spherical(group, t) for ts in by_sigma.values()
+                   for t in rng.sample(ts, min(3, len(ts)))]
+        brute = {e: conjugates_of_powers(group, e) for e in range(group.order)}
+        elements = [set().union(*(brute[e] for e in s.entries)) for s in systems]
+        verdicts = Counter()
+        for (s1, e1), (s2, e2) in itertools.product(zip(systems, elements), repeat=2):
+            want = e1 & e2 == {0}
+            assert rm.is_disjoint(s1, s2) == want
+            verdicts[want] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0, (group.recipe, verdicts)
 
 
 def test_quotient_systems(z3z3_label, z3z3_structure):
@@ -339,7 +397,7 @@ def test_canonical_key_matches_brute_force(q8, psl27):
             want = min(
                 tuple(group.conjugate(e, t) for e in cat) for t in range(group.order)
             )
-            assert rm._canonical_pair_key(group, e1, e2) == want
+            assert group.min_conjugate(tuple(e1) + tuple(e2)) == want
 
 
 def test_search_completeness_s4():
@@ -366,7 +424,7 @@ def _canonicalise_every_pair(group, type_pair):
             if s1 & s2 != {0}:
                 continue
             for t1, t2 in itertools.product(side1, side2):
-                key = rm._canonical_pair_key(group, t1, t2)
+                key = group.min_conjugate(t1 + t2)
                 if key not in seen:
                     seen.add(key)
                     yield key

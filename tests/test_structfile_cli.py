@@ -74,8 +74,18 @@ def test_product_not_identity_names_offending_tuple():
         "tuple D = [g2^2, g2, g1, g1^2]\n"
     )
     sfile = parse_structure_file(text)
-    with pytest.raises(RamificationError, match="identity"):
+    with pytest.raises(ParseError, match="tuple C: product .* not the identity") as err:
         sfile.structure()
+    assert err.value.line == 2
+    text = (
+        "group = abelian 3 3\n"
+        "tuple C = [g1, g2, g1^2*g2^2]\n"
+        "tuple D = [g1, g1, g1]\n"
+    )
+    with pytest.raises(ParseError, match="tuple D: the entries do not generate") as err:
+        parse_structure_file(text).structure()
+    assert err.value.line == 3
+    assert isinstance(err.value.__cause__, RamificationError)
 
 
 SHIPPED_FILES = ("z3xz3.struct", "g128_36.struct", "z2cubed_z4.struct",
@@ -131,7 +141,8 @@ def test_cli_validate_ok_and_failure(tmp_path, capsys):
     )
     assert cli.main(["validate", str(self_paired)]) == 1
     out = capsys.readouterr().out
-    assert "not disjoint" in out
+    assert out == ("invalid: line 3, column 1: the two systems are not disjoint: "
+                   "the diagonal action is not free\n")  # at the tuple D line
 
 
 def test_cli_analyze_text_and_json_agree(tmp_path, capsys):
@@ -413,6 +424,13 @@ def test_catalog_shape_and_assert_mode(capsys):
     assert len(one) == 1 and one[0].report["type"] == "b"
     with pytest.raises(KeyError):
         cat.run_catalog(["NoSuchEntry"])
+
+
+def test_catalog_cli_unknown_entry_is_a_usage_error(capsys):
+    assert cli.main(["catalog", "--entry", "NOPE"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown catalog entries: ['NOPE']\n"
 
 
 def test_catalog_cli_json_and_text_agree(capsys):
