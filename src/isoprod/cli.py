@@ -24,6 +24,7 @@ from .groups import GroupError
 from .ramification import (
     DEFAULT_SEARCH_BOUND,
     RamificationError,
+    check_search_options,
     find_structures,
 )
 from .structfile import ParseError, parse_structure_file
@@ -109,6 +110,7 @@ def cmd_search(args) -> int:
     if sfile.type_pair is None:
         print("error: search needs a `types = ([...], [...])` line", file=sys.stderr)
         return 2
+    check_search_options(args.limit, args.bound)
     group = sfile.build(order_bound=args.bound)
     structures, limited = find_structures(group, sfile.type_pair,
                                           limit=args.limit, bound=args.bound)

@@ -471,15 +471,22 @@ def describe_group(group: FiniteGroup) -> str:
 # recipes
 
 
-def _check_order(factors, order_bound) -> None:
-    """Refuse a group whose order, the product of `factors`, exceeds the
-    bound, before anything is built; stops at the first partial product
-    above it, so `symmetric 1000000` costs nothing."""
+def _capped_order(factors, order_bound) -> int:
+    """The product of `factors`, or order_bound + 1 at the first partial
+    product above the bound, so `symmetric 1000000` costs nothing."""
     order = 1
     for f in factors:
         order *= f
         if order > order_bound:
-            raise OrderBoundError(order_bound)
+            return order_bound + 1
+    return order
+
+
+def _check_order(factors, order_bound) -> None:
+    """Refuse a group whose order, the product of `factors`, exceeds the
+    bound, before anything is built."""
+    if _capped_order(factors, order_bound) > order_bound:
+        raise OrderBoundError(order_bound)
 
 
 def cyclic_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
@@ -884,8 +891,8 @@ def build_group(recipe: str, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
 
 def _build_recipe(recipe: str, order_bound, point_bound) -> FiniteGroup:
     """`build_group` under `order_bound`, with permutation points bounded by
-    `point_bound`: the caller's bound, also inside the second factor of a
-    product, whose order bound is only the share that the first leaves."""
+    `point_bound`: the caller's bound, also inside the factors of a
+    product, whose order bounds are only the share that the other leaves."""
     lines = [ln.strip() for ln in recipe.strip().splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -918,12 +925,38 @@ def _at_recipe_line(pos: int):
         raise
 
 
-def _second_factor(block: str, k: FiniteGroup, order_bound, point_bound) -> FiniteGroup:
-    """The second factor H of a product with K, built under order_bound // |K|
-    so that no H too large for the product is built in full; a refusal names
-    the product's bound."""
+def _predicted_order(recipe: str, order_bound) -> int | None:
+    """The order of a one-line cyclic, dihedral, abelian, symmetric,
+    alternating or polycyclic recipe, read from its numbers as `_check_order`
+    does (capped at order_bound + 1); None for any other recipe, or one whose
+    numbers are malformed, which is left for its builder to refuse."""
+    kind, _, rest = recipe.strip().partition(" ")
+    if not rest.isascii():
+        return None
     try:
-        return _build_recipe(block, order_bound // k.order, point_bound)
+        numbers = [int(x) for x in rest.split()]
+    except ValueError:
+        return None
+    if any(x < 1 for x in numbers):
+        return None
+    if kind in ("cyclic", "dihedral", "symmetric", "alternating") and len(numbers) == 1:
+        n = numbers[0]
+        numbers = {"cyclic": [n], "dihedral": [2, n], "symmetric": range(2, n + 1),
+                   "alternating": range(3, n + 1)}[kind]
+    elif kind not in ("abelian", "polycyclic"):
+        return None
+    return _capped_order(numbers, order_bound)
+
+
+def _factors(blocks, order_bound, point_bound) -> tuple[FiniteGroup, FiniteGroup]:
+    """The factors K and H of a product, neither built in full when the
+    product would exceed the bound: K under order_bound // |H| when H's
+    order can be read from its recipe, then H under order_bound // |K|.
+    A refusal names the product's bound."""
+    try:
+        h_order = _predicted_order(blocks[1], order_bound) or 1
+        k = _build_recipe(blocks[0], order_bound // h_order, point_bound)
+        return k, _build_recipe(blocks[1], order_bound // k.order, point_bound)
     except OrderBoundError:
         raise OrderBoundError(order_bound) from None
 
@@ -960,15 +993,13 @@ def _dispatch_recipe(kind, rest, tail, order_bound, point_bound) -> FiniteGroup:
         blocks, extra = _split_bracketed(rest)
         if len(blocks) != 2 or extra:
             raise GroupError("product recipe needs exactly two [ ] blocks")
-        k = _build_recipe(blocks[0], order_bound, point_bound)
-        h = _second_factor(blocks[1], k, order_bound, point_bound)
+        k, h = _factors(blocks, order_bound, point_bound)
         group = direct_product(k, h, order_bound=order_bound)
     elif kind == "semidirect":
         blocks, extra = _split_bracketed(rest)
         if len(blocks) != 2 or extra:
             raise GroupError("semidirect recipe needs exactly two [ ] blocks")
-        k = _build_recipe(blocks[0], order_bound, point_bound)
-        h = _second_factor(blocks[1], k, order_bound, point_bound)
+        k, h = _factors(blocks, order_bound, point_bound)
         nk = len(k.generators)
         action: dict[int, dict[int, int]] = {}
         for pos, ln in enumerate(tail, start=1):

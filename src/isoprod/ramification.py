@@ -37,6 +37,17 @@ lexicographic order, so the least member of each C_G(r) orbit comes
 first, and a key is first met at the pair (least t1, t2).
 `iter_structure_keys(..., naive=True)` keeps the canonicalise-every-pair
 search, over all tuples, as the oracle.
+
+The pairing reads each side only as far as the keys taken need, so
+`limit=k` stops after k + 1 keys.  A side's Sigma buckets are filled as
+its tuples arrive: a new Sigma-set opens a bucket at the end of the bucket
+list, and a tuple joins its bucket at the end.  A reader that gets past
+the end of the bucket list, or of one bucket, pulls tuples until that list
+grows or the side runs out.  Both lists only grow at their ends, so every
+reader meets the buckets and the members in the order of a side read in
+full first; the loops over them (bucket of side 1, disjoint bucket of side
+2, t1, t2) are those of that full reading, and so are the key stream and
+its order.  Side 2 is not started while side 1 has yielded no tuple.
 """
 
 from __future__ import annotations
@@ -83,8 +94,7 @@ class SphericalSystem:
 def validate_spherical(group: FiniteGroup, entries) -> SphericalSystem:
     """Check the spherical-system axioms and compute the type."""
     idx = tuple(int(e) for e in entries)
-    if len(idx) < 2:
-        raise RamificationError(f"a spherical system needs >= 2 entries, got {len(idx)}")
+    _check_length(len(idx))
     for e in idx:
         if not 0 <= e < group.order:
             raise RamificationError(f"element index {e} out of range")
@@ -111,8 +121,7 @@ def genus(order: int, signature) -> int:
     covering branched with local orders `signature`:
     g = 1 - d + sum_i (d / 2 m_i) (m_i - 1)."""
     signature = tuple(signature)
-    if any(m < 2 for m in signature):
-        raise RamificationError(f"branching orders must be >= 2: {signature}")
+    _check_branching(signature)
     den = 2 * math.lcm(*signature)  # g = num / den, with every term an integer
     num = den * (1 - order) + sum(order * (m - 1) * (den // (2 * m)) for m in signature)
     if num % den or num < 0:
@@ -121,6 +130,33 @@ def genus(order: int, signature) -> int:
             f"(genus would be {Fraction(num, den)})"
         )
     return num // den
+
+
+def _check_length(length: int) -> None:
+    if length < 2:
+        raise RamificationError(f"a spherical system needs >= 2 entries, got {length}")
+
+
+def _check_branching(signature: tuple[int, ...]) -> None:
+    if any(m < 2 for m in signature):
+        raise RamificationError(f"branching orders must be >= 2: {signature}")
+
+
+def check_type(signature) -> tuple[int, ...]:
+    """`signature` as a sorted type, refused when no spherical system has it:
+    fewer than two entries, or a branching order below 2."""
+    signature = tuple(sorted(signature))
+    _check_length(len(signature))
+    _check_branching(signature)
+    return signature
+
+
+def check_search_options(limit: int | None, bound: int) -> None:
+    """Refuse a search limit or order bound below 1."""
+    if limit is not None and limit < 1:
+        raise RamificationError(f"the search limit must be at least 1, got {limit}")
+    if bound < 1:
+        raise RamificationError("the search bound must be at least 1")
 
 
 def sigma_set(system: SphericalSystem) -> frozenset[int]:
@@ -305,30 +341,70 @@ def iter_structure_keys(group: FiniteGroup, type_pair, naive: bool = False):
                 yield key
         return
     # only the least tuple of each C_G(r) orbit: see the module docstring
-    side1 = [t for t in _systems_of_type(group, a1, first_entry_reps=True)
-             if group.min_conjugate(t) == t]
-    side2 = list(_systems_of_type(group, a2, first_entry_reps=False))
+    side1 = (t for t in _systems_of_type(group, a1, first_entry_reps=True)
+             if group.min_conjugate(t) == t)
+    side2 = _systems_of_type(group, a2, first_entry_reps=False)
     for t1, t2 in _disjoint_pairs(group, side1, side2):
         yield t1 + t2
 
 
+class _SigmaBuckets:
+    """The tuples of one side grouped by Sigma class set, pulled from the
+    side only as far as a reader asks: the buckets in order of first
+    appearance, each bucket's members in side order."""
+
+    def __init__(self, group: FiniteGroup, side):
+        self._group = group
+        self._side = iter(side)
+        self._read_all = False
+        self._by_sigma: dict[frozenset, list] = {}
+        self._buckets: list[tuple[frozenset, list]] = []
+
+    def _reach(self, items: list, i: int) -> bool:
+        """Pull tuples until `items` (the bucket list or one bucket) has an
+        item i; False when the side runs out first."""
+        while len(items) <= i:
+            t = next(self._side, None)
+            if t is None:
+                self._read_all = True
+                return False
+            sigma = _sigma_classes(self._group, t)
+            members = self._by_sigma.get(sigma)
+            if members is None:
+                members = self._by_sigma[sigma] = []
+                self._buckets.append((sigma, members))
+            members.append(t)
+        return True
+
+    def __iter__(self):
+        return iter(self.read(self._buckets))
+
+    def read(self, items: list):
+        """`items`, the bucket list or one bucket, from its first item,
+        pulling tuples as the reader gets past what has been read; once the
+        side has run out, `items` is complete and is read as it stands."""
+        return items if self._read_all else self._pulled(items)
+
+    def _pulled(self, items: list):
+        i = 0
+        while self._reach(items, i):
+            yield items[i]
+            i += 1
+
+
 def _disjoint_pairs(group: FiniteGroup, side1, side2):
     """Every pair (t1, t2) with Sigma-sets meeting only in the identity,
-    bucket by bucket, in the order of the two sides."""
-    by_sigma1: dict[frozenset, list] = {}
-    for t in side1:
-        by_sigma1.setdefault(_sigma_classes(group, t), []).append(t)
-    by_sigma2: dict[frozenset, list] = {}
-    for t in side2:
-        by_sigma2.setdefault(_sigma_classes(group, t), []).append(t)
-
+    bucket by bucket, in the order of the two sides; each side is read only
+    as far as the pairs taken need."""
+    buckets1 = _SigmaBuckets(group, side1)
+    buckets2 = _SigmaBuckets(group, side2)
     only_id = frozenset({0})
-    for s1, group1 in by_sigma1.items():
-        for s2, group2 in by_sigma2.items():
+    for s1, group1 in buckets1:
+        for s2, group2 in buckets2:
             if s1 & s2 != only_id:
                 continue
-            for t1 in group1:
-                for t2 in group2:
+            for t1 in buckets1.read(group1):
+                for t2 in buckets2.read(group2):
                     yield t1, t2
 
 
@@ -346,9 +422,8 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
                     ) -> tuple[list[RamificationStructure], bool]:
     """`search_structures`, plus whether the limit stopped the enumeration:
     True exactly when a structure beyond the first `limit` exists."""
-    a1, a2 = (tuple(sorted(type_pair[0])), tuple(sorted(type_pair[1])))
-    if limit is not None and limit < 1:
-        raise RamificationError(f"the search limit must be at least 1, got {limit}")
+    a1, a2 = check_type(type_pair[0]), check_type(type_pair[1])
+    check_search_options(limit, bound)
     if group.order > bound:
         raise RamificationError(
             f"group order {group.order} exceeds the search bound {bound}"

@@ -33,7 +33,12 @@ from .groups import (
     default_aliases,
     parse_word,
 )
-from .ramification import RamificationError, RamificationStructure, validate_spherical
+from .ramification import (
+    RamificationError,
+    RamificationStructure,
+    check_type,
+    validate_spherical,
+)
 
 
 class ParseError(ValueError):
@@ -56,7 +61,7 @@ class StructureFile:
     # -- realization against a built group
 
     def build(self, order_bound=None) -> FiniteGroup:
-        kwargs = {"order_bound": order_bound} if order_bound else {}
+        kwargs = {} if order_bound is None else {"order_bound": order_bound}
         try:
             return build_group("\n".join(self.group_lines), **kwargs)
         except GroupError as exc:
@@ -110,14 +115,21 @@ _EXPECT_TYPE_RE = re.compile(r"expect\s+type\s*=\s*([a-d])\s*$")
 _TYPES_RE = re.compile(r"types\s*=\s*\(\s*\[([0-9,\s]*)\]\s*,\s*\[([0-9,\s]*)\]\s*\)\s*$")
 
 
-def _int_list(body: str, lineno: int) -> tuple[int, ...]:
+def _type_list(body: str, lineno: int) -> tuple[int, ...]:
+    """One side of a `types` line, refused at that line when it is no type
+    of a spherical system."""
     items = [x.strip() for x in body.split(",") if x.strip()]
     if not items:
         raise ParseError("empty type list", lineno)
     try:
-        return tuple(int(x) for x in items)
+        signature = tuple(int(x) for x in items)
     except ValueError as exc:
         raise ParseError(f"bad type list {body!r}", lineno) from exc
+    try:
+        check_type(signature)
+    except RamificationError as exc:
+        raise ParseError(str(exc), lineno) from exc
+    return signature
 
 
 def parse_structure_file(text: str) -> StructureFile:
@@ -173,7 +185,7 @@ def parse_structure_file(text: str) -> StructureFile:
                     "malformed types line (want `types = ([m1,...], [m1,...])`)",
                     lineno,
                 )
-            type_pair = (_int_list(m.group(1), lineno), _int_list(m.group(2), lineno))
+            type_pair = (_type_list(m.group(1), lineno), _type_list(m.group(2), lineno))
         elif keyword == "expect":
             m = _EXPECT_GENUS_RE.match(line)
             if m:

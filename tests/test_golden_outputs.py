@@ -33,6 +33,7 @@ CASES = {
     **{f"chartab_{name}": ["chartab", name] for name in STRUCT_FILES},
     **{f"search_json_limit5_{name}": ["search", name, "--json", "--limit", "5"]
        for name in SEARCH_FILES},
+    **{f"search_limit1_{name}": ["search", name, "--limit", "1"] for name in SEARCH_FILES},
 }
 
 

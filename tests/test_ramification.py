@@ -466,3 +466,110 @@ def test_search_validates_each_distinct_tuple_once(monkeypatch):
     for s in found:
         for system in (s.t1, s.t2):
             assert system == rm.validate_spherical(group, system.entries)
+
+
+def _list_disjoint_pairs(group, side1, side2):
+    """The pairing before it read its sides lazily: both sides are read in
+    full and bucketed by Sigma before the first pair."""
+    by_sigma1, by_sigma2 = {}, {}
+    for side, by_sigma in ((side1, by_sigma1), (side2, by_sigma2)):
+        for t in side:
+            by_sigma.setdefault(rm._sigma_classes(group, t), []).append(t)
+    for s1, group1 in by_sigma1.items():
+        for s2, group2 in by_sigma2.items():
+            if s1 & s2 != {0}:
+                continue
+            for t1 in group1:
+                for t2 in group2:
+                    yield t1, t2
+
+
+def _sampled_type_pairs(group, rng):
+    """A few type pairs whose sides are types of spherical systems of the
+    group, from random tuples of length 3 (and 4 up to order 24): the first
+    and last type found, in both orders, and the middle one twice."""
+    found = set()
+    for length in (3, 4) if group.order <= 24 else (3,):
+        for _ in range(200):
+            entries = [rng.randrange(1, group.order) for _ in range(length - 1)]
+            prod = 0
+            for e in entries:
+                prod = group.mul(prod, e)
+            try:
+                system = rm.validate_spherical(group, entries + [group.inverse(prod)])
+            except rm.RamificationError:
+                continue
+            found.add(system.signature)
+    types = sorted(found)
+    if not types:
+        return []
+    first, mid, last = types[0], types[len(types) // 2], types[-1]
+    return sorted({(first, last), (last, first), (mid, mid)})
+
+
+def test_lazy_pairing_matches_list_pairing(monkeypatch, z3z3, q8, psl27, g128,
+                                           z2cubed_z4):
+    """The lazily filled Sigma buckets give the key stream of the list-based
+    pairing, so every limited search keeps its keys and its `limited`."""
+    from test_acceptance import _random_small_groups
+
+    a5, s4 = gr.alternating_group(5), gr.symmetric_group(4)
+    s4z2 = gr.build_group("product [symmetric 4] [cyclic 2]")
+    cases = [
+        (z3z3, ((3, 3, 3, 3), (3, 3, 3, 3))), (z3z3, ((3, 3, 3), (3, 3, 3))),
+        (q8, ((4, 4, 4), (4, 4, 4))),
+        (psl27, ((7, 7, 7), (3, 3, 4))), (psl27, ((3, 3, 7), (4, 4, 4))),
+        (psl27, ((4, 4, 4), (7, 7, 7))),
+        (g128, ((4, 4, 4), (4, 4, 4))), (z2cubed_z4, ((2, 2, 4, 4), (2, 2, 4, 4))),
+        (a5, ((2, 5, 5), (3, 3, 3, 3))), (a5, ((3, 3, 3, 3), (2, 5, 5))),
+        (s4, ((2, 2, 3, 3), (4, 4, 4, 4))), (s4z2, ((2, 2, 2, 3), (4, 4, 4, 4))),
+    ]
+    rng = random.Random(1412)
+    for group in _random_small_groups():
+        cases += [(group, types) for types in _sampled_type_pairs(group, rng)]
+    nonempty = 0
+    for group, types in cases:
+        with monkeypatch.context() as m:
+            m.setattr(rm, "_disjoint_pairs", _list_disjoint_pairs)
+            want = list(rm.iter_structure_keys(group, types))
+        assert list(rm.iter_structure_keys(group, types)) == want, (group.recipe, types)
+        nonempty += bool(want)
+        # a full search of the largest pairs (up to 294,912 structures) is
+        # left to the key stream above
+        for limit in (1, 2, 7, 100) + ((None,) if len(want) <= 50_000 else ()):
+            found, limited = rm.find_structures(group, types, limit=limit)
+            assert [s.canonical_key() for s in found] == sorted(want[:limit])
+            assert limited == (limit is not None and len(want) > limit)
+    assert nonempty >= 9, nonempty
+
+
+@pytest.fixture
+def pulled(monkeypatch):
+    """Counts of the tuples each started side enumeration yields, by type."""
+    counts = {}
+    real = rm._systems_of_type
+
+    def counting(group, signature, first_entry_reps):
+        counts.setdefault(tuple(signature), 0)
+        for t in real(group, signature, first_entry_reps):
+            counts[tuple(signature)] += 1
+            yield t
+
+    monkeypatch.setattr(rm, "_systems_of_type", counting)
+    return counts
+
+
+def test_limited_search_reads_only_the_tuples_it_needs(psl27, pulled):
+    for types, total in ((((7, 7, 7), (3, 3, 4)), 2030), (((3, 3, 7), (4, 4, 4)), 698)):
+        pulled.clear()
+        assert len(rm.search_structures(psl27, types, limit=1)) == 1
+        assert sum(pulled.values()) <= 3, pulled
+        pulled.clear()
+        rm.search_structures(psl27, types)
+        assert sum(pulled.values()) == total, pulled
+
+
+def test_empty_first_side_never_starts_the_second(pulled):
+    # no pair of involutions generates Z6
+    assert rm.find_structures(gr.cyclic_group(6), ((2, 2), (6, 6))) == ([], False)
+    assert pulled == {(2, 2): 0}

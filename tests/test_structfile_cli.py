@@ -9,6 +9,7 @@ from isoprod import catalog as cat
 from isoprod import chartab as ct
 from isoprod import cli
 from isoprod import groups as gr
+from isoprod import ramification as rm
 from isoprod.groups import GroupError
 from isoprod.ramification import RamificationError
 from isoprod.structfile import ParseError, StructureFile, parse_structure_file
@@ -202,19 +203,25 @@ def test_oversized_recipes_are_refused_before_building(tmp_path, capsys, monkeyp
     assert gr.build_group("group = perm (1 2048)").order == 2
     assert gr.build_group("group = symmetric 6").order == 720
 
-    # a product builds its first factor K in full, and its second under the
-    # bound 2048 // |K|: only K is built, and the refusal names the user's bound
+    # a product reads the order of a cyclic/dihedral/abelian/symmetric/
+    # alternating/polycyclic factor from its numbers and bounds the other
+    # factor by 2048 // that order: neither factor is built, and the refusal
+    # names the user's bound.  A second factor whose order cannot be read
+    # (a permutation group) is bounded by 2048 // |K| once K is built.
     built = []
     real_init = gr.FiniteGroup.__init__
 
-    def recording(self, *args, **kwargs):
-        built.append(kwargs["recipe"])
+    def recording(self, *args, **kwargs):  # records the groups built in full
         real_init(self, *args, **kwargs)
+        built.append(kwargs["recipe"])
 
     products = ["product [cyclic 2048] [cyclic 2048]",
                 "semidirect [cyclic 2048] [cyclic 2048]\nact g2: g1 -> g1^5",
                 "product [cyclic 64] [dihedral 32]",
-                "product [product [cyclic 64] [cyclic 64]] [cyclic 2]"]
+                "product [product [cyclic 64] [cyclic 64]] [cyclic 2]",
+                "product [symmetric 7] [cyclic 2]",
+                "product [perm (1 2 3 4 5 6 7 8), (1 2)] [alternating 5]",
+                "product [cyclic 2048] [perm (1 2)]"]
     with monkeypatch.context() as m:
         m.setattr(gr.FiniteGroup, "__init__", recording)
         for recipe in products:
@@ -225,7 +232,8 @@ def test_oversized_recipes_are_refused_before_building(tmp_path, capsys, monkeyp
             captured = capsys.readouterr()
             assert captured.err == ("error: line 1, column 1: group order exceeds "
                                     "the bound 2048\n"), recipe
-            assert built == [recipe.split("[")[-2].rstrip("] ")], (recipe, built)
+            want = ["cyclic 2048"] if recipe.endswith("[perm (1 2)]") else []
+            assert built == want, (recipe, built)
     # a factor's permutation points stay bounded by the user's bound alone
     assert gr.build_group("group = product [cyclic 1024] [perm (3 4)]").order == 2048
 
@@ -409,6 +417,41 @@ def test_cli_search(tmp_path, capsys):
     missing_types = tmp_path / "none.search"
     missing_types.write_text("group = cyclic 2\n")
     assert cli.main(["search", str(missing_types)]) == 2
+
+
+def test_cli_search_refuses_bounds_below_one(tmp_path, capsys):
+    """`--bound 0` is not the default bound, and `--bound -5` is not a bound
+    on permutation points: both are refused before the group is built."""
+    psl = fixture_path("psl2f7_a.search", tmp_path)
+    for bound in ("0", "-5"):
+        assert cli.main(["search", psl, "--bound", bound]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the search bound must be at least 1\n"
+    with pytest.raises(RamificationError, match="bound must be at least 1"):
+        rm.find_structures(gr.cyclic_group(2), ([2, 2], [2, 2]), bound=0)
+
+
+@pytest.mark.parametrize("side, message", [
+    ("[6]", "a spherical system needs >= 2 entries, got 1"),
+    ("[1, 6, 6]", "branching orders must be >= 2: (1, 6, 6)"),
+])
+def test_search_types_without_systems_are_positioned_errors(tmp_path, capsys,
+                                                            side, message):
+    """A type no spherical system has is refused at its `types` line, in the
+    words of `validate_spherical` and `genus`, on either side."""
+    for pair in (f"({side}, [6, 6])", f"([6, 6], {side})"):
+        p = tmp_path / "bad.search"
+        p.write_text(f"group = cyclic 6\n# a comment\ntypes = {pair}\n")
+        assert cli.main(["search", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 3, column 1: {message}\n"
+    signature = [int(x) for x in side.strip("[]").split(",")]
+    for pair in ((signature, [6, 6]), ([6, 6], signature)):
+        with pytest.raises(RamificationError) as exc:
+            rm.find_structures(gr.cyclic_group(6), pair)
+        assert str(exc.value) == message
 
 
 def test_catalog_shape_and_assert_mode(capsys):
