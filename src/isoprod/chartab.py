@@ -13,9 +13,21 @@ the bound on p makes unique, are lifted on one class of each rational
 class {C^t : t prime to o(C)} and permuted by s -> s*t on the others,
 since chi(C^t) has the eigenvalues of chi(C) raised to the t-th power.
 The values are reassembled exactly as cyclotomic numbers of conductor
-dividing the element order.  No floating point, no randomization: the
-splitting sequence is the class matrices in canonical class order, so
-repeated runs produce identical tables.
+dividing the element order.
+
+The split takes the class matrices in canonical class order, each built
+only when it is reached and kept as sparse columns, and restricts M_j to
+every space not yet one-dimensional.
+On a restriction R of dimension d (diagonalizable: the class algebra is
+semisimple mod p) the eigenvalues are the roots of the minimal polynomial
+of the first unit vector, found by elimination along its Krylov vectors
+(Wiedemann 1986) in O(d^3); the kernel of R - lambda is taken once per
+root, and while the kernels add up to less than d the same step runs from
+the first unit vector outside their span, which must meet a new root.  No
+floating point, no randomization.  The result does not depend on the order
+the spaces are found in: each common eigenvector is unique up to a scalar,
+it is normalized by its identity-class entry, and the rows are sorted by
+`Character.sort_key`, so the table is the one any complete split gives.
 
 On top of the complex table this module computes Frobenius-Schur
 indicators, the partition of the irreducibles into Galois orbits
@@ -31,7 +43,9 @@ permuted by a class power map.  Each total of character values is one
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 import re
 import tempfile
@@ -234,36 +248,6 @@ class GroupAlgebraElement:
 # mod-p linear algebra helpers
 
 
-def _berkowitz_charpoly(mat, p):
-    """Characteristic polynomial of mat over F_p, ascending coefficients,
-    by the division-free Samuelson-Berkowitz recursion."""
-    n = len(mat)
-    poly = [1]  # charpoly of the empty matrix
-    for k in range(1, n + 1):
-        a = mat[k - 1][k - 1] % p
-        row = [mat[k - 1][j] % p for j in range(k - 1)]
-        col = [mat[i][k - 1] % p for i in range(k - 1)]
-        sub = [[mat[i][j] % p for j in range(k - 1)] for i in range(k - 1)]
-        # Toeplitz column: [-1 (deg k), a, row*col, row*sub*col, ...]
-        t = [1, (-a) % p]
-        vec = col
-        for _ in range(k - 1):
-            t.append((-sum(r * v for r, v in zip(row, vec))) % p)
-            vec = [sum(sub[i][j] * vec[j] for j in range(k - 1)) % p
-                   for i in range(k - 1)]
-        # multiply previous poly (degree k-1) by the Toeplitz matrix
-        new = [0] * (k + 1)
-        for i in range(k + 1):
-            acc = 0
-            for j in range(min(i + 1, k)):
-                acc += t[i - j] * poly[j]
-            new[i] = acc % p
-        poly = new
-    # poly[i] is the coefficient of lambda^(n-i) with sign convention
-    # det(lambda I - M); return ascending in lambda
-    return poly[::-1]
-
-
 def _poly_roots_mod_p(coeffs, p):
     """All roots in F_p of the polynomial with ascending coefficients."""
     roots = []
@@ -338,28 +322,96 @@ def _primitive_root(p: int) -> int:
 
 
 def _class_matrices(group: FiniteGroup):
+    """Yield the class-sum matrices M_j in canonical class order, each as
+    its columns: column k of M_j is the list of nonzero (l, count) pairs
+    with count = #{x in C_j : x^-1 z_k in C_l}, at most |C_j| of them.
+    A matrix is built only when the split asks for it."""
     classes = group.conjugacy_classes
-    nc = len(classes)
     class_of = group.class_of
     inv = group.inverse
     mul = group.mul
-    mats = []
-    for j in range(nc):
-        mat = [[0] * nc for _ in range(nc)]
-        members = classes[j].members
-        for k in range(nc):
-            z = classes[k].representative
-            for x in members:
-                mat[class_of[mul(inv(x), z)]][k] += 1
-        mats.append(mat)
-    return mats
+    for cls in classes:
+        inverses = [inv(x) for x in cls.members]
+        columns = []
+        for c in classes:
+            z = c.representative
+            counts: dict[int, int] = {}
+            for y in inverses:
+                l = class_of[mul(y, z)]
+                counts[l] = counts.get(l, 0) + 1
+            columns.append(list(counts.items()))
+        yield columns
+
+
+def _krylov_minpoly(rmat, v, p):
+    """Monic minimal polynomial of v under rmat over F_p, ascending
+    coefficients, by elimination along the Krylov vectors v, Rv, R^2 v, ...
+
+    Each reduced vector u is kept with the polynomial q such that u = q(R) v;
+    the first R u that reduces to 0 gives the annihilating polynomial of
+    least degree."""
+    d = len(v)
+    echelon = []  # (pivot, u with u[pivot] = 1, its polynomial q)
+    u, q = list(v), [1]
+    while True:
+        for piv, row, poly in echelon:
+            f = u[piv]
+            if f:
+                u = [(a - f * b) % p for a, b in zip(u, row)]
+                for i, b in enumerate(poly):  # poly is shorter than q
+                    q[i] = (q[i] - f * b) % p
+        piv = next((i for i, a in enumerate(u) if a), None)
+        if piv is None:
+            lead = pow(q[-1], -1, p)
+            return [(a * lead) % p for a in q]
+        f = pow(u[piv], -1, p)
+        u = [(a * f) % p for a in u]
+        q = [(a * f) % p for a in q]
+        echelon.append((piv, u, q))
+        u = [sum(r * a for r, a in zip(rmat[i], u)) % p for i in range(d)]
+        q = [0] + q
+
+
+def _eigenspaces(rmat, p):
+    """The eigenvalues of the diagonalizable d x d matrix rmat over F_p,
+    each with a basis of its kernel, in order of discovery.
+
+    The eigenvalues are the roots of the minimal polynomial of the first
+    unit vector; while their kernels add up to less than d, the first unit
+    vector outside their span has a component in a missing eigenspace, so
+    its minimal polynomial has a new root."""
+    d = len(rmat)
+    found = []
+    seen: set[int] = set()
+    dim = 0
+    start = 0
+    while dim < d:
+        v = [0] * d
+        v[start] = 1
+        roots = [lam for lam in _poly_roots_mod_p(_krylov_minpoly(rmat, v, p), p)
+                 if lam not in seen]
+        if not roots:
+            raise CharacterTableError("eigenspace splitting lost dimensions")
+        for lam in roots:
+            shifted = [[(rmat[i][j] - (lam if i == j else 0)) % p for j in range(d)]
+                       for i in range(d)]
+            kernel = _kernel_mod_p(shifted, p)
+            seen.add(lam)
+            found.append((lam, kernel))
+            dim += len(kernel)
+        if dim < d:  # the first unit vector outside the span found so far
+            pivots = set(_rref_mod_p([k for _, ks in found for k in ks], p)[1])
+            start = next(i for i in range(d) if i not in pivots)
+    return found
 
 
 def _split_spaces(mats, p, nc, basis):
     """Common one-dimensional eigenspaces of the commuting matrices `mats`
-    inside the invariant subspace spanned by the rows of `basis`."""
+    (as `_class_matrices` yields them) inside the invariant subspace spanned
+    by the rows of `basis`."""
     spaces = [basis]
-    for matrix in mats[1:]:  # the identity-class matrix is the identity
+    # the identity-class matrix is the identity
+    for columns in itertools.islice(mats, 1, None):
         if all(len(b) == 1 for b in spaces):
             break
         out = []
@@ -368,35 +420,32 @@ def _split_spaces(mats, p, nc, basis):
             if d == 1:
                 out.append(space)
                 continue
-            # restriction R: matrix * b_a = sum_z R[z][a] * b_z, read off via
-            # the pivot columns of the RREF basis
+            # restriction R: M b_a = sum_z R[z][a] b_z, read off at the pivot
+            # columns of the RREF basis; M b_a is a sum of sparse columns
             rref, pivots = _rref_mod_p(space, p)
-            images = []
-            for b in rref:
-                img = [sum(matrix[l][k] * b[k] for k in range(nc)) % p
-                       for l in range(nc)]
-                images.append(img)
-            rmat = [[images[a][pivots[z]] for a in range(d)] for z in range(d)]
-            roots = _poly_roots_mod_p(_berkowitz_charpoly(rmat, p), p)
-            if len(roots) <= 1:
+            rmat = [[0] * d for _ in range(d)]
+            for a, b in enumerate(rref):
+                img = [0] * nc
+                for k, coef in enumerate(b):
+                    if coef:
+                        for l, count in columns[k]:
+                            img[l] += count * coef
+                for z, piv in enumerate(pivots):
+                    rmat[z][a] = img[piv] % p
+            eigen = _eigenspaces(rmat, p)
+            if len(eigen) == 1:
                 out.append(rref)
                 continue
-            found = 0
-            for lam in sorted(roots):
-                shifted = [[(rmat[i][j] - (lam if i == j else 0)) % p
-                            for j in range(d)] for i in range(d)]
+            for _, kernel in eigen:
                 sub = []
-                for kvec in _kernel_mod_p(shifted, p):
+                for kvec in kernel:
                     amb = [0] * nc
                     for a, coef in enumerate(kvec):
                         if coef:
-                            for t in range(nc):
-                                amb[t] = (amb[t] + coef * rref[a][t]) % p
-                    sub.append(amb)
-                found += len(sub)
+                            for t, x in enumerate(rref[a]):
+                                amb[t] += coef * x
+                    sub.append([x % p for x in amb])
                 out.append(_rref_mod_p(sub, p)[0])
-            if found != d:
-                raise CharacterTableError("eigenspace splitting lost dimensions")
         spaces = out
     # p = 1 (mod exp G), p prime to |G|: the class matrices split the centre (Dixon 1967).
     if not all(len(b) == 1 for b in spaces):
@@ -506,10 +555,11 @@ def _nonlinear_characters(group: FiniteGroup, linear, value) -> list[tuple]:
                     if family[j] is None:
                         family[j] = (k, t)
     leaders = [k for k in range(nc) if family[k][0] == k]
-    zpows = {}
+    dft = {}  # dft[n][s][t] = zeta_n^(-s*t) mod p
     for n in {classes[k].element_order for k in leaders}:
         zn = pow(z, e // n, p)
-        zpows[n] = [pow(zn, j, p) for j in range(n)]
+        zpow = [pow(zn, j, p) for j in range(n)]
+        dft[n] = [[zpow[(-s * t) % n] for t in range(n)] for s in range(n)]
 
     rows = []
     for w in vectors:
@@ -529,16 +579,12 @@ def _nonlinear_characters(group: FiniteGroup, linear, value) -> list[tuple]:
         multiplicities = {}
         for k in leaders:
             n = classes[k].element_order
-            zpow = zpows[n]
-            pc = power_classes[k]
+            at_powers = [theta[c] for c in power_classes[k]]  # theta(C^t), t < n
             ninv = pow(n, -1, p)
             terms = []
             total = 0
-            for s_exp in range(n):
-                acc = 0
-                for t in range(n):
-                    acc += theta[pc[t]] * zpow[(-s_exp * t) % n]
-                mult = (acc * ninv) % p
+            for s_exp, zrow in enumerate(dft[n]):
+                mult = (sum(map(operator.mul, at_powers, zrow)) * ninv) % p
                 if mult >= p // 2 + 1:
                     raise CharacterTableError("eigenvalue multiplicity failed to lift")
                 if mult:

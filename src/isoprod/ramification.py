@@ -421,7 +421,8 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
                     bound: int = DEFAULT_SEARCH_BOUND
                     ) -> tuple[list[RamificationStructure], bool]:
     """`search_structures`, plus whether the limit stopped the enumeration:
-    True exactly when a structure beyond the first `limit` exists."""
+    True exactly when a structure beyond the first `limit` exists.  A side
+    that Riemann-Hurwitz refuses for |G| raises before any enumeration."""
     a1, a2 = check_type(type_pair[0]), check_type(type_pair[1])
     check_search_options(limit, bound)
     if group.order > bound:
@@ -432,6 +433,8 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
         raise RamificationError(
             f"tuple lengths are capped at {MAX_TUPLE_LENGTH} for searches"
         )
+    for side in (a1, a2):
+        genus(group.order, side)
     keys = []
     limited = False
     for key in iter_structure_keys(group, (a1, a2)):

@@ -441,10 +441,79 @@ def test_dixon_prime_policy():
     assert p % 4 == 1 and p > 2 * math.isqrt(127) + 2
 
 
+def _berkowitz_charpoly(mat, p):
+    """Characteristic polynomial of mat over F_p, ascending coefficients,
+    by the division-free Samuelson-Berkowitz recursion."""
+    n = len(mat)
+    poly = [1]  # charpoly of the empty matrix
+    for k in range(1, n + 1):
+        a = mat[k - 1][k - 1] % p
+        row = [mat[k - 1][j] % p for j in range(k - 1)]
+        col = [mat[i][k - 1] % p for i in range(k - 1)]
+        sub = [[mat[i][j] % p for j in range(k - 1)] for i in range(k - 1)]
+        # Toeplitz column: [-1 (deg k), a, row*col, row*sub*col, ...]
+        t = [1, (-a) % p]
+        vec = col
+        for _ in range(k - 1):
+            t.append((-sum(r * v for r, v in zip(row, vec))) % p)
+            vec = [sum(sub[i][j] * vec[j] for j in range(k - 1)) % p
+                   for i in range(k - 1)]
+        # multiply previous poly (degree k-1) by the Toeplitz matrix
+        new = [0] * (k + 1)
+        for i in range(k + 1):
+            new[i] = sum(t[i - j] * poly[j] for j in range(min(i + 1, k))) % p
+        poly = new
+    # poly[i] is the coefficient of lambda^(n-i) in det(lambda I - M)
+    return poly[::-1]
+
+
+def _dense_class_matrices(group):
+    """M_j[l][k] = #{x in C_j : x^-1 z_k in C_l}, as dense nc x nc lists."""
+    classes = group.conjugacy_classes
+    nc = len(classes)
+    mats = []
+    for cls in classes:
+        mat = [[0] * nc for _ in range(nc)]
+        for k, c in enumerate(classes):
+            for x in cls.members:
+                mat[group.class_of[group.mul(group.inverse(x), c.representative)]][k] += 1
+        mats.append(mat)
+    return mats
+
+
+def _berkowitz_split(mats, p, basis):
+    """Common one-dimensional eigenspaces of the dense commuting `mats`
+    inside the row span of `basis`: every class matrix in turn splits each
+    space by the roots of the characteristic polynomial of its restriction."""
+    nc = len(basis[0])
+    spaces = [basis]
+    for matrix in mats[1:]:
+        if all(len(b) == 1 for b in spaces):
+            break
+        out = []
+        for space in spaces:
+            d = len(space)
+            rref, pivots = ct._rref_mod_p(space, p)
+            images = [[sum(matrix[l][k] * b[k] for k in range(nc)) % p for l in range(nc)]
+                      for b in rref]
+            rmat = [[images[a][pivots[z]] for a in range(d)] for z in range(d)]
+            for lam in ct._poly_roots_mod_p(_berkowitz_charpoly(rmat, p), p):
+                shifted = [[(rmat[i][j] - (lam if i == j else 0)) % p for j in range(d)]
+                           for i in range(d)]
+                sub = [[sum(c * rref[a][t] for a, c in enumerate(kvec)) % p
+                        for t in range(nc)]
+                       for kvec in ct._kernel_mod_p(shifted, p)]
+                out.append(ct._rref_mod_p(sub, p)[0])
+        assert sum(len(b) for b in out) == nc
+        spaces = out
+    assert all(len(b) == 1 for b in spaces)
+    return [b[0] for b in spaces]
+
+
 def _dixon_oracle(group):
-    """The plain Burnside-Dixon table: every class matrix splits the whole
-    class space from the identity basis, and the eigenvalue multiplicities
-    are lifted on every class."""
+    """The plain Burnside-Dixon table: every dense class matrix splits the
+    whole class space from the identity basis by Berkowitz characteristic
+    polynomials, and the eigenvalue multiplicities are lifted on every class."""
     classes = group.conjugacy_classes
     nc = len(classes)
     order = group.order
@@ -452,7 +521,7 @@ def _dixon_oracle(group):
     p = ct.dixon_prime(order, e)
     z = pow(ct._primitive_root(p), (p - 1) // e, p)
     identity = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    vectors = ct._split_spaces(ct._class_matrices(group), p, nc, identity)
+    vectors = _berkowitz_split(_dense_class_matrices(group), p, identity)
     inv_class = [group.class_of[group.inverse(c.representative)] for c in classes]
     sizes = [c.size for c in classes]
     power_classes = [
@@ -513,6 +582,92 @@ def test_character_table_matches_full_dixon_oracle(oracle_groups):
     for group in oracle_groups:
         want = [chi.values for chi in _dixon_oracle(group)]
         assert [chi.values for chi in ct.character_table(group)] == want, group.recipe
+
+
+def _charpoly_roots(rmat, p):
+    return set(ct._poly_roots_mod_p(_berkowitz_charpoly(rmat, p), p))
+
+
+def _check_eigenspaces(rmat, p, found):
+    d = len(rmat)
+    assert {lam for lam, _ in found} == _charpoly_roots(rmat, p)
+    assert len({lam for lam, _ in found}) == len(found)
+    assert sum(len(kernel) for _, kernel in found) == d
+    for lam, kernel in found:
+        for v in kernel:
+            image = [sum(r * x for r, x in zip(row, v)) % p for row in rmat]
+            assert image == [(lam * x) % p for x in v]
+
+
+def test_eigenvalues_match_berkowitz_roots(oracle_groups, monkeypatch):
+    """On every restricted matrix the split meets, the eigenvalues found from
+    Krylov minimal polynomials are the roots of the Berkowitz characteristic
+    polynomial, and their kernels are eigenspaces adding up to the dimension."""
+    seen = []
+    split = ct._eigenspaces
+
+    def recorded(rmat, p):
+        found = split(rmat, p)
+        seen.append((rmat, p, found))
+        return found
+
+    monkeypatch.setattr(ct, "_eigenspaces", recorded)
+    for group in oracle_groups + [gr.dihedral_group(24)]:
+        ct.character_table(group)
+    assert len(seen) > 100
+    assert any(len(found) > 1 for _, _, found in seen)
+    for rmat, p, found in seen:
+        _check_eigenspaces(rmat, p, found)
+
+
+def _conjugated(diagonal, p, seed):
+    """P diag P^-1 over F_p for a seeded unit upper triangular P whose first
+    column is the first unit vector, so that vector stays an eigenvector."""
+    rng = random.Random(seed)
+    d = len(diagonal)
+    pmat = [[1 if i == j else (rng.randrange(p) if i < j else 0) for j in range(d)]
+            for i in range(d)]
+    # the inverse of a unit upper triangular matrix, column by column
+    pinv = [[0] * d for _ in range(d)]
+    for j in range(d):
+        for i in range(j, -1, -1):
+            acc = 1 if i == j else 0
+            acc -= sum(pmat[i][k] * pinv[k][j] for k in range(i + 1, j + 1))
+            pinv[i][j] = acc % p
+    return [[sum(pmat[i][k] * diagonal[k] * pinv[k][j] for k in range(d)) % p
+             for j in range(d)] for i in range(d)]
+
+
+def test_start_vector_inside_one_eigenspace_still_finds_every_eigenvalue(monkeypatch):
+    p = 13
+    starts = []
+    krylov = ct._krylov_minpoly
+
+    def recorded(rmat, v, q):
+        starts.append(v.index(1))
+        return krylov(rmat, v, q)
+
+    monkeypatch.setattr(ct, "_krylov_minpoly", recorded)
+    cases = [[2, 5, 7], [4, 4, 9, 9, 9, 1], [3, 3, 3, 6]]
+    for seed, diagonal in enumerate(cases):
+        rmat = _conjugated(diagonal, p, seed)
+        assert rmat != [[x if i == j else 0 for j, x in enumerate(diagonal)]
+                        for i in range(len(diagonal))]
+        starts.clear()
+        found = ct._eigenspaces(rmat, p)
+        _check_eigenspaces(rmat, p, found)
+        assert {lam for lam, _ in found} == set(diagonal)
+        assert found[0][0] == diagonal[0]  # the first unit vector is an eigenvector
+        assert len(starts) > 1 and starts[0] == 0
+
+
+def test_non_diagonalizable_restriction_is_refused():
+    # a Jordan block: the complement start has no new eigenvalue
+    with pytest.raises(ct.CharacterTableError, match="lost dimensions"):
+        ct._eigenspaces([[5, 1], [0, 5]], 13)
+    # x^2 + 1 has no root mod 7: no eigenvalue at all
+    with pytest.raises(ct.CharacterTableError, match="lost dimensions"):
+        ct._eigenspaces([[0, 6], [1, 0]], 7)
 
 
 def test_power_classes_match_power(oracle_groups):

@@ -9,9 +9,11 @@ After a change that is meant to alter an output, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-and review the diff.
+and review the diff.  `TABLE_DIGESTS` (sha256 of `render_table` for a few
+groups) is kept in this file and is not rewritten by that command.
 """
 
+import hashlib
 import json
 import os
 from importlib import resources
@@ -19,12 +21,20 @@ from pathlib import Path
 
 import pytest
 
+from isoprod import chartab as ct
 from isoprod import cli
+from isoprod import groups as gr
 
 GOLDEN = Path(__file__).with_name("golden")
 
 STRUCT_FILES = ("z3xz3.struct", "g128_36.struct", "z2cubed_z4.struct")
 SEARCH_FILES = ("psl2f7_a.search", "psl2f7_b.search")
+# written beside the shipped files: a type pair that Riemann-Hurwitz refuses
+# for PSL(2,7), so `search` ends in an error
+EXTRA_FILES = {
+    "impossible_types.search": "group = perm (1 2 3 4 5 6 7), (1 8)(2 7)(3 4)(5 6)\n"
+                               "types = ([2, 3], [7, 7, 7])\n",
+}
 
 CASES = {
     "catalog_assert": ["catalog", "--assert"],
@@ -34,6 +44,8 @@ CASES = {
     **{f"search_json_limit5_{name}": ["search", name, "--json", "--limit", "5"]
        for name in SEARCH_FILES},
     **{f"search_limit1_{name}": ["search", name, "--limit", "1"] for name in SEARCH_FILES},
+    **{f"chartab_{name}": ["chartab", name] for name in SEARCH_FILES},
+    "search_impossible_types": ["search", "impossible_types.search"],
 }
 
 
@@ -41,6 +53,8 @@ def _write_fixtures(directory: Path) -> None:
     data = resources.files("isoprod.data")
     for name in STRUCT_FILES + SEARCH_FILES:
         (directory / name).write_text(data.joinpath(name).read_text())
+    for name, text in EXTRA_FILES.items():
+        (directory / name).write_text(text)
 
 
 def _expected_exit_codes() -> dict[str, int]:
@@ -56,6 +70,24 @@ def test_cli_output_matches_golden_file(name, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == _expected_exit_codes()[name]
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+# sha256 of `render_table` for groups whose nonlinear part needs the
+# eigenspace split: large dihedral complements, repeated eigenvalues, and
+# the irrational values of A5
+TABLE_DIGESTS = {
+    "dihedral 24": "fedc7a64eecd5d639c0fc561b84270f34025799c5384b2457d917cdb31e0251a",
+    "dihedral 48": "260d434f482cf83e962ea1456bbebe20e7972f5f09c2f15040193cd7873a3e78",
+    "symmetric 4": "1c045014b55ffa2d34cfb9808f0be138bf7f796cd1e24cd5922e205bc8174b2b",
+    "alternating 5": "e5bb5d98838024af885a8f2eb94730a98191e05f627d44c1614c9dd0be3eeac5",
+    "symmetric 5": "65af357cca9b81c149e699ceca1d7faba05b9d91f1de5ece043d5d290dbfea3a",
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(TABLE_DIGESTS))
+def test_render_table_digest(recipe):
+    table = ct.character_table(gr.build_group(f"group = {recipe}"))
+    assert hashlib.sha256(ct.render_table(table).encode()).hexdigest() == TABLE_DIGESTS[recipe]
 
 
 def _regenerate() -> None:

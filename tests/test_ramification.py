@@ -570,6 +570,25 @@ def test_limited_search_reads_only_the_tuples_it_needs(psl27, pulled):
 
 
 def test_empty_first_side_never_starts_the_second(pulled):
-    # no pair of involutions generates Z6
-    assert rm.find_structures(gr.cyclic_group(6), ((2, 2), (6, 6))) == ([], False)
-    assert pulled == {(2, 2): 0}
+    # Riemann-Hurwitz admits four involutions over Z6 (genus 1), but Z6 has
+    # only one involution, so no such tuple generates it
+    assert rm.find_structures(gr.cyclic_group(6), ((2, 2, 2, 2), (6, 6))) == ([], False)
+    assert pulled == {(2, 2, 2, 2): 0}
+
+
+def test_types_inconsistent_with_the_order_are_refused_before_enumerating(psl27, pulled):
+    cases = [
+        (gr.cyclic_group(6), ((2, 2), (6, 6)), "type [2, 2] is inconsistent with a group "
+                                              "of order 6 (genus would be -2)"),
+        (psl27, ((2, 3), (7, 7, 7)), "type [2, 3] is inconsistent with a group "
+                                     "of order 168 (genus would be -69)"),
+        (psl27, ((7, 7, 7), (2, 3, 5)), "type [2, 3, 5] is inconsistent with a group "
+                                        "of order 168 (genus would be -9/5)"),
+    ]
+    for group, types, message in cases:
+        with pytest.raises(rm.RamificationError) as info:
+            rm.find_structures(group, types, limit=1)
+        assert str(info.value) == message
+        with pytest.raises(rm.RamificationError):
+            rm.search_structures(group, types)
+    assert pulled == {}

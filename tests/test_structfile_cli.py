@@ -454,6 +454,20 @@ def test_search_types_without_systems_are_positioned_errors(tmp_path, capsys,
         assert str(exc.value) == message
 
 
+def test_cli_search_refuses_types_inconsistent_with_the_order(tmp_path, capsys):
+    """A type that Riemann-Hurwitz refuses for |G| is an error, not `count: 0`."""
+    psl = fixture_text("psl2f7_a.search").splitlines()[1]
+    for types, bad in (("([2, 3], [7, 7, 7])", "[2, 3]"), ("([7, 7, 7], [2, 3])", "[2, 3]")):
+        p = tmp_path / "impossible.search"
+        p.write_text(f"{psl}\ntypes = {types}\n")
+        for extra in ([], ["--json"], ["--limit", "1"]):
+            assert cli.main(["search", str(p), *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: type {bad} is inconsistent with a group "
+                                    "of order 168 (genus would be -69)\n")
+
+
 def test_catalog_shape_and_assert_mode(capsys):
     results = cat.run_catalog()
     assert len(results) == len(cat.CATALOG) == 32
