@@ -34,11 +34,21 @@ indicators, the partition of the irreducibles into Galois orbits
 (rational characters with a Schur-index annotation), Broughton's
 restriction multiplicities l_g(chi), summed at most once per class of each
 character (kernels read them: g is in ker chi iff l_g(chi) = chi(1)), and
-the rational central idempotents of the group algebra.  The Galois action
-needs no cyclotomic arithmetic: for t prime to exp(G), chi^sigma_t(C) =
+the rational central idempotents of the group algebra.
+
+Each table holds each distinct value as one object and is keyed once by
+value (`CharacterTable.value_index`): the distinct values, and every row
+as a tuple of their positions.  For t prime to exp(G), chi^sigma_t(C) =
 chi(C^t), so every Galois image of a row is that row with its columns
-permuted by a class power map.  Each total of character values is one
-`CyclotomicNumber.sum`, minimized once.
+permuted by a class power map.  The index checks this once, on generators
+of the unit group and with one `galois` call per distinct value each, and
+refuses a table that fails it; orbits are then found on rows of ints.  An
+orbit's rational character is f = |orbit| times the mean of the Galois
+conjugates of its first row, sum_k c_k mu(m)/phi(m) with m = n/gcd(n, k)
+for a value sum_k c_k zeta_n^k (a Ramanujan sum over phi(n)), read from
+one trace per distinct value.  Every other total of character values is
+one `CyclotomicNumber.sum`, minimized once, with its exact rationality
+check.
 """
 
 from __future__ import annotations
@@ -153,6 +163,64 @@ class CharacterTable:
                 return i
         raise CharacterTableError("class function is not a row of this table")
 
+    @cached_property
+    def value_index(self) -> "ValueIndex":
+        """The distinct values once each, every row as a tuple of their
+        positions, and the Galois action on the columns.
+
+        For each generator t of (Z/e)^*, e = exp(G), it checks once that the
+        class power map C -> C^t acts on every row as sigma_t does on its
+        values, chi(C^t) = sigma_t(chi(C)): one `galois` call per distinct
+        value.  The two actions then agree for every unit t, so a row with
+        its columns permuted by power maps is a Galois image of it."""
+        group = self.group
+        classes = range(len(group.conjugacy_classes))
+        ids: dict[CyclotomicNumber, int] = {}
+        rows = tuple(tuple(ids.setdefault(v, len(ids)) for v in chi.values) for chi in self)
+        values = tuple(ids)
+        columns = []
+        for t in _unit_generators(group.exponent):
+            perm = tuple(group.class_power_map(k, t) for k in classes)
+            image = [ids.get(v.galois(t)) for v in values]
+            if any([image[i] for i in row] != [row[c] for c in perm] for row in rows):
+                raise CharacterTableError(
+                    f"the class power map C -> C^{t} is not the Galois action on the rows"
+                )
+            columns.append(perm)
+        return ValueIndex(values, rows, tuple(columns))
+
+
+@dataclass(frozen=True)
+class ValueIndex:
+    """A character table keyed by value: `rows[i][k]` is the position of
+    chi_i(C_k) in `values`, and each of `galois_columns` is a class power map
+    C -> C^t that `CharacterTable.value_index` has checked to be sigma_t."""
+
+    values: tuple[CyclotomicNumber, ...]
+    rows: tuple[tuple[int, ...], ...]
+    galois_columns: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def mean_traces(self) -> tuple[Fraction, ...]:
+        """The mean of the Galois conjugates of each value."""
+        return tuple(v.mean_trace() for v in self.values)
+
+
+def _unit_generators(e: int) -> list[int]:
+    """Generators of the unit group (Z/e)^*, taken greedily: each unit not
+    in the subgroup of those before it joins them (none for e <= 2)."""
+    gens, reached = [], {1}
+    for t in range(2, e):
+        if t not in reached and math.gcd(t, e) == 1:
+            gens.append(t)
+            # <H, t> is the union of the cosets H t^i, up to the first t^i in H
+            power, grown = t, set(reached)
+            while power not in reached:
+                grown.update(r * power % e for r in reached)
+                power = power * t % e
+            reached = grown
+    return gens
+
 
 @dataclass(frozen=True)
 class RationalCharacter:
@@ -186,10 +254,15 @@ class RationalCharacter:
 
     @cached_property
     def rational_values(self) -> tuple[Rational, ...]:
-        """Values of the rational character s * sum over the orbit."""
-        rows = [self.table[i].values for i in self.indices]
-        return tuple(CyclotomicNumber.sum(column).as_rational() * self.schur_index
-                     for column in zip(*rows))
+        """Values of the rational character s * sum over the orbit.
+
+        The orbit of chi is a Galois orbit (`CharacterTable.value_index`
+        checked the action), so its sum at C is f = |orbit| times the mean
+        of the Galois conjugates of chi(C), read from the table's traces."""
+        index = self.table.value_index
+        traces = index.mean_traces
+        scale = self.schur_index * len(self.indices)
+        return tuple(traces[i] * scale for i in index.rows[self.indices[0]])
 
     def kernel(self) -> Subgroup:
         """Common kernel of the constituents: the classes where l_g(chi) = chi(1)."""
@@ -497,10 +570,12 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     built: dict = {}
 
     def value(n, terms):
-        """sum m * zeta_n^s over the sorted (s, m) pairs, built once per table."""
+        """sum m * zeta_n^s over the sorted (s, m) pairs, built once per table;
+        equal values from different (n, terms) are one object."""
         v = built.get((n, terms))
         if v is None:
-            v = built[n, terms] = CyclotomicNumber.from_terms(n, dict(terms))
+            v = CyclotomicNumber.from_terms(n, dict(terms))
+            v = built[n, terms] = built.setdefault(v, v)
         return v
 
     linear = _linear_characters(group)
@@ -616,7 +691,9 @@ def frobenius_schur(chi: Character) -> int:
         j = g.class_power_map(k, 2)
         squares[j] = squares.get(j, 0) + cls.size
     total = CyclotomicNumber.sum(chi.values[j] * count for j, count in squares.items())
-    nu = (total * Fraction(1, g.order)).as_rational()
+    if not total.is_rational:
+        raise CharacterTableError(f"indicator sum {total} is irrational: corrupted class function")
+    nu = total.as_rational() / g.order
     if nu.denominator != 1 or nu not in (-1, 0, 1):
         raise CharacterTableError(f"indicator {nu} outside {{-1,0,1}}")
     return int(nu)
@@ -641,27 +718,27 @@ def _schur_index(table: CharacterTable, indices) -> tuple[int, bool]:
 
 
 def galois_orbits(table: CharacterTable) -> list[RationalCharacter]:
-    """Partition of the irreducibles into Galois orbits, in row order."""
-    group = table.group
-    e = group.exponent
-    units = [t for t in range(1, e) if math.gcd(t, e) == 1] or [1]
-    # chi^sigma_t(C) = chi(C^t): each Galois image is a column permutation
-    perms = [
-        [group.class_power_map(k, t) for k in range(len(group.conjugacy_classes))]
-        for t in units
-    ]
-    index_of = {chi.values: i for i, chi in enumerate(table)}
+    """Partition of the irreducibles into Galois orbits, in row order.
+
+    chi^sigma_t(C) = chi(C^t), so an orbit is the closure of a row under the
+    checked power maps of `value_index`, on rows of value positions."""
+    index = table.value_index
+    row_of = {row: i for i, row in enumerate(index.rows)}
     assigned = [False] * len(table)
     orbits = []
-    for i, chi in enumerate(table):
+    for i in range(len(table)):
         if assigned[i]:
             continue
-        members = set()
-        for perm in perms:
-            j = index_of.get(tuple(chi.values[c] for c in perm))
-            if j is None:
-                raise CharacterTableError("Galois image is not a table row")
-            members.add(j)
+        members, frontier = {i}, [i]
+        while frontier:
+            row = index.rows[frontier.pop()]
+            for perm in index.galois_columns:
+                j = row_of.get(tuple([row[c] for c in perm]))
+                if j is None:
+                    raise CharacterTableError("Galois image is not a table row")
+                if j not in members:
+                    members.add(j)
+                    frontier.append(j)
         members = tuple(sorted(members))
         for j in members:
             assigned[j] = True
@@ -759,9 +836,10 @@ def _header(group: FiniteGroup) -> str:
 
 
 def render_table(table: CharacterTable) -> str:
+    index = table.value_index
+    literals = [render_cyclotomic(v) for v in index.values]
     return _header(table.group) + "".join(
-        "char " + " ; ".join(render_cyclotomic(v) for v in chi.values) + "\n"
-        for chi in table
+        "char " + " ; ".join([literals[i] for i in row]) + "\n" for row in index.rows
     )
 
 
@@ -783,11 +861,18 @@ def parse_table(text: str, group: FiniteGroup) -> CharacterTable:
     if not text.startswith(header):
         raise CharacterTableError("fixture header does not match the group")
     conductors = {str(d) for d in divisors(group.exponent)}
+    parsed: dict[str, CyclotomicNumber] = {}  # a value renders to one literal
     rows = []
     for line in text[len(header):].splitlines():
         if not line.startswith("char "):
             raise CharacterTableError(f"bad character line {line[:40]!r}")
-        values = tuple(_parse_value(v, conductors) for v in line[5:].split(";"))
+        values = []
+        for literal in map(str.strip, line[5:].split(";")):
+            v = parsed.get(literal)
+            if v is None:
+                v = parsed[literal] = _parse_value(literal, conductors)
+            values.append(v)
+        values = tuple(values)
         if len(values) != len(group.conjugacy_classes):
             raise CharacterTableError("wrong number of character values")
         rows.append(Character(group, values))
@@ -798,6 +883,10 @@ def parse_table(text: str, group: FiniteGroup) -> CharacterTable:
         total = CyclotomicNumber.sum(chi.values[0] * chi.values[k] for chi in rows)
         if total != (group.order if k == 0 else 0):
             raise CharacterTableError("fixture values fail column orthogonality")
+    # Some damage keeps every such sum: two rows of one degree swapped on a
+    # class whose values are irrational.  The Galois check of the value index
+    # refuses that.
+    table.value_index
     return table
 
 

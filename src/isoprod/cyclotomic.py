@@ -88,6 +88,20 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+def mobius(n: int) -> int:
+    factors = prime_factors(n)
+    if math.prod(factors) != n:
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
+def ramanujan_sum(n: int, k: int) -> int:
+    """c_n(k), the sum of zeta_n^(k*t) over the units t mod n, in closed form
+    (Hoelder 1936): mu(m) * phi(n) / phi(m) with m = n / gcd(n, k)."""
+    m = n // math.gcd(n, k)
+    return mobius(m) * (euler_phi(n) // euler_phi(m))
+
+
 def divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1
@@ -200,7 +214,9 @@ class CyclotomicNumber:
     1, zeta_N, ..., zeta_N^(phi(N)-1) after reduction mod Phi_N.
     """
 
-    __slots__ = ("conductor", "coefficients")
+    # _hash and _sort_key are filled on first use: a value is immutable, and
+    # a table asks for each one many times
+    __slots__ = ("conductor", "coefficients", "_hash", "_sort_key")
 
     def __init__(self, conductor: int, coefficients: tuple[Fraction, ...]):
         """Wrap a vector already in canonical form; build values with
@@ -344,6 +360,15 @@ class CyclotomicNumber:
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois(-1) if self.conductor > 1 else self
 
+    def mean_trace(self) -> Fraction:
+        """The mean of the images of the value under Gal(Q(zeta_N)/Q), the
+        trace divided by phi(N); it is the same over every field Q(zeta_N)
+        that holds the value.  The images of zeta_N^k add up to the Ramanujan
+        sum c_N(k), so no cyclotomic number is built."""
+        n = self.conductor
+        return Fraction(sum(c * ramanujan_sum(n, k)
+                            for k, c in enumerate(self.coefficients) if c), euler_phi(n))
+
     # -- comparisons, hashing, rendering
 
     def __bool__(self):
@@ -359,14 +384,22 @@ class CyclotomicNumber:
         )
 
     def __hash__(self):
-        return hash((self.conductor, self.coefficients))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.conductor, self.coefficients))
+            return self._hash
 
     def sort_key(self):
         """Deterministic total order key (no arithmetic meaning)."""
-        return (
-            self.conductor,
-            tuple((c.numerator, c.denominator) for c in self.coefficients),
-        )
+        try:
+            return self._sort_key
+        except AttributeError:
+            self._sort_key = (
+                self.conductor,
+                tuple((c.numerator, c.denominator) for c in self.coefficients),
+            )
+            return self._sort_key
 
     def __repr__(self):
         return f"CyclotomicNumber({self})"
@@ -420,7 +453,7 @@ def _rebase(n: int, coeffs: list[Fraction], d: int) -> list[Fraction]:
     # zeta_n^k = zeta_d^(k*u) * zeta_r^(k*w) with u = r^-1 mod d, w = d^-1 mod r.
     # Tracing down to Q(zeta_d) sends zeta_r^(k*w) to the Ramanujan sum c_r(k)
     # and the value itself to phi(r) times the value.
-    ramanujan = (2, 0, -2, 0) if r == 4 else (r - 1,) + (-1,) * (r - 1)
+    ramanujan = [ramanujan_sum(r, k) for k in range(r)]
     phi_r = euler_phi(r)
     u = pow(r, -1, d)
     acc = _reduce(d, ((k * u, c * ramanujan[k % r]) for k, c in enumerate(coeffs)))

@@ -740,3 +740,83 @@ def test_derived_subgroup_and_linear_characters(oracle_groups):
             assert all((a[x] + a[y] - a[mul(x, y)]) % e == 0
                        for x in range(n) for y in range(n)), group.recipe
             assert all(a[h] == 0 for h in derived.members)
+
+
+@pytest.fixture(scope="module")
+def index_tables(oracle_groups, tables):
+    return list(tables.values()) + [ct.character_table(g) for g in oracle_groups]
+
+
+def _orbit_column_sums(table, orbit):
+    """The oracle for `rational_values`: s times the cyclotomic sum of the
+    orbit's rows, one column at a time."""
+    rows = [table[i].values for i in orbit.indices]
+    return tuple(CyclotomicNumber.sum(column).as_rational() * orbit.schur_index
+                 for column in zip(*rows))
+
+
+def test_rational_values_match_cyclotomic_orbit_sums(index_tables):
+    """The traces s*f*sum_k c_k mu(m_k)/phi(m_k) on the orbit's first row
+    equal the column sums over the orbit, on the shipped groups, the zoos
+    and the irrational A5, S5, PSL(2,7) and SL(2,3)."""
+    irrational = 0
+    for table in index_tables:
+        for orbit in ct.galois_orbits(table):
+            assert orbit.rational_values == _orbit_column_sums(table, orbit), \
+                table.group.recipe
+            irrational += any(not v.is_rational for i in orbit.indices
+                              for v in table[i].values)
+    assert irrational > 20, irrational
+
+
+def test_equal_values_of_a_table_are_one_object(index_tables):
+    for table in index_tables:
+        for source in (table, ct.parse_table(ct.render_table(table), table.group)):
+            seen = {}
+            for chi in source:
+                for v in chi.values:
+                    assert seen.setdefault(v, v) is v, table.group.recipe
+
+
+def test_value_index_rows_give_back_the_values(index_tables):
+    for table in index_tables:
+        index = table.value_index
+        assert len(set(index.values)) == len(index.values)
+        assert [tuple(index.values[i] for i in row) for row in index.rows] == \
+            [chi.values for chi in table]
+        group = table.group
+        for perm, t in zip(index.galois_columns, ct._unit_generators(group.exponent)):
+            assert list(perm) == [group.class_power_map(k, t)
+                                  for k in range(len(group.conjugacy_classes))]
+
+
+def test_value_index_refuses_rows_the_power_maps_do_not_permute(psl27, tables):
+    """Swapping the two degree-3 rows of PSL(2,7) on the class of 7A alone
+    keeps every value and every column sum, but breaks chi(C^t) = sigma_t(chi(C))."""
+    table = tables[psl27.recipe]
+    deg3 = [i for i, chi in enumerate(table) if chi.degree == 3]
+    k = next(k for k, v in enumerate(table[deg3[0]].values) if not v.is_rational)
+    rows = [list(chi.values) for chi in table]
+    rows[deg3[0]][k], rows[deg3[1]][k] = rows[deg3[1]][k], rows[deg3[0]][k]
+    bad = ct.CharacterTable(psl27, [ct.Character(psl27, tuple(r)) for r in rows])
+    with pytest.raises(ct.CharacterTableError, match="Galois action"):
+        bad.value_index
+    with pytest.raises(ct.CharacterTableError):
+        ct.galois_orbits(bad)
+
+
+def test_unit_generators_generate_the_unit_group():
+    for e in range(1, 400):
+        units = {t for t in range(1, e + 1) if math.gcd(t, e) == 1}
+        reached = {1 % e}
+        frontier = [1 % e]
+        gens = ct._unit_generators(e)
+        assert all(t in units and 1 < t < e for t in gens)
+        while frontier:
+            r = frontier.pop()
+            for t in gens:
+                x = r * t % e
+                if x not in reached:
+                    reached.add(x)
+                    frontier.append(x)
+        assert reached == {t % e for t in units}, e

@@ -22,6 +22,7 @@ from isoprod.cyclotomic import (
     is_prime,
     parse_cyclotomic,
     prime_factors,
+    ramanujan_sum,
     render_cyclotomic,
     zeta,
 )
@@ -505,3 +506,71 @@ def test_product_matches_lifted_convolution():
             mixed += 1 < x.conductor != y.conductor > 1
             descended += product.conductor < math.lcm(x.conductor, y.conductor)
     assert mixed > 50 and descended > 50, (mixed, descended)
+
+
+def test_ramanujan_sums_match_unit_sums():
+    """c_n(k) = mu(m) phi(n)/phi(m) is the sum of zeta_n^(k*t) over the units
+    t mod n, and c_n(k)/phi(n) is the mean trace of zeta_n^k."""
+    for n in range(1, 61):
+        units = [t for t in range(1, n + 1) if math.gcd(t, n) == 1]
+        for k in range(n):
+            c = ramanujan_sum(n, k)
+            powers = {}
+            for t in units:
+                powers[k * t % n] = powers.get(k * t % n, 0) + 1
+            assert CyclotomicNumber.from_terms(n, powers) == rat(c), (n, k)
+            assert zeta(n, k).mean_trace() == Fraction(c, euler_phi(n)), (n, k)
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(x=_VALUES, t=st.sampled_from([7, 11, 13, 49, 59, 119]))
+def test_mean_trace_is_the_mean_of_the_galois_conjugates(x, t):
+    n = x.conductor
+    units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+    mean = CyclotomicNumber.sum(x.galois(u) for u in units) * Fraction(1, len(units))
+    assert x.mean_trace() == mean.as_rational()
+    # the mean is the same over any field that holds the value
+    assert x.galois(t).mean_trace() == x.mean_trace()
+
+
+def _fresh_hash(x):
+    return hash((x.conductor, x.coefficients))
+
+
+def _fresh_sort_key(x):
+    return (x.conductor, tuple((c.numerator, c.denominator) for c in x.coefficients))
+
+
+# every constructor and operation that makes a value; conductors divide 120,
+# so the t below are units
+_BUILT = st.one_of(
+    _VALUES,
+    _VALUES.map(lambda x: -x),
+    st.builds(lambda x, t: x.galois(t), _VALUES, st.sampled_from([1, 7, 11, 13, 59, 119])),
+    st.builds(zeta, st.sampled_from(divisors(120)), st.integers(-130, 130)),
+    st.lists(_VALUES, max_size=4).map(CyclotomicNumber.sum),
+    st.builds(lambda a, b: a * b, _VALUES, _VALUES),
+    _VALUES.map(lambda x: parse_cyclotomic(render_cyclotomic(x))),
+)
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(x=_BUILT, hash_first=st.booleans())
+def test_memoised_hash_and_sort_key_match_a_fresh_computation(x, hash_first):
+    for _ in range(2):  # the second round is answered by the memo
+        if hash_first:
+            assert hash(x) == _fresh_hash(x)
+        assert x.sort_key() == _fresh_sort_key(x)
+        assert hash(x) == _fresh_hash(x)
+    # the same value built other ways: equal, and one hash
+    for twin in (parse_cyclotomic(render_cyclotomic(x)), -(-x), x.galois(1) * 1,
+                 CyclotomicNumber.sum([x, zeta(3), -zeta(3)])):
+        assert twin == x and hash(twin) == hash(x) and twin.sort_key() == x.sort_key()
+
+
+def test_minus_one_from_two_conductors_has_one_hash():
+    a = CyclotomicNumber.from_terms(2, {1: 1})
+    b = CyclotomicNumber.from_terms(4, {2: 1})
+    assert a is not b and a == b == rat(-1)
+    assert hash(a) == hash(b) == hash(rat(-1))
+    assert a.sort_key() == b.sort_key()

@@ -74,8 +74,11 @@ def test_cli_output_matches_golden_file(name, tmp_path, monkeypatch, capsys):
 
 # sha256 of `render_table` for groups whose nonlinear part needs the
 # eigenspace split: large dihedral complements, repeated eigenvalues, and
-# the irrational values of A5
+# the irrational values of A5; and for the 360 classes of Z360, whose values
+# span 24 conductors
 TABLE_DIGESTS = {
+    "cyclic 360": "5a33dcd370490e524becd04c53ace94636dbb0e999929f8be9b329b6c8275118",
+    "dihedral 300": "ef0f9eac2e08c95d0c3ef01703940f2a75d5160854e0752d19e860777fd7aee6",
     "dihedral 24": "fedc7a64eecd5d639c0fc561b84270f34025799c5384b2457d917cdb31e0251a",
     "dihedral 48": "260d434f482cf83e962ea1456bbebe20e7972f5f09c2f15040193cd7873a3e78",
     "symmetric 4": "1c045014b55ffa2d34cfb9808f0be138bf7f796cd1e24cd5922e205bc8174b2b",

@@ -10,6 +10,7 @@ from isoprod import chartab as ct
 from isoprod import cli
 from isoprod import groups as gr
 from isoprod import ramification as rm
+from isoprod.cyclotomic import CyclotomicNumber, parse_cyclotomic
 from isoprod.groups import GroupError
 from isoprod.ramification import RamificationError
 from isoprod.structfile import ParseError, StructureFile, parse_structure_file
@@ -353,6 +354,62 @@ def test_cli_chartab_and_cache(tmp_path, capsys):
     assert out1 == out2
     # a type-only entry has no recipe to print
     assert cli.main(["chartab", "A5-13-11"]) == 1
+
+
+# one A5 structure of type ((2, 5, 5), (3, 3, 3, 3))
+A5_STRUCT = """group = alternating 5
+tuple C = [g1*g2^2, g2, g2^2*g1^2]
+tuple D = [g1, g1^2, g1^2*g2, g2^4*g1]
+"""
+
+
+def _swap_degree_3_rows_on_order_5_class(text, group):
+    """A5's cached table with the values of its two degree-3 rows swapped on
+    the first class of order 5: every column keeps its sum weighted by
+    chi(1), which is all `parse_table`'s orthogonality check sees."""
+    k = next(i for i, c in enumerate(group.conjugacy_classes) if c.element_order == 5)
+    lines = text.splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.startswith("char 3 ;")]
+    assert len(at) == 2
+    a, b = (lines[i][5:].rstrip("\n").split(" ; ") for i in at)
+    a[k], b[k] = b[k], a[k]
+    for i, values in zip(at, (a, b)):
+        lines[i] = "char " + " ; ".join(values) + "\n"
+    return "".join(lines)
+
+
+def test_cache_with_swapped_irrational_values_is_recomputed(tmp_path, capsys):
+    path = tmp_path / "a5.struct"
+    path.write_text(A5_STRUCT)
+    clean, damaged = tmp_path / "clean", tmp_path / "damaged"
+    assert cli.main(["analyze", str(path), "--cache", str(clean)]) == 0
+    want = capsys.readouterr().out
+    [cached] = clean.iterdir()
+    good = cached.read_text()
+    group = gr.build_group("group = alternating 5")
+    bad = _swap_degree_3_rows_on_order_5_class(good, group)
+    assert bad != good
+    damaged.mkdir()
+    (damaged / cached.name).write_text(bad)
+    assert cli.main(["analyze", str(path), "--cache", str(damaged)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == want and captured.err == ""
+    assert (damaged / cached.name).read_text() == good
+
+    # the damaged rows themselves: the column sums pass, the Galois check does not
+    rows = [ct.Character(group, tuple(parse_cyclotomic(v) for v in line[5:].split(";")))
+            for line in bad.splitlines() if line.startswith("char ")]
+    table = ct.CharacterTable(group, rows)
+    for k in range(len(group.conjugacy_classes)):
+        column = CyclotomicNumber.sum(chi.values[0] * chi.values[k] for chi in rows)
+        assert column == (group.order if k == 0 else 0)
+    with pytest.raises(ct.CharacterTableError):
+        ct.galois_orbits(table)
+    with pytest.raises(ct.CharacterTableError):
+        ct.parse_table(bad, group)
+    swapped = next(chi for chi in rows if chi.degree == 3)
+    with pytest.raises(ct.CharacterTableError, match="irrational"):
+        ct.frobenius_schur(swapped)
 
 
 def test_cli_unusable_cache_is_an_error(tmp_path, capsys, monkeypatch):
