@@ -384,10 +384,12 @@ class CyclotomicNumber:
         )
 
     def __hash__(self):
+        # a rational value equals its int or Fraction, so it hashes as one
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash((self.conductor, self.coefficients))
+            self._hash = hash(self.coefficients[0] if self.conductor == 1
+                              else (self.conductor, self.coefficients))
             return self._hash
 
     def sort_key(self):

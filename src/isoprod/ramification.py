@@ -34,9 +34,16 @@ The key order is that of the search that canonicalises every pair and
 yields each key at its first visit: within a Sigma bucket, the tuples
 with one pattern of entry orders come out of the enumeration in
 lexicographic order, so the least member of each C_G(r) orbit comes
-first, and a key is first met at the pair (least t1, t2).
-`iter_structure_keys(..., naive=True)` keeps the canonicalise-every-pair
-search, over all tuples, as the oracle.
+first, and a key is first met at the pair (least t1, t2).  The tests keep
+the canonicalise-every-pair search, over all tuples, as the oracle.
+
+A search pays for each check once.  One generation test, memoised by entry
+set, serves the whole search: both sides' enumerations and the
+`validate_spherical` call that builds each distinct tuple of a key, so a
+tuple that the enumeration proved generating is not closed again.  The memo
+is made per search and dies with it; nothing is kept on the group.  Each
+`SphericalSystem` computes its Sigma class set once, on first use, so the
+disjointness check that every `RamificationStructure` makes reads it.
 
 The pairing reads each side only as far as the keys taken need, so
 `limit=k` stops after k + 1 keys.  A side's Sigma buckets are filled as
@@ -55,12 +62,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .groups import FiniteGroup, QuotientGroup
 
 DEFAULT_SEARCH_BOUND = 512
 MAX_TUPLE_LENGTH = 6
+_ONLY_IDENTITY = frozenset({0})  # the class set of {id}
 
 
 class RamificationError(ValueError):
@@ -90,9 +99,31 @@ class SphericalSystem:
     def genus(self) -> int:
         return genus(self.group.order, self.signature)
 
+    @cached_property
+    def sigma(self) -> frozenset[int]:
+        """Sigma(T) as class indices, computed on first use; not a field, so
+        equality and hashing are those of (group, entries, signature)."""
+        return _sigma_classes(self.group, self.entries)
 
-def validate_spherical(group: FiniteGroup, entries) -> SphericalSystem:
-    """Check the spherical-system axioms and compute the type."""
+
+def _generation_test(group: FiniteGroup):
+    """A `generates(entries)` test for `group`, memoised by entry set.  One
+    search makes one and shares it; it is never kept on the group."""
+    memo: dict[frozenset, bool] = {}
+
+    def generates(entries) -> bool:
+        key = frozenset(entries)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = len(group.closure(key)) == group.order
+        return hit
+
+    return generates
+
+
+def validate_spherical(group: FiniteGroup, entries, generates=None) -> SphericalSystem:
+    """Check the spherical-system axioms and compute the type.  `generates`
+    is the generation test of the caller's search (a fresh one without)."""
     idx = tuple(int(e) for e in entries)
     _check_length(len(idx))
     for e in idx:
@@ -111,7 +142,7 @@ def validate_spherical(group: FiniteGroup, entries) -> SphericalSystem:
         raise RamificationError(
             f"product of the entries is {group.name(prod)}, not the identity"
         )
-    if group.closure(idx) != frozenset(range(group.order)):
+    if not (generates or _generation_test(group))(idx):
         raise RamificationError("the entries do not generate the group")
     return SphericalSystem(group, idx, tuple(sorted(orders)))
 
@@ -161,7 +192,7 @@ def check_search_options(limit: int | None, bound: int) -> None:
 
 def sigma_set(system: SphericalSystem) -> frozenset[int]:
     """Sigma(T) as the indices of the classes it is the union of (with 0, id)."""
-    return _sigma_classes(system.group, system.entries)
+    return system.sigma
 
 
 def _sigma_classes(group: FiniteGroup, entries) -> frozenset[int]:
@@ -174,7 +205,7 @@ def _sigma_classes(group: FiniteGroup, entries) -> frozenset[int]:
 def is_disjoint(t1: SphericalSystem, t2: SphericalSystem) -> bool:
     if t1.group is not t2.group:
         raise RamificationError("systems over different groups")
-    return sigma_set(t1) & sigma_set(t2) == {0}
+    return sigma_set(t1) & sigma_set(t2) == _ONLY_IDENTITY
 
 
 @dataclass(frozen=True)
@@ -196,9 +227,6 @@ class RamificationStructure:
 
     def genera(self) -> tuple[int, int]:
         return self.t1.genus(), self.t2.genus()
-
-    def canonical_key(self) -> tuple[int, ...]:
-        return self.group.min_conjugate(self.t1.entries + self.t2.entries)
 
 
 @dataclass(frozen=True)
@@ -236,11 +264,13 @@ def quotient_system(system: SphericalSystem, quot: QuotientGroup) -> QuotientSys
 # search
 
 
-def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool):
+def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
+                     generates=None):
     """Yield entry tuples of the given type (product one, generating).
 
     Backtracking over positions; the final entry is forced by the product
-    constraint, and generation is memoized on the entry set.  When
+    constraint, and generation is tested by `generates`, the search's
+    memoised test (a fresh one without).  When
     `first_entry_reps` is set, the first entry only runs over conjugacy
     class representatives (complete up to simultaneous conjugation).
     """
@@ -250,17 +280,7 @@ def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool):
         by_order.setdefault(group.element_orders[i], []).append(i)
     if any(m not in by_order for m in set(signature)):
         return
-    full = frozenset(range(group.order))
-    gen_cache: dict[frozenset, bool] = {}
-
-    def generates(entries) -> bool:
-        key = frozenset(entries)
-        hit = gen_cache.get(key)
-        if hit is None:
-            hit = group.closure(key) == full
-            gen_cache[key] = hit
-        return hit
-
+    generates = generates or _generation_test(group)
     first_candidates: dict[int, list[int]] = {}
     for m in set(signature):
         if first_entry_reps:
@@ -298,52 +318,16 @@ def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool):
     yield from rec(0, signature)
 
 
-def _naive_systems_of_type(group: FiniteGroup, signature):
-    """All entry tuples of the given type by plain exhaustion over G^r."""
-    signature = tuple(sorted(signature))
-    r = len(signature)
-    full = frozenset(range(group.order))
-    gen_cache: dict[frozenset, bool] = {}
-    for t in itertools.product(range(group.order), repeat=r):
-        if tuple(sorted(group.element_orders[e] for e in t)) != signature:
-            continue
-        prod = 0
-        for e in t:
-            prod = group.mul(prod, e)
-        if prod != 0:
-            continue
-        key = frozenset(t)
-        hit = gen_cache.get(key)
-        if hit is None:
-            hit = group.closure(key) == full
-            gen_cache[key] = hit
-        if hit:
-            yield t
-
-
-def iter_structure_keys(group: FiniteGroup, type_pair, naive: bool = False):
+def iter_structure_keys(group: FiniteGroup, type_pair, generates=None):
     """Canonical keys of all structures of the given type pair, in discovery
-    order, without duplicates.  `naive` switches the tuple enumeration to
-    plain exhaustion and canonicalises and deduplicates every pair (the
-    completeness oracle for the pruned search)."""
+    order, without duplicates.  Both sides share `generates`, the search's
+    generation test (a fresh one without)."""
     a1, a2 = type_pair
-    if naive:
-        side1 = list(_naive_systems_of_type(group, a1))
-        side2 = (
-            side1 if tuple(sorted(a1)) == tuple(sorted(a2))
-            else list(_naive_systems_of_type(group, a2))
-        )
-        seen = set()
-        for t1, t2 in _disjoint_pairs(group, side1, side2):
-            key = group.min_conjugate(t1 + t2)
-            if key not in seen:
-                seen.add(key)
-                yield key
-        return
+    generates = generates or _generation_test(group)
     # only the least tuple of each C_G(r) orbit: see the module docstring
-    side1 = (t for t in _systems_of_type(group, a1, first_entry_reps=True)
+    side1 = (t for t in _systems_of_type(group, a1, True, generates)
              if group.min_conjugate(t) == t)
-    side2 = _systems_of_type(group, a2, first_entry_reps=False)
+    side2 = _systems_of_type(group, a2, False, generates)
     for t1, t2 in _disjoint_pairs(group, side1, side2):
         yield t1 + t2
 
@@ -398,10 +382,9 @@ def _disjoint_pairs(group: FiniteGroup, side1, side2):
     as far as the pairs taken need."""
     buckets1 = _SigmaBuckets(group, side1)
     buckets2 = _SigmaBuckets(group, side2)
-    only_id = frozenset({0})
     for s1, group1 in buckets1:
         for s2, group2 in buckets2:
-            if s1 & s2 != only_id:
+            if s1 & s2 != _ONLY_IDENTITY:
                 continue
             for t1 in buckets1.read(group1):
                 for t2 in buckets2.read(group2):
@@ -435,9 +418,10 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
         )
     for side in (a1, a2):
         genus(group.order, side)
+    generates = _generation_test(group)  # one memo for this search only
     keys = []
     limited = False
-    for key in iter_structure_keys(group, (a1, a2)):
+    for key in iter_structure_keys(group, (a1, a2), generates):
         if limit is not None and len(keys) == limit:
             limited = True  # one more key exists; it is not kept
             break
@@ -448,7 +432,7 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
     def system(entries):
         found = systems.get(entries)
         if found is None:
-            found = systems[entries] = validate_spherical(group, entries)
+            found = systems[entries] = validate_spherical(group, entries, generates)
         return found
 
     out = [RamificationStructure(system(key[:len(a1)]), system(key[len(a1):]))

@@ -2,11 +2,14 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from isoprod import groups as gr
 from isoprod import ramification as rm
+from isoprod.structfile import parse_structure_file
+from search_oracle import canonical_key, naive_structure_keys
 
 
 def entries(group, labels, lab):
@@ -314,7 +317,7 @@ def test_search_bounds():
 
 def test_search_finds_example_structure(z3z3_label, z3z3_structure):
     group, _ = z3z3_label
-    key = z3z3_structure.canonical_key()
+    key = canonical_key(z3z3_structure)
     assert any(
         k == key
         for k in rm.iter_structure_keys(group, ((3, 3, 3, 3, 3), (3, 3, 3, 3)))
@@ -332,7 +335,7 @@ def test_search_psl_types_nonempty(psl27):
 def test_search_results_sorted_and_valid(z3z3_label):
     group, _ = z3z3_label
     res = rm.search_structures(group, ([3, 3, 3, 3], [3, 3, 3, 3]))
-    keys = [s.canonical_key() for s in res]
+    keys = [canonical_key(s) for s in res]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
     for s in res[:10]:
@@ -351,7 +354,7 @@ def test_search_completeness_z3z3_small_type(z3z3_label):
     group, _ = z3z3_label
     pruned = sorted(rm.iter_structure_keys(group, ((3, 3, 3, 3), (3, 3, 3, 3))))
     naive = sorted(
-        rm.iter_structure_keys(group, ((3, 3, 3, 3), (3, 3, 3, 3)), naive=True)
+        naive_structure_keys(group, ((3, 3, 3, 3), (3, 3, 3, 3)))
     )
     assert pruned == naive
     assert len(pruned) == 3456
@@ -361,7 +364,7 @@ def test_search_completeness_z3z3_full_type(z3z3_label):
     group, _ = z3z3_label
     types = ((3, 3, 3, 3, 3), (3, 3, 3, 3))
     assert _keys_digest(rm.iter_structure_keys(group, types)) == _keys_digest(
-        rm.iter_structure_keys(group, types, naive=True)
+        naive_structure_keys(group, types)
     )
 
 
@@ -370,12 +373,12 @@ def test_search_completeness_z2cubed():
     # no structure with a length-4 side exists: both digests must agree on empty
     types = ((2, 2, 2, 2), (2, 2, 2, 2))
     assert _keys_digest(rm.iter_structure_keys(group, types)) == (0, 0)
-    assert _keys_digest(rm.iter_structure_keys(group, types, naive=True)) == (0, 0)
+    assert _keys_digest(naive_structure_keys(group, types)) == (0, 0)
     # the minimal nonempty case: both sides of length 6
     types = ((2,) * 6, (2,) * 6)
     digest = _keys_digest(rm.iter_structure_keys(group, types))
     assert digest[0] > 0
-    assert digest == _keys_digest(rm.iter_structure_keys(group, types, naive=True))
+    assert digest == _keys_digest(naive_structure_keys(group, types))
 
 
 def test_canonical_key_matches_brute_force(q8, psl27):
@@ -404,7 +407,7 @@ def test_search_completeness_s4():
     group = gr.build_group("perm (1 2 3 4), (1 2)")
     types = ((2, 2, 3, 3), (4, 4, 4, 4))
     pruned = sorted(rm.iter_structure_keys(group, types))
-    assert pruned == sorted(rm.iter_structure_keys(group, types, naive=True))
+    assert pruned == sorted(naive_structure_keys(group, types))
     assert len(pruned) == 3456
 
 
@@ -454,9 +457,9 @@ def test_search_validates_each_distinct_tuple_once(monkeypatch):
     calls = []
     validate = rm.validate_spherical
 
-    def counting(group, entries):
+    def counting(group, entries, generates=None):
         calls.append(tuple(entries))
-        return validate(group, entries)
+        return validate(group, entries, generates)
 
     monkeypatch.setattr(rm, "validate_spherical", counting)
     found = rm.search_structures(group, ((2, 5, 5), (3, 3, 3, 3)))
@@ -466,6 +469,93 @@ def test_search_validates_each_distinct_tuple_once(monkeypatch):
     for s in found:
         for system in (s.t1, s.t2):
             assert system == rm.validate_spherical(group, system.entries)
+
+
+def test_generation_test_matches_closure(monkeypatch, z3z3, q8, psl27, g128,
+                                         z2cubed_z4):
+    """The memoised generation test answers as a closure does, on seeded
+    random entry lists; asked again, it answers from its memo alone."""
+    from test_acceptance import _random_small_groups
+
+    rng = random.Random(1707)
+    answers = Counter()
+    for group in [z3z3, q8, psl27, g128, z2cubed_z4] + _random_small_groups():
+        full = frozenset(range(group.order))
+        lists = [[rng.randrange(group.order) for _ in range(rng.randint(1, 4))]
+                 for _ in range(40)]
+        want = [group.closure(t) == full for t in lists]
+        generates = rm._generation_test(group)
+        assert [generates(t) for t in lists] == want
+        with monkeypatch.context() as m:
+            m.setattr(gr.FiniteGroup, "closure", None)  # a memo miss would fail
+            assert [generates(t[::-1]) for t in lists] == want
+        answers.update(want)
+    assert answers[True] > 0 and answers[False] > 0, answers
+
+
+def test_memoised_generation_still_refuses_a_non_generating_tuple():
+    """x, x^-1 multiply to one but generate only <x>: a memo that has already
+    answered for that entry set still refuses it, and a generating tuple
+    validates as it does without the memo."""
+    a5 = gr.alternating_group(5)
+    generates = rm._generation_test(a5)
+    x = a5.element_orders.index(5)
+    pair = (x, a5.inverse(x))
+    assert not generates(pair)
+    for test in (generates, None):
+        with pytest.raises(rm.RamificationError, match="do not generate"):
+            rm.validate_spherical(a5, pair, test)
+    t = next(rm._systems_of_type(a5, (2, 5, 5), True, generates))
+    assert rm.validate_spherical(a5, t, generates) == rm.validate_spherical(a5, t)
+
+
+def test_system_sigma_is_computed_once_and_is_no_field(psl27):
+    """`system.sigma` is the class set of its entries, `sigma_set` reads it,
+    and it takes no part in equality or hashing."""
+    for t in itertools.islice(rm._systems_of_type(psl27, (3, 3, 4), False), 50):
+        system, twin = rm.validate_spherical(psl27, t), rm.validate_spherical(psl27, t)
+        assert system.sigma == rm._sigma_classes(psl27, t)
+        assert rm.sigma_set(system) is system.sigma
+        assert "sigma" not in twin.__dict__
+        assert system == twin and hash(system) == hash(twin)
+        twin.__dict__["sigma"] = frozenset()
+        assert system == twin and hash(system) == hash(twin)
+
+
+def test_generation_memo_lives_for_one_search(monkeypatch):
+    """Each search makes its own generation memo and keeps none on the group:
+    a second full search on the same group object makes as many closures as
+    the first, and neither makes more than the distinct entry sets it tested
+    (a traced run of the same search needs its closure calls)."""
+    sfile = parse_structure_file(
+        resources.files("isoprod.data").joinpath("psl2f7_a.search").read_text())
+    group = sfile.build()
+    tested, closures = [], []
+    real_test, real_closure = rm._generation_test, gr.FiniteGroup.closure
+
+    def recording(group):
+        generates = real_test(group)
+        sets = set()
+        tested.append(sets)
+
+        def recorded(entries):
+            sets.add(frozenset(entries))
+            return generates(entries)
+
+        return recorded
+
+    def counting(self, gens):
+        closures[-1] += 1
+        return real_closure(self, gens)
+
+    monkeypatch.setattr(rm, "_generation_test", recording)
+    monkeypatch.setattr(gr.FiniteGroup, "closure", counting)
+    for _ in range(2):
+        closures.append(0)
+        assert len(rm.search_structures(group, sfile.type_pair)) == 4032
+    assert len(tested) == 2
+    assert 0 < closures[0] == closures[1]
+    assert all(calls <= len(sets) for calls, sets in zip(closures, tested))
 
 
 def _list_disjoint_pairs(group, side1, side2):
@@ -538,7 +628,7 @@ def test_lazy_pairing_matches_list_pairing(monkeypatch, z3z3, q8, psl27, g128,
         # left to the key stream above
         for limit in (1, 2, 7, 100) + ((None,) if len(want) <= 50_000 else ()):
             found, limited = rm.find_structures(group, types, limit=limit)
-            assert [s.canonical_key() for s in found] == sorted(want[:limit])
+            assert [canonical_key(s) for s in found] == sorted(want[:limit])
             assert limited == (limit is not None and len(want) > limit)
     assert nonempty >= 9, nonempty
 
@@ -549,9 +639,9 @@ def pulled(monkeypatch):
     counts = {}
     real = rm._systems_of_type
 
-    def counting(group, signature, first_entry_reps):
+    def counting(group, signature, first_entry_reps, generates=None):
         counts.setdefault(tuple(signature), 0)
-        for t in real(group, signature, first_entry_reps):
+        for t in real(group, signature, first_entry_reps, generates):
             counts[tuple(signature)] += 1
             yield t
 
