@@ -48,7 +48,7 @@ conjugates of its first row, sum_k c_k mu(m)/phi(m) with m = n/gcd(n, k)
 for a value sum_k c_k zeta_n^k (a Ramanujan sum over phi(n)), read from
 one trace per distinct value.  Every other total of character values is
 one `CyclotomicNumber.sum`, minimized once, with its exact rationality
-check.
+check; a rational total is then divided by its count once.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class CharacterTable:
             chi.values[k] * psi.values[k].conjugate() * cls.size
             for k, cls in enumerate(self.group.conjugacy_classes)
         )
-        return (total * Fraction(1, self.group.order)).as_rational()
+        return total.as_rational() / self.group.order
 
     def row_index(self, chi: Character) -> int:
         for i, row in enumerate(self.irreducibles):
@@ -201,7 +201,7 @@ class ValueIndex:
     galois_columns: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def mean_traces(self) -> tuple[Fraction, ...]:
+    def mean_traces(self) -> tuple[int | Fraction, ...]:
         """The mean of the Galois conjugates of each value."""
         return tuple(v.mean_trace() for v in self.values)
 
@@ -253,16 +253,26 @@ class RationalCharacter:
         return self.table.trivial_index in self.indices
 
     @cached_property
-    def rational_values(self) -> tuple[Rational, ...]:
+    def rational_values(self) -> tuple[int, ...]:
         """Values of the rational character s * sum over the orbit.
 
         The orbit of chi is a Galois orbit (`CharacterTable.value_index`
         checked the action), so its sum at C is f = |orbit| times the mean
-        of the Galois conjugates of chi(C), read from the table's traces."""
+        of the Galois conjugates of chi(C), read from the table's traces.
+        A sum over a Galois orbit of an algebraic integer is an integer, so
+        each value is an int; a table whose sum is not one is refused."""
         index = self.table.value_index
         traces = index.mean_traces
         scale = self.schur_index * len(self.indices)
-        return tuple(traces[i] * scale for i in index.rows[self.indices[0]])
+        row = index.rows[self.indices[0]]
+        sums = {}
+        for i in set(row):  # once per distinct value
+            q = traces[i] * scale
+            if q.denominator != 1:
+                raise CharacterTableError(
+                    f"orbit sum {q} is not an integer: corrupted class function")
+            sums[i] = q.numerator
+        return tuple(sums[i] for i in row)
 
     def kernel(self) -> Subgroup:
         """Common kernel of the constituents: the classes where l_g(chi) = chi(1)."""
@@ -694,7 +704,7 @@ def frobenius_schur(chi: Character) -> int:
     if not total.is_rational:
         raise CharacterTableError(f"indicator sum {total} is irrational: corrupted class function")
     nu = total.as_rational() / g.order
-    if nu.denominator != 1 or nu not in (-1, 0, 1):
+    if nu not in (-1, 0, 1):
         raise CharacterTableError(f"indicator {nu} outside {{-1,0,1}}")
     return int(nu)
 
@@ -756,12 +766,13 @@ def trivial_restriction_multiplicity(chi: Character, g: int) -> int:
     if k in memo:
         return memo[k]
     row = group.power_classes[k]  # the classes of g^0, ..., g^(n-1)
-    avg = CyclotomicNumber.sum(chi.values[j] for j in row) * Fraction(1, len(row))
-    if not avg.is_rational:
+    total = CyclotomicNumber.sum(chi.values[j] for j in row)
+    if not total.is_rational:
         raise CharacterTableError(
-            f"restriction average {avg} is irrational: corrupted class function"
+            f"restriction average {total * Fraction(1, len(row))} is irrational: "
+            "corrupted class function"
         )
-    q = avg.as_rational()
+    q = total.as_rational() / len(row)
     if q.denominator != 1 or q < 0:
         raise CharacterTableError(
             f"restriction multiplicity {q} is not a non-negative integer"
@@ -789,7 +800,9 @@ def rational_idempotent(table: CharacterTable, orbit: RationalCharacter) -> Grou
         raise CharacterTableError("orbit from a different table")
     group = table.group
     scale = Fraction(orbit.complex_degree, orbit.schur_index * group.order)
-    per_class = [v * scale for v in orbit.rational_values]
+    values = orbit.rational_values
+    scaled = {v: v * scale for v in set(values)}  # one Fraction per distinct value
+    per_class = [scaled[v] for v in values]
     return GroupAlgebraElement(group, tuple(per_class[k] for k in group.class_of))
 
 

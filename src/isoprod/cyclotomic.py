@@ -3,8 +3,18 @@
 Every element is kept in a canonical form: the conductor is minimized (an
 element that happens to lie in a smaller cyclotomic field is rewritten
 there), so equality across values coming from different computations is
-plain structural equality.  Coefficients are exact rationals; nothing in
-this module ever touches floating point.
+plain structural equality.  Nothing in this module ever touches floating
+point: a float given to a constructor is refused.
+
+A coordinate is an `int` unless it has a real denominator, and then it is
+a `Fraction`.  Z[zeta_n] is the ring of integers of Q(zeta_n), with the
+power basis 1, zeta_n, ..., zeta_n^(phi(n)-1) as a Z-basis (Washington,
+Introduction to Cyclotomic Fields, Thm 2.6), so every sum of roots of
+unity, every character value in particular, has int coordinates; only a
+user rational, a mean trace or an idempotent coefficient brings a
+Fraction.  Equality, hashing, `sort_key` and rendering take an int and a
+Fraction of one value alike, so the two never need normalizing.
+`as_rational` still returns a Fraction, since its callers divide it.
 
 Conductors are normalized to 1 or to N >= 3 with N != 2 (mod 4), since
 Q(zeta_{2m}) = Q(zeta_m) for odd m.
@@ -22,7 +32,8 @@ every r-th coordinate over Q(zeta_n).  Otherwise zeta_n^k =
 zeta_d^(k*u) * zeta_r^(k*w) with u = r^-1 mod d, and the relative trace,
 which is phi(r) times the value, sends zeta_r^(k*w) to the Ramanujan sum
 c_r(k) (r - 1 or -1 for a prime r; 2, 0, -2, 0 for r = 4):
-v = (1/phi(r)) sum_k c_k c_r(k) zeta_d^(k*u).
+v = (1/phi(r)) sum_k c_k c_r(k) zeta_d^(k*u).  The division is exact on an
+algebraic integer, so int coordinates stay ints.
 
 Every power sum is brought to the power basis by one routine, `_reduce`:
 construction, the Galois action, this rewrite, sums and products, each
@@ -40,9 +51,6 @@ from fractions import Fraction
 from itertools import compress
 
 Rational = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +171,13 @@ def _power_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(rows)
 
 
-def _reduce(n: int, terms) -> list[Fraction]:
+def _reduce(n: int, terms) -> list[int | Fraction]:
     """Power basis coordinates of the power sum  sum c * zeta_n^k  over the
-    (k, c) pairs of `terms`; exponents are taken mod n."""
+    (k, c) pairs of `terms`; exponents are taken mod n.  The table's entries
+    are ints, so a coordinate is an int when every c it draws on is."""
     phi = euler_phi(n)
     table = _power_table(n)
-    acc = [_ZERO] * phi
+    acc = [0] * phi
     for k, c in terms:
         if not c:
             continue
@@ -181,24 +190,28 @@ def _reduce(n: int, terms) -> list[Fraction]:
     return acc
 
 
-def _canonical_conductor_terms(n: int, terms: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    """Fold exponents mod n and rewrite conductors 2 mod 4 down to their odd part."""
+def _canonical_conductor_terms(n: int, terms: dict[int, int | Fraction]
+                               ) -> tuple[int, dict[int, int | Fraction]]:
+    """Fold exponents mod n and rewrite conductors 2 mod 4 down to their odd
+    part; a coefficient that is not an int or a Fraction is refused."""
     if n < 1:
         raise ValueError(f"conductor must be positive, got {n}")
-    folded: dict[int, Fraction] = {}
+    folded: dict[int, int | Fraction] = {}
     for k, c in terms.items():
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficient {c!r} of zeta_{n}^{k} is not an int or a Fraction")
         if c:
             k %= n
-            folded[k] = folded.get(k, _ZERO) + c
+            folded[k] = folded.get(k, 0) + c
     while n == 2 or (n % 4 == 2):
         m = n // 2
         # zeta_{2m} = -zeta_m^((m+1)/2) for odd m; for n == 2, zeta_2 = -1.
         shift = 1 if m == 1 else (m + 1) // 2
-        redone: dict[int, Fraction] = {}
+        redone: dict[int, int | Fraction] = {}
         for k, c in folded.items():
             sign = -c if k % 2 else c
             kk = (k * shift) % m if m > 1 else 0
-            redone[kk] = redone.get(kk, _ZERO) + sign
+            redone[kk] = redone.get(kk, 0) + sign
         n, folded = m, redone
     return n, folded
 
@@ -218,7 +231,7 @@ class CyclotomicNumber:
     # a table asks for each one many times
     __slots__ = ("conductor", "coefficients", "_hash", "_sort_key")
 
-    def __init__(self, conductor: int, coefficients: tuple[Fraction, ...]):
+    def __init__(self, conductor: int, coefficients: tuple[int | Fraction, ...]):
         """Wrap a vector already in canonical form; build values with
         `from_terms`, `from_rational` or `zeta`."""
         self.conductor = conductor
@@ -227,19 +240,22 @@ class CyclotomicNumber:
     # -- constructors
 
     @staticmethod
-    def from_rational(q) -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (Fraction(q),))
+    def from_rational(q: int | Fraction) -> "CyclotomicNumber":
+        """The rational q, stored as an int when it is integral; anything but
+        an int or a Fraction is refused (a float is not exact)."""
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"{q!r} is not an int or a Fraction")
+        return CyclotomicNumber(1, (q.numerator if q.denominator == 1 else q,))
 
     @staticmethod
-    def from_terms(conductor: int, terms: dict[int, Fraction | int]) -> "CyclotomicNumber":
-        """Reduce a power sum  sum_k c_k * zeta_conductor^k  to canonical form."""
-        n, folded = _canonical_conductor_terms(
-            conductor, {k: Fraction(c) for k, c in terms.items()}
-        )
+    def from_terms(conductor: int, terms: dict[int, int | Fraction]) -> "CyclotomicNumber":
+        """Reduce a power sum  sum_k c_k * zeta_conductor^k  to canonical form;
+        every c_k is an int or a Fraction."""
+        n, folded = _canonical_conductor_terms(conductor, terms)
         return CyclotomicNumber._minimized(n, _reduce(n, folded.items()))
 
     @staticmethod
-    def _minimized(n: int, coeffs: list[Fraction]) -> "CyclotomicNumber":
+    def _minimized(n: int, coeffs: list[int | Fraction]) -> "CyclotomicNumber":
         # Descend one prime at a time: the minimal conductor divides every
         # conductor whose field holds the value, so when no n/q works, n is it.
         while n > 1 and any(coeffs[1:]):
@@ -262,12 +278,15 @@ class CyclotomicNumber:
         return self == self.conjugate()
 
     def as_rational(self) -> Fraction:
+        """The value as a Fraction, also when it is stored as an int."""
         if self.conductor != 1:
             raise ValueError(f"{self} is not rational")
-        return self.coefficients[0]
+        return Fraction(self.coefficients[0])
 
     def as_integer(self) -> int:
-        q = self.as_rational()
+        if self.conductor != 1:
+            raise ValueError(f"{self} is not rational")
+        q = self.coefficients[0]  # read as it is stored: no Fraction is made
         if q.denominator != 1:
             raise ValueError(f"{self} is not an integer")
         return q.numerator
@@ -321,13 +340,13 @@ class CyclotomicNumber:
         # zeta_f1^i * zeta_f2^j = zeta_m^(i*a + j*b), one power sum reduced once
         m = math.lcm(self.conductor, other.conductor)
         a, b = m // self.conductor, m // other.conductor
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, int | Fraction] = {}
         for i, x in enumerate(self.coefficients):
             if x:
                 for j, y in enumerate(other.coefficients):
                     if y:
                         k = i * a + j * b
-                        terms[k] = terms.get(k, _ZERO) + x * y
+                        terms[k] = terms.get(k, 0) + x * y
         return CyclotomicNumber._minimized(m, _reduce(m, terms.items()))
 
     __rmul__ = __mul__
@@ -360,14 +379,15 @@ class CyclotomicNumber:
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois(-1) if self.conductor > 1 else self
 
-    def mean_trace(self) -> Fraction:
+    def mean_trace(self) -> int | Fraction:
         """The mean of the images of the value under Gal(Q(zeta_N)/Q), the
         trace divided by phi(N); it is the same over every field Q(zeta_N)
         that holds the value.  The images of zeta_N^k add up to the Ramanujan
-        sum c_N(k), so no cyclotomic number is built."""
+        sum c_N(k), so no cyclotomic number is built.  An int when the mean
+        is integral."""
         n = self.conductor
-        return Fraction(sum(c * ramanujan_sum(n, k)
-                            for k, c in enumerate(self.coefficients) if c), euler_phi(n))
+        return _divide(sum(c * ramanujan_sum(n, k)
+                           for k, c in enumerate(self.coefficients) if c), euler_phi(n))
 
     # -- comparisons, hashing, rendering
 
@@ -418,7 +438,7 @@ def _coerce(x):
     return NotImplemented
 
 
-def _galois_raw(n: int, coeffs, t: int) -> list[Fraction]:
+def _galois_raw(n: int, coeffs, t: int) -> list[int | Fraction]:
     return _reduce(n, ((k * t, c) for k, c in enumerate(coeffs)))
 
 
@@ -445,7 +465,13 @@ def _descent_steps(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def _rebase(n: int, coeffs: list[Fraction], d: int) -> list[Fraction]:
+def _divide(c: int | Fraction, m: int) -> int | Fraction:
+    """c / m exactly: an int when m divides c, else a Fraction."""
+    q, rest = divmod(c, m)
+    return Fraction(c, m) if rest else q
+
+
+def _rebase(n: int, coeffs: list[int | Fraction], d: int) -> list[int | Fraction]:
     """Rewrite a vector of Q(zeta_n) known to lie in Q(zeta_d) in the smaller
     basis, for a descent step n = d*r with r a prime or 4."""
     r = n // d
@@ -454,17 +480,18 @@ def _rebase(n: int, coeffs: list[Fraction], d: int) -> list[Fraction]:
         return coeffs[::r]
     # zeta_n^k = zeta_d^(k*u) * zeta_r^(k*w) with u = r^-1 mod d, w = d^-1 mod r.
     # Tracing down to Q(zeta_d) sends zeta_r^(k*w) to the Ramanujan sum c_r(k)
-    # and the value itself to phi(r) times the value.
+    # and the value itself to phi(r) times the value.  The division is exact
+    # on an algebraic integer, whose coordinates are all ints.
     ramanujan = [ramanujan_sum(r, k) for k in range(r)]
     phi_r = euler_phi(r)
     u = pow(r, -1, d)
     acc = _reduce(d, ((k * u, c * ramanujan[k % r]) for k, c in enumerate(coeffs)))
-    return [c / phi_r for c in acc]
+    return [_divide(c, phi_r) for c in acc]
 
 
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:
     """The root of unity zeta_n^k in canonical form."""
-    return CyclotomicNumber.from_terms(n, {k: _ONE})
+    return CyclotomicNumber.from_terms(n, {k: 1})
 
 
 ZERO = CyclotomicNumber.from_rational(0)
@@ -532,10 +559,16 @@ def parse_cyclotomic(text: str) -> CyclotomicNumber:
         sign = m.group("sign")
         if sign is None and terms:
             raise ValueError(f"missing +/- between terms at offset {pos} in {text!r}")
-        try:
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else _ONE
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator at offset {pos} in {text!r}") from None
+        literal = m.group("coeff")
+        if not literal:
+            coeff = 1
+        elif "/" not in literal:  # an int, as an integral coordinate is one
+            coeff = int(literal)
+        else:
+            try:
+                coeff = Fraction(literal)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator at offset {pos} in {text!r}") from None
         if sign == "-":
             coeff = -coeff
         zpart = m.group("zpart1") or m.group("zpart2")
@@ -550,8 +583,8 @@ def parse_cyclotomic(text: str) -> CyclotomicNumber:
     if not 1 <= conductor <= PARSE_CONDUCTOR_BOUND:  # the lcm is 0 if some N is
         raise ValueError(f"{text!r} needs conductor {conductor}, "
                          f"outside 1..{PARSE_CONDUCTOR_BOUND}")
-    total: dict[int, Fraction] = {}
+    total: dict[int, int | Fraction] = {}
     for n, k, c in terms:
         key = k * (conductor // n)
-        total[key] = total.get(key, _ZERO) + c
+        total[key] = total.get(key, 0) + c
     return CyclotomicNumber.from_terms(conductor, total)

@@ -40,10 +40,12 @@ the canonicalise-every-pair search, over all tuples, as the oracle.
 A search pays for each check once.  One generation test, memoised by entry
 set, serves the whole search: both sides' enumerations and the
 `validate_spherical` call that builds each distinct tuple of a key, so a
-tuple that the enumeration proved generating is not closed again.  The memo
-is made per search and dies with it; nothing is kept on the group.  Each
-`SphericalSystem` computes its Sigma class set once, on first use, so the
-disjointness check that every `RamificationStructure` makes reads it.
+tuple that the enumeration proved generating is not closed again.  So it
+goes with Sigma: one class-set memo, by entry tuple, fills the Sigma
+buckets and hands each key tuple's class set to its `SphericalSystem`,
+whose disjointness check in `RamificationStructure` then reads it.  Both
+memos are made per search and die with it; nothing is kept on the group.
+A system built outside a search computes its class set once, on first use.
 
 The pairing reads each side only as far as the keys taken need, so
 `limit=k` stops after k + 1 keys.  A side's Sigma buckets are filled as
@@ -119,6 +121,24 @@ def _generation_test(group: FiniteGroup):
         return hit
 
     return generates
+
+
+def _sigma_memo(group: FiniteGroup):
+    """A `sigma_of(entries)` for `group`, memoised by entry tuple.  Equal
+    class sets are kept as one object, so the memo holds one set per Sigma
+    bucket, not one per tuple.  One search makes one and shares it; it is
+    never kept on the group."""
+    memo: dict[tuple[int, ...], frozenset[int]] = {}
+    shared: dict[frozenset[int], frozenset[int]] = {}
+
+    def sigma_of(entries) -> frozenset[int]:
+        hit = memo.get(entries)
+        if hit is None:
+            sigma = _sigma_classes(group, entries)
+            hit = memo[entries] = shared.setdefault(sigma, sigma)
+        return hit
+
+    return sigma_of
 
 
 def validate_spherical(group: FiniteGroup, entries, generates=None) -> SphericalSystem:
@@ -318,17 +338,17 @@ def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
     yield from rec(0, signature)
 
 
-def iter_structure_keys(group: FiniteGroup, type_pair, generates=None):
+def iter_structure_keys(group: FiniteGroup, type_pair, generates=None, sigma_of=None):
     """Canonical keys of all structures of the given type pair, in discovery
-    order, without duplicates.  Both sides share `generates`, the search's
-    generation test (a fresh one without)."""
+    order, without duplicates.  Both sides share `generates` and `sigma_of`,
+    the search's generation test and class-set memo (fresh ones without)."""
     a1, a2 = type_pair
     generates = generates or _generation_test(group)
     # only the least tuple of each C_G(r) orbit: see the module docstring
     side1 = (t for t in _systems_of_type(group, a1, True, generates)
              if group.min_conjugate(t) == t)
     side2 = _systems_of_type(group, a2, False, generates)
-    for t1, t2 in _disjoint_pairs(group, side1, side2):
+    for t1, t2 in _disjoint_pairs(group, side1, side2, sigma_of):
         yield t1 + t2
 
 
@@ -337,8 +357,8 @@ class _SigmaBuckets:
     side only as far as a reader asks: the buckets in order of first
     appearance, each bucket's members in side order."""
 
-    def __init__(self, group: FiniteGroup, side):
-        self._group = group
+    def __init__(self, side, sigma_of):
+        self._sigma_of = sigma_of
         self._side = iter(side)
         self._read_all = False
         self._by_sigma: dict[frozenset, list] = {}
@@ -352,7 +372,7 @@ class _SigmaBuckets:
             if t is None:
                 self._read_all = True
                 return False
-            sigma = _sigma_classes(self._group, t)
+            sigma = self._sigma_of(t)
             members = self._by_sigma.get(sigma)
             if members is None:
                 members = self._by_sigma[sigma] = []
@@ -376,12 +396,14 @@ class _SigmaBuckets:
             i += 1
 
 
-def _disjoint_pairs(group: FiniteGroup, side1, side2):
+def _disjoint_pairs(group: FiniteGroup, side1, side2, sigma_of=None):
     """Every pair (t1, t2) with Sigma-sets meeting only in the identity,
     bucket by bucket, in the order of the two sides; each side is read only
-    as far as the pairs taken need."""
-    buckets1 = _SigmaBuckets(group, side1)
-    buckets2 = _SigmaBuckets(group, side2)
+    as far as the pairs taken need.  `sigma_of` is the search's class-set
+    memo (a fresh one without)."""
+    sigma_of = sigma_of or _sigma_memo(group)
+    buckets1 = _SigmaBuckets(side1, sigma_of)
+    buckets2 = _SigmaBuckets(side2, sigma_of)
     for s1, group1 in buckets1:
         for s2, group2 in buckets2:
             if s1 & s2 != _ONLY_IDENTITY:
@@ -418,10 +440,11 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
         )
     for side in (a1, a2):
         genus(group.order, side)
-    generates = _generation_test(group)  # one memo for this search only
+    generates = _generation_test(group)  # memos for this search only
+    sigma_of = _sigma_memo(group)
     keys = []
     limited = False
-    for key in iter_structure_keys(group, (a1, a2), generates):
+    for key in iter_structure_keys(group, (a1, a2), generates, sigma_of):
         if limit is not None and len(keys) == limit:
             limited = True  # one more key exists; it is not kept
             break
@@ -433,6 +456,8 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
         found = systems.get(entries)
         if found is None:
             found = systems[entries] = validate_spherical(group, entries, generates)
+            # the bucket's class set fills the `sigma` cache, as a first read would
+            found.__dict__["sigma"] = sigma_of(entries)
         return found
 
     out = [RamificationStructure(system(key[:len(a1)]), system(key[len(a1):]))

@@ -1,5 +1,7 @@
 """Shared group/table fixtures (session-scoped: tables are reused)."""
 
+from fractions import Fraction
+
 import pytest
 
 from isoprod import chartab as ct
@@ -68,3 +70,15 @@ def tables(z3z3, q8, psl27, g128, z2cubed_z4):
 
 def table_for(tables, group):
     return tables[group.recipe]
+
+
+def assert_int_coordinates(table):
+    """Every coordinate of every value of `table`, and of the table that
+    `parse_table` reads back from its text, is an int: never a Fraction, a
+    float or a bool.  A rational value still reads as a Fraction."""
+    for read in (table, ct.parse_table(ct.render_table(table), table.group)):
+        for chi in read:
+            for v in chi.values:
+                assert all(type(c) is int for c in v.coefficients), (table.group.recipe, v)
+                if v.is_rational:
+                    assert type(v.as_rational()) is Fraction

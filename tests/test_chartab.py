@@ -12,6 +12,7 @@ from isoprod import chartab as ct
 from isoprod import groups as gr
 from isoprod.cyclotomic import ZERO, CyclotomicNumber, zeta
 from isoprod.structfile import parse_structure_file
+from conftest import assert_int_coordinates
 from test_acceptance import _random_small_groups
 
 
@@ -344,6 +345,32 @@ def test_rational_values_are_rational_integers(tables):
         for orbit in ct.galois_orbits(table):
             for v in orbit.rational_values:
                 assert v.denominator == 1
+
+
+def test_rational_values_refuse_a_non_integral_orbit_sum(q8, tables):
+    """A value 1/2 on the central involution of Q8, where every power map
+    fixes the class, passes the Galois check but gives a trivial orbit a
+    sum that is not an integer."""
+    table = tables[q8.recipe]
+    central = next(k for k, c in enumerate(q8.conjugacy_classes)
+                   if c.size == 1 and c.element_order == 2)
+    i = table.trivial_index
+    values = list(table[i].values)
+    values[central] = rat(Fraction(1, 2))
+    rows = list(table)
+    rows[i] = ct.Character(q8, tuple(values))
+    orbit = ct.RationalCharacter(ct.CharacterTable(q8, rows), (i,), 1, False)
+    with pytest.raises(ct.CharacterTableError, match="not an integer"):
+        orbit.rational_values
+
+
+def test_table_coordinates_are_ints(tables):
+    """Character values are algebraic integers, so each coordinate over the
+    power basis of Z[zeta_n] is an int, on the fixture tables and the
+    criterion-6 zoo, as built and as read back."""
+    zoo = [ct.character_table(g) for g in _random_small_groups()]
+    for table in list(tables.values()) + zoo:
+        assert_int_coordinates(table)
 
 
 def test_schur_policy_heuristic_flag():

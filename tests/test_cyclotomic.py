@@ -2,11 +2,13 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoprod import cyclotomic
 from isoprod.cyclotomic import (
     PARSE_CONDUCTOR_BOUND,
     CyclotomicNumber,
@@ -589,3 +591,120 @@ def test_rational_values_hash_as_the_numbers_they_equal():
             assert q in {v} and v in {q}
     # zeta_3 + zeta_3^2 = -1 reaches conductor 1 by descent
     assert {-1: "x"}.get(zeta(3) + zeta(3) ** 2) == "x"
+
+
+def test_constructors_refuse_floats():
+    """A float is not exact, so neither constructor takes one; ints and
+    Fractions are taken, and an integral rational is stored as an int."""
+    for bad in (0.1, 0.5, 1.0, float("nan")):
+        with pytest.raises(TypeError):
+            CyclotomicNumber.from_rational(bad)
+        with pytest.raises(TypeError):
+            CyclotomicNumber.from_terms(3, {1: bad})
+        with pytest.raises(TypeError):
+            CyclotomicNumber.from_terms(12, {0: 1, 5: Fraction(1, 2), 7: bad})
+    for q, want in ((3, 3), (Fraction(6, 3), 2), (True, 1), (Fraction(1, 2), Fraction(1, 2))):
+        (c,) = rat(q).coefficients
+        assert c == want and type(c) is type(want)
+    assert CyclotomicNumber.from_terms(3, {1: True}) == zeta(3)
+    assert all(type(c) is int for c in CyclotomicNumber.from_terms(3, {1: True}).coefficients)
+
+
+def _fraction_reduce(n, terms):
+    """The reference reduction: `_reduce` with Fraction accumulators, as it
+    was before int coordinates, so every coordinate it makes is a Fraction."""
+    phi = euler_phi(n)
+    table = _power_table(n)
+    acc = [Fraction(0)] * phi
+    for k, c in terms:
+        if not c:
+            continue
+        k %= n
+        if k < phi:
+            acc[k] += c
+            continue
+        for j, rj in zip(*table[k]):
+            acc[j] += c * rj
+    return acc
+
+
+def _all_fractions():
+    """The module on the reference reduction, the descent dividing by phi(r)
+    with `/` on Fractions, and the ZERO that `*` returns a Fraction."""
+    return mock.patch.multiple(cyclotomic, _reduce=_fraction_reduce,
+                               _divide=lambda c, m: Fraction(c) / m,
+                               ZERO=CyclotomicNumber(1, (Fraction(0),)))
+
+
+def _twin(spec):
+    """One value built twice from a (conductor, {k: (a, b)}) spec: with int
+    coordinates where a coefficient is integral, and all in Fractions on the
+    reference reduction."""
+    n, terms = spec
+    exact = CyclotomicNumber.from_terms(
+        n, {k: a if b == 1 else Fraction(a, b) for k, (a, b) in terms.items()})
+    with _all_fractions():
+        reference = CyclotomicNumber.from_terms(
+            n, {k: Fraction(a, b) for k, (a, b) in terms.items()})
+    return exact, reference
+
+
+def _assert_twins(exact, reference, integral):
+    assert exact == reference
+    assert hash(exact) == hash(reference)
+    assert exact.sort_key() == reference.sort_key()
+    assert str(exact) == str(reference)
+    assert all(type(c) is Fraction for c in reference.coefficients)
+    assert all(type(c) in (int, Fraction) for c in exact.coefficients)
+    if integral:
+        assert all(type(c) is int for c in exact.coefficients)
+
+
+_SPECS = st.tuples(
+    st.sampled_from(divisors(120)),
+    st.dictionaries(st.integers(-130, 130),
+                    st.tuples(st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3])),
+                    max_size=5),
+)
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(x=_SPECS, y=_SPECS, t=st.sampled_from([1, 7, 11, 13, 49, 59, 119]))
+def test_int_coordinates_match_the_all_fraction_oracle(x, y, t):
+    """Int coordinates and the all-Fraction reference give equal values, one
+    hash, one sort key and one rendering under every operation, on values
+    with and without real denominators."""
+    (a, ra), (b, rb) = _twin(x), _twin(y)
+    integral = all(d == 1 for _, spec in (x, y) for _, d in spec.values())
+    m = math.lcm(a.conductor, b.conductor, 120)
+
+    def ops(p, q):
+        return [p, q, p + q, p - q, p * q, p.galois(t), q.galois(t) * p,
+                CyclotomicNumber.sum([p, q, p.conjugate(), -q]),
+                # the descent from Q(zeta_m), and a sum of Galois conjugates,
+                # which often lies in a smaller field
+                CyclotomicNumber.from_terms(m, {k * (m // p.conductor): c
+                                                for k, c in enumerate(p.coefficients)}),
+                CyclotomicNumber.sum(p.galois(u) for u in (1, 7, 11, 13))]
+
+    exact = ops(a, b)
+    with _all_fractions():
+        reference = ops(ra, rb)
+        reference_traces = [r.mean_trace() for r in reference]
+    for e, r in zip(exact, reference):
+        _assert_twins(e, r, integral)
+    assert [e.mean_trace() for e in exact] == reference_traces
+
+
+def test_descent_divides_exactly():
+    """The descent divides by phi(r) exactly: an int coordinate stays an
+    int, and a coordinate with a real denominator comes out a Fraction."""
+    for c, want in ((2, 2), (Fraction(1, 2), Fraction(1, 2)), (Fraction(4, 2), 2)):
+        # c * zeta_5 = c * zeta_15^3, a step n = 15 = 5 * 3 with 3 not dividing 5
+        coeffs = _reduce(15, [(3, c)])
+        got = _rebase(15, coeffs, 5)
+        assert got == [0, want, 0, 0] and type(got[1]) is type(want)
+        value = CyclotomicNumber.from_terms(15, {3: c})
+        assert value == zeta(5) * c and value.conductor == 5
+    assert zeta(5).mean_trace() == Fraction(-1, 4)
+    assert type((zeta(5) * 4).mean_trace()) is int

@@ -13,6 +13,7 @@ and review the diff.  `TABLE_DIGESTS` (sha256 of `render_table` for a few
 groups) is kept in this file and is not rewritten by that command.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -24,6 +25,7 @@ import pytest
 from isoprod import chartab as ct
 from isoprod import cli
 from isoprod import groups as gr
+from conftest import assert_int_coordinates
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -87,10 +89,20 @@ TABLE_DIGESTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _digest_table(recipe):
+    return ct.character_table(gr.build_group(f"group = {recipe}"))
+
+
 @pytest.mark.parametrize("recipe", sorted(TABLE_DIGESTS))
 def test_render_table_digest(recipe):
-    table = ct.character_table(gr.build_group(f"group = {recipe}"))
+    table = _digest_table(recipe)
     assert hashlib.sha256(ct.render_table(table).encode()).hexdigest() == TABLE_DIGESTS[recipe]
+
+
+@pytest.mark.parametrize("recipe", sorted(TABLE_DIGESTS))
+def test_digest_table_coordinates_are_ints(recipe):
+    assert_int_coordinates(_digest_table(recipe))
 
 
 def _regenerate() -> None:

@@ -558,9 +558,44 @@ def test_generation_memo_lives_for_one_search(monkeypatch):
     assert all(calls <= len(sets) for calls, sets in zip(closures, tested))
 
 
-def _list_disjoint_pairs(group, side1, side2):
+def test_sigma_is_computed_once_per_bucketed_tuple(monkeypatch):
+    """One search computes each tuple's Sigma class set once: the buckets
+    and the key systems share one memo, so a full `psl2f7_a` search makes
+    no more `_sigma_classes` calls than tuples it buckets, and every system
+    it returns still holds its own entries' class set."""
+    sfile = parse_structure_file(
+        resources.files("isoprod.data").joinpath("psl2f7_a.search").read_text())
+    group = sfile.build()
+    counts = {"sigma": 0, "bucketed": 0}
+    real_sigma, real_init = rm._sigma_classes, rm._SigmaBuckets.__init__
+
+    def counting_sigma(group, entries):
+        counts["sigma"] += 1
+        return real_sigma(group, entries)
+
+    def counting_init(self, side, sigma_of):
+        def counted():
+            for t in side:
+                counts["bucketed"] += 1
+                yield t
+
+        real_init(self, counted(), sigma_of)
+
+    monkeypatch.setattr(rm, "_sigma_classes", counting_sigma)
+    monkeypatch.setattr(rm._SigmaBuckets, "__init__", counting_init)
+    found = rm.search_structures(group, sfile.type_pair)
+    assert len(found) == 4032
+    assert 0 < counts["sigma"] <= counts["bucketed"], counts
+    monkeypatch.undo()
+    for s in found[::97]:
+        for system in (s.t1, s.t2):
+            assert system.sigma == rm._sigma_classes(group, system.entries)
+
+
+def _list_disjoint_pairs(group, side1, side2, sigma_of=None):
     """The pairing before it read its sides lazily: both sides are read in
-    full and bucketed by Sigma before the first pair."""
+    full and bucketed by Sigma before the first pair.  It computes every
+    Sigma itself and leaves the search's class-set memo `sigma_of` unused."""
     by_sigma1, by_sigma2 = {}, {}
     for side, by_sigma in ((side1, by_sigma1), (side2, by_sigma2)):
         for t in side:
