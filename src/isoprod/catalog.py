@@ -90,10 +90,6 @@ def entry_by_name(name: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry named {name!r}")
 
 
-def shipped_entries() -> list[CatalogEntry]:
-    return [e for e in CATALOG if e.shipped]
-
-
 def realize_structure(entry: CatalogEntry) -> RamificationStructure:
     """Build the entry's structure: parse the fixture, or run its search."""
     if not entry.shipped:

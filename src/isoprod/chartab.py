@@ -99,18 +99,6 @@ class Character:
     def degree(self) -> int:
         return self.values[0].as_integer()
 
-    def value_on_element(self, i: int) -> CyclotomicNumber:
-        return self.values[self.group.class_of[i]]
-
-    def galois(self, t: int) -> "Character":
-        return Character(self.group, tuple(v.galois(t) for v in self.values))
-
-    def conjugate(self) -> "Character":
-        return Character(self.group, tuple(v.conjugate() for v in self.values))
-
-    def is_self_dual(self) -> bool:
-        return self == self.conjugate()
-
     def sort_key(self):
         return (self.degree, tuple(v.sort_key() for v in self.values))
 
@@ -148,20 +136,6 @@ class CharacterTable:
             if all(v == one for v in chi.values):
                 return i
         raise CharacterTableError("no trivial character found")
-
-    def inner_product(self, chi: Character, psi: Character) -> Rational:
-        """<chi, psi> = (1/|G|) sum |C| chi(C) conj(psi(C)); must be rational."""
-        total = CyclotomicNumber.sum(
-            chi.values[k] * psi.values[k].conjugate() * cls.size
-            for k, cls in enumerate(self.group.conjugacy_classes)
-        )
-        return total.as_rational() / self.group.order
-
-    def row_index(self, chi: Character) -> int:
-        for i, row in enumerate(self.irreducibles):
-            if row == chi:
-                return i
-        raise CharacterTableError("class function is not a row of this table")
 
     @cached_property
     def value_index(self) -> "ValueIndex":
@@ -249,9 +223,6 @@ class RationalCharacter:
     def rational_dimension(self) -> int:
         return self.schur_index * self.complex_degree * self.field_degree
 
-    def contains_trivial(self) -> bool:
-        return self.table.trivial_index in self.indices
-
     @cached_property
     def rational_values(self) -> tuple[int, ...]:
         """Values of the rational character s * sum over the orbit.
@@ -296,35 +267,6 @@ class GroupAlgebraElement:
 
     group: FiniteGroup
     coefficients: tuple[Rational, ...]
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        g = self.group
-        n = g.order
-        out = [Fraction(0)] * n
-        inv = g.inverse
-        mul = g.mul
-        for i, a in enumerate(self.coefficients):
-            if not a:
-                continue
-            ii = inv(i)
-            for h in range(n):
-                b = other.coefficients[mul(ii, h)]
-                if b:
-                    out[h] += a * b
-        return GroupAlgebraElement(g, tuple(out))
-
-    @staticmethod
-    def delta(group: FiniteGroup, i: int) -> "GroupAlgebraElement":
-        coeffs = [Fraction(0)] * group.order
-        coeffs[i] = Fraction(1)
-        return GroupAlgebraElement(group, tuple(coeffs))
-
-    def is_central(self) -> bool:
-        for g in self.group.generators:
-            d = GroupAlgebraElement.delta(self.group, g)
-            if (self * d).coefficients != (d * self).coefficients:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -781,17 +723,6 @@ def trivial_restriction_multiplicity(chi: Character, g: int) -> int:
     return memo[k]
 
 
-def central_idempotent(table: CharacterTable, i: int):
-    """The central idempotent attached to row i, with cyclotomic coefficients
-    (dim/|G|) * sum_g chi(g) g, as a coefficient list over the elements."""
-    group = table.group
-    chi = table[i]
-    scale = Fraction(chi.degree, group.order)
-    return [
-        chi.value_on_element(g) * scale for g in range(group.order)
-    ]
-
-
 def rational_idempotent(table: CharacterTable, orbit: RationalCharacter) -> GroupAlgebraElement:
     """Sum of the central idempotents over a Galois orbit; coefficients are
     rational because the orbit is closed under the Galois action.  They are
@@ -804,17 +735,6 @@ def rational_idempotent(table: CharacterTable, orbit: RationalCharacter) -> Grou
     scaled = {v: v * scale for v in set(values)}  # one Fraction per distinct value
     per_class = [scaled[v] for v in values]
     return GroupAlgebraElement(group, tuple(per_class[k] for k in group.class_of))
-
-
-def tensor_trivial_multiplicity(orbit_j: RationalCharacter,
-                                orbit_k: RationalCharacter) -> int:
-    """Multiplicity of the trivial rational representation in the tensor
-    product of two irreducible rational representations."""
-    if orbit_j.table is not orbit_k.table:
-        raise CharacterTableError("orbits from different tables")
-    if orbit_j.indices != orbit_k.indices:
-        return 0
-    return orbit_j.schur_index ** 2 * orbit_j.field_degree
 
 
 # ---------------------------------------------------------------------------

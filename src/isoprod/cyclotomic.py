@@ -273,10 +273,6 @@ class CyclotomicNumber:
     def is_rational(self) -> bool:
         return self.conductor == 1
 
-    @property
-    def is_real(self) -> bool:
-        return self == self.conjugate()
-
     def as_rational(self) -> Fraction:
         """The value as a Fraction, also when it is stored as an int."""
         if self.conductor != 1:
@@ -375,9 +371,6 @@ class CyclotomicNumber:
             raise ValueError(f"{t} is not a unit modulo the conductor {n}")
         # a field automorphism keeps the minimal conductor
         return CyclotomicNumber(n, tuple(_galois_raw(n, self.coefficients, t)))
-
-    def conjugate(self) -> "CyclotomicNumber":
-        return self.galois(-1) if self.conductor > 1 else self
 
     def mean_trace(self) -> int | Fraction:
         """The mean of the images of the value under Gal(Q(zeta_N)/Q), the

@@ -63,13 +63,13 @@ class OrderBoundError(GroupError):
 class FiniteGroup:
     """A finite group with a full multiplication table on indices 0..n-1."""
 
-    def __init__(self, labels, label_mul, generators, recipe, names=None,
+    def __init__(self, identity, label_mul, generators, recipe, names,
                  order_bound=DEFAULT_ORDER_BOUND):
         """Enumerate the closure of `generators` under `label_mul` by BFS and
         fill the multiplication table from the Cayley graph.
 
-        `labels` must contain the identity label first; `generators` are
-        labels.  `names`, if given, maps a label to a display string.
+        `identity` and `generators` are labels; `names` maps a label to a
+        display string.
 
         `label_mul` is called only on (element, generator) pairs: the BFS
         records right[g][x] = x*g.  Column y of the table (x -> x*y) is the
@@ -81,7 +81,6 @@ class FiniteGroup:
         so it is the whole group: the table is associative.  A failing edge
         means the recipe does not define a group.
         """
-        identity = labels[0]
         index = {identity: 0}
         elems = [identity]
         parents = [(-1, -1)]  # (parent index, generator position), BFS words
@@ -107,7 +106,7 @@ class FiniteGroup:
         self.recipe = recipe
         self.generators = tuple(index[g] for g in gen_labels)
         self._parents = parents
-        self._names = [names(x) for x in elems] if names else [str(x) for x in elems]
+        self._names = [names(x) for x in elems]
         cols = [list(range(n))]
         for p, gpos in parents[1:]:
             cols.append(list(map(right[gpos].__getitem__, cols[p])))
@@ -192,9 +191,6 @@ class FiniteGroup:
             f"g{g + 1}" if e == 1 else f"g{g + 1}^{e}" for g, e in parts
         )
 
-    def __len__(self):
-        return self.order
-
     def __repr__(self):
         return f"FiniteGroup({self.recipe!r}, order={self.order})"
 
@@ -223,7 +219,7 @@ class FiniteGroup:
             raw.append(tuple(sorted(orbit)))
         raw.sort(key=lambda c: (self.element_orders[c[0]], c[0]))
         return tuple(
-            ConjugacyClass(self, c[0], c, self.element_orders[c[0]]) for c in raw
+            ConjugacyClass(c[0], c, self.element_orders[c[0]]) for c in raw
         )
 
     @cached_property
@@ -317,16 +313,6 @@ class FiniteGroup:
                     out.append(y)
         return frozenset(out)
 
-    def subgroup(self, gens) -> "Subgroup":
-        gens = tuple(dict.fromkeys(int(g) for g in gens))
-        return Subgroup(self, self.closure(gens), gens)
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, frozenset({0}), ())
-
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, frozenset(range(self.order)), self.generators)
-
     def derived_subgroup(self) -> "Subgroup":
         """G' as the normal closure of the commutators of the generators.
 
@@ -379,9 +365,7 @@ class FiniteGroup:
         if not gen_labels:
             gen_labels = [0]
         group = FiniteGroup(
-            [0] + [r for r in reps if r != 0],
-            label_mul,
-            gen_labels,
+            0, label_mul, gen_labels,
             recipe=f"quotient of ({self.recipe}) by subgroup of order {len(members)}",
             names=lambda r: f"[{self._names[r]}]",
             order_bound=self.order,
@@ -393,7 +377,6 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    group: FiniteGroup
     representative: int
     members: tuple[int, ...]
     element_order: int
@@ -493,8 +476,7 @@ def cyclic_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic order must be >= 1")
     _check_order([n], order_bound)
-    labels = list(range(n))
-    return FiniteGroup(labels, lambda a, b: (a + b) % n,
+    return FiniteGroup(0, lambda a, b: (a + b) % n,
                        [1 % n] if n > 1 else [0],
                        recipe=f"cyclic {n}", names=str, order_bound=order_bound)
 
@@ -515,7 +497,7 @@ def abelian_group(orders, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
             gens.append(tuple(1 if j == i else 0 for j in range(len(orders))))
     if not gens:
         gens = [identity]
-    return FiniteGroup([identity], mul, gens,
+    return FiniteGroup(identity, mul, gens,
                        recipe="abelian " + " ".join(map(str, orders)),
                        names=lambda t: "(" + ",".join(map(str, t)) + ")",
                        order_bound=order_bound)
@@ -531,7 +513,7 @@ def dihedral_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
         (i, f), (j, g) = a, b
         return ((i + (j if f == 0 else -j)) % n, f ^ g)
 
-    return FiniteGroup([(0, 0)], mul, [(1 % n, 0), (0, 1)],
+    return FiniteGroup((0, 0), mul, [(1 % n, 0), (0, 1)],
                        recipe=f"dihedral {n}",
                        names=lambda t: f"r{t[0]}" + ("s" if t[1] else ""),
                        order_bound=order_bound)
@@ -581,7 +563,7 @@ def permutation_group(generators, degree=None, recipe=None,
                              default=0))
     gens = [_cycles_to_perm(cycles, deg) for cycles in generators]
     identity = tuple(range(deg))
-    return FiniteGroup([identity], _perm_mul, gens,
+    return FiniteGroup(identity, _perm_mul, gens,
                        recipe=recipe or "perm " + ", ".join(map(_perm_name, gens)),
                        names=_perm_name, order_bound=order_bound)
 
@@ -621,7 +603,7 @@ def direct_product(k: FiniteGroup, h: FiniteGroup,
         return (k.mul(a[0], b[0]), h.mul(a[1], b[1]))
 
     gens = [(g, 0) for g in k.generators] + [(0, g) for g in h.generators]
-    return FiniteGroup([(0, 0)], mul, gens,
+    return FiniteGroup((0, 0), mul, gens,
                        recipe=f"product [{k.recipe}] [{h.recipe}]",
                        names=lambda t: f"({k.name(t[0])},{h.name(t[1])})",
                        order_bound=order_bound)
@@ -666,7 +648,7 @@ def semidirect_product(k: FiniteGroup, h: FiniteGroup,
         return (k.mul(a[0], alpha[a[1]][b[0]]), h.mul(a[1], b[1]))
 
     gens = [(g, 0) for g in k.generators] + [(0, g) for g in h.generators]
-    return FiniteGroup([(0, 0)], mul, gens,
+    return FiniteGroup((0, 0), mul, gens,
                        recipe=f"semidirect [{k.recipe}] [{h.recipe}]",
                        names=lambda t: f"({k.name(t[0])},{h.name(t[1])})",
                        order_bound=order_bound)
@@ -783,7 +765,7 @@ def polycyclic_group(relative_orders, powers=None, conjugates=None,
             for g, e in enumerate(exps) if e
         )
 
-    group = FiniteGroup([identity], mul, gens,
+    group = FiniteGroup(identity, mul, gens,
                         recipe="polycyclic " + " ".join(map(str, pres.orders)),
                         names=name, order_bound=order_bound)
     if group.order != predicted:

@@ -285,14 +285,14 @@ def quotient_system(system: SphericalSystem, quot: QuotientGroup) -> QuotientSys
 
 
 def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
-                     generates=None):
+                     generates):
     """Yield entry tuples of the given type (product one, generating).
 
     Backtracking over positions; the final entry is forced by the product
     constraint, and generation is tested by `generates`, the search's
-    memoised test (a fresh one without).  When
-    `first_entry_reps` is set, the first entry only runs over conjugacy
-    class representatives (complete up to simultaneous conjugation).
+    memoised test.  When `first_entry_reps` is set, the first entry only
+    runs over conjugacy class representatives (complete up to simultaneous
+    conjugation).
     """
     signature = tuple(sorted(signature))
     by_order: dict[int, list[int]] = {}
@@ -300,7 +300,6 @@ def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
         by_order.setdefault(group.element_orders[i], []).append(i)
     if any(m not in by_order for m in set(signature)):
         return
-    generates = generates or _generation_test(group)
     first_candidates: dict[int, list[int]] = {}
     for m in set(signature):
         if first_entry_reps:
@@ -310,45 +309,50 @@ def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
             ]
         else:
             first_candidates[m] = by_order[m]
-
-    prefix: list[int] = []
-
-    def rec(prod: int, remaining: tuple[int, ...]):
-        if len(remaining) == 1:
-            last = group.inverse(prod)
-            if (
-                group.element_orders[last] == remaining[0]
-                and generates(tuple(prefix) + (last,))
-            ):
-                yield tuple(prefix) + (last,)
-            return
-        seen_orders = set()
-        rest_sorted = sorted(remaining)
-        for pos, m in enumerate(rest_sorted):
-            if m in seen_orders:
-                continue
-            seen_orders.add(m)
-            rest = tuple(rest_sorted[:pos] + rest_sorted[pos + 1:])
-            pool = first_candidates[m] if not prefix else by_order[m]
-            for e in pool:
-                prefix.append(e)
-                yield from rec(group.mul(prod, e), rest)
-                prefix.pop()
-
-    yield from rec(0, signature)
+    yield from _extend_tuples(group, generates, first_candidates, by_order,
+                              [], 0, signature)
 
 
-def iter_structure_keys(group: FiniteGroup, type_pair, generates=None, sigma_of=None):
+def _extend_tuples(group: FiniteGroup, generates, first_candidates, by_order,
+                   prefix: list[int], prod: int, remaining: tuple[int, ...]):
+    """The generating tuples of product one that extend `prefix`, whose
+    product is `prod`, by entries of the orders `remaining`; `prefix` grows
+    and shrinks back as the backtracking goes.  A module-level generator,
+    not a closure over itself, so a search leaves no reference cycle
+    holding its group and memos."""
+    if len(remaining) == 1:
+        last = group.inverse(prod)
+        if (
+            group.element_orders[last] == remaining[0]
+            and generates(tuple(prefix) + (last,))
+        ):
+            yield tuple(prefix) + (last,)
+        return
+    seen_orders = set()
+    rest_sorted = sorted(remaining)
+    for pos, m in enumerate(rest_sorted):
+        if m in seen_orders:
+            continue
+        seen_orders.add(m)
+        rest = tuple(rest_sorted[:pos] + rest_sorted[pos + 1:])
+        pool = first_candidates[m] if not prefix else by_order[m]
+        for e in pool:
+            prefix.append(e)
+            yield from _extend_tuples(group, generates, first_candidates, by_order,
+                                      prefix, group.mul(prod, e), rest)
+            prefix.pop()
+
+
+def iter_structure_keys(group: FiniteGroup, type_pair, generates, sigma_of):
     """Canonical keys of all structures of the given type pair, in discovery
     order, without duplicates.  Both sides share `generates` and `sigma_of`,
-    the search's generation test and class-set memo (fresh ones without)."""
+    the search's generation test and class-set memo."""
     a1, a2 = type_pair
-    generates = generates or _generation_test(group)
     # only the least tuple of each C_G(r) orbit: see the module docstring
     side1 = (t for t in _systems_of_type(group, a1, True, generates)
              if group.min_conjugate(t) == t)
     side2 = _systems_of_type(group, a2, False, generates)
-    for t1, t2 in _disjoint_pairs(group, side1, side2, sigma_of):
+    for t1, t2 in _disjoint_pairs(side1, side2, sigma_of):
         yield t1 + t2
 
 
@@ -396,12 +400,11 @@ class _SigmaBuckets:
             i += 1
 
 
-def _disjoint_pairs(group: FiniteGroup, side1, side2, sigma_of=None):
+def _disjoint_pairs(side1, side2, sigma_of):
     """Every pair (t1, t2) with Sigma-sets meeting only in the identity,
     bucket by bucket, in the order of the two sides; each side is read only
     as far as the pairs taken need.  `sigma_of` is the search's class-set
-    memo (a fresh one without)."""
-    sigma_of = sigma_of or _sigma_memo(group)
+    memo."""
     buckets1 = _SigmaBuckets(side1, sigma_of)
     buckets2 = _SigmaBuckets(side2, sigma_of)
     for s1, group1 in buckets1:

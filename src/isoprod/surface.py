@@ -163,7 +163,9 @@ def dim_z(b_c: BroughtonTable, b_d: BroughtonTable) -> DimZ:
         nc = b_c.rational_multiplicities[pos]
         nd = b_d.rational_multiplicities[pos]
         if nc and nd:
-            m = ct.tensor_trivial_multiplicity(orbit, orbit)
+            # dim End_G(V) for the self-dual rational irreducible V of the
+            # orbit: the trivial multiplicity in V (x) V, s^2 * f
+            m = orbit.schur_index ** 2 * orbit.field_degree
             contribs.append(OrbitContribution(orbit, pos, nc, nd, m))
     return DimZ(sum(c.product for c in contribs), tuple(contribs))
 
@@ -260,10 +262,6 @@ class PicardVerdict:
     rho: int | None            # exact value when determined
     possibilities: tuple[int, ...]
     note: str
-
-    @property
-    def determined(self) -> bool:
-        return self.rho is not None
 
 
 def picard_verdict(surface_type: str) -> PicardVerdict:

@@ -6,6 +6,7 @@ import pytest
 
 from isoprod import chartab as ct
 from isoprod import groups as gr
+from isoprod import ramification as rm
 
 G128_RECIPE = """
 group = polycyclic 2 2 2 2 2 2 2
@@ -82,3 +83,15 @@ def assert_int_coordinates(table):
                 assert all(type(c) is int for c in v.coefficients), (table.group.recipe, v)
                 if v.is_rational:
                     assert type(v.as_rational()) is Fraction
+
+
+def systems_of_type(group, signature, first_entry_reps):
+    """The search's tuple enumeration, with a fresh generation memo."""
+    return rm._systems_of_type(group, signature, first_entry_reps,
+                               rm._generation_test(group))
+
+
+def structure_keys(group, type_pair):
+    """The search's key stream, with fresh memos, as one search makes them."""
+    return rm.iter_structure_keys(group, type_pair, rm._generation_test(group),
+                                  rm._sigma_memo(group))

@@ -41,7 +41,7 @@ def naive_structure_keys(group, type_pair):
         else list(naive_systems_of_type(group, a2))
     )
     seen = set()
-    for t1, t2 in rm._disjoint_pairs(group, side1, side2):
+    for t1, t2 in rm._disjoint_pairs(side1, side2, rm._sigma_memo(group)):
         key = group.min_conjugate(t1 + t2)
         if key not in seen:
             seen.add(key)

@@ -12,6 +12,18 @@ from isoprod import chartab as ct
 from isoprod import groups as gr
 from isoprod.cyclotomic import ZERO, CyclotomicNumber, zeta
 from isoprod.structfile import parse_structure_file
+from algebra_oracle import (
+    central_idempotent,
+    conjugate,
+    contains_trivial,
+    galois,
+    inner_product,
+    is_central,
+    is_self_dual,
+    multiply,
+    row_index,
+    value_on_element,
+)
 from conftest import assert_int_coordinates
 from test_acceptance import _random_small_groups
 
@@ -77,7 +89,7 @@ def test_psl_table_matches_known_rows(psl27, tables):
     table = tables[psl27.recipe]
     assert sorted(chi.degree for chi in table) == [1, 3, 3, 6, 7, 8]
     eta = zeta(7) + zeta(7, 2) + zeta(7, 4)
-    etabar = eta.conjugate()
+    etabar = eta.galois(-1)
     o = rat(1)
     expected = sorted_rows([
         (o, o, o, o, o, o),
@@ -91,7 +103,7 @@ def test_psl_table_matches_known_rows(psl27, tables):
     # the degree-3 values multiply to 2 and sum to -1
     deg3 = next(chi for chi in table if chi.degree == 3)
     v = deg3.values[-1]
-    assert v + v.conjugate() == -1 and v * v.conjugate() == 2
+    assert v + v.galois(-1) == -1 and v * v.galois(-1) == 2
 
 
 def test_abelian_tables_against_dual_group_oracle():
@@ -123,14 +135,14 @@ def test_orthogonality_and_degree_sums(tables):
         assert sum(chi.degree ** 2 for chi in table) == group.order
         for i, a in enumerate(table):
             for j, b in enumerate(table):
-                assert table.inner_product(a, b) == (1 if i == j else 0)
+                assert inner_product(table, a, b) == (1 if i == j else 0)
         # column orthogonality
         k = len(classes)
         for c1 in range(k):
             for c2 in range(k):
                 total = rat(0)
                 for chi in table:
-                    total = total + chi.values[c1] * chi.values[c2].conjugate()
+                    total = total + chi.values[c1] * chi.values[c2].galois(-1)
                 want = Fraction(group.order, classes[c1].size) if c1 == c2 else 0
                 assert total == rat(want)
 
@@ -142,7 +154,7 @@ def test_galois_action_permutes_rows(tables):
         for t in range(1, e):
             if math.gcd(t, e) != 1:
                 continue
-            assert {tuple(chi.galois(t).values) for chi in table} == rows
+            assert {tuple(galois(chi, t).values) for chi in table} == rows
 
 
 def _galois_oracle_tables(tables):
@@ -164,10 +176,10 @@ def test_galois_action_is_a_class_power_map(tables):
         for t in units:
             perm = [group.class_power_map(k, t) for k in classes]
             for chi in table:
-                assert tuple(chi.values[c] for c in perm) == chi.galois(t).values
+                assert tuple(chi.values[c] for c in perm) == galois(chi, t).values
         oracle = []
         for chi in table:
-            orbit = tuple(sorted({table.row_index(chi.galois(t)) for t in units}))
+            orbit = tuple(sorted({row_index(table, galois(chi, t)) for t in units}))
             if orbit not in oracle:
                 oracle.append(orbit)
         assert [o.indices for o in ct.galois_orbits(table)] == oracle
@@ -181,12 +193,12 @@ def test_frobenius_schur_values(q8, psl27, tables):
     # independent evaluation of (1/8) sum chi5(g^2) over all elements
     total = rat(0)
     for g in range(q8.order):
-        total = total + chi5.value_on_element(q8.power(g, 2))
+        total = total + value_on_element(chi5, q8.power(g, 2))
     assert (total * Fraction(1, 8)).as_rational() == -1
     tp = tables[psl27.recipe]
     deg3 = next(chi for chi in tp if chi.degree == 3)
     assert ct.frobenius_schur(deg3) == 0
-    assert not deg3.is_self_dual()
+    assert not is_self_dual(deg3)
 
 
 def test_frobenius_schur_matches_per_class_sum(tables):
@@ -217,7 +229,7 @@ def test_galois_orbits_structure(tables, z3z3, q8, psl27):
         assert o.schur_index == 1 and not o.schur_heuristic
         # each orbit is closed under complex conjugation of rows
         for i in o.indices:
-            assert tz.row_index(tz[i].conjugate()) in o.indices
+            assert row_index(tz, conjugate(tz[i])) in o.indices
 
     tq = tables[q8.recipe]
     oq = ct.galois_orbits(tq)
@@ -246,7 +258,7 @@ def test_trivial_restriction_multiplicity(q8, z3z3, tables):
     lab = {l: i for i, l in enumerate(z3z3.labels)}
     g11 = lab[(1, 1)]
     # a character nontrivial on (1,1) restricts without trivial constituents
-    chi = next(c for c in tz if c.value_on_element(g11) == zeta(3))
+    chi = next(c for c in tz if value_on_element(c, g11) == zeta(3))
     assert ct.trivial_restriction_multiplicity(chi, g11) == 0
     triv = tz[tz.trivial_index]
     assert ct.trivial_restriction_multiplicity(triv, g11) == 1
@@ -258,7 +270,7 @@ def _restriction_by_pairwise_adds(chi, g):
     n = group.element_orders[g]
     total, x = ZERO, 0
     for _ in range(n):
-        total = total + chi.value_on_element(x)
+        total = total + value_on_element(chi, x)
         x = group.mul(x, g)
     return (total * Fraction(1, n)).as_integer()
 
@@ -276,7 +288,7 @@ def test_trivial_restriction_multiplicity_matches_pairwise_adds(tables):
 def test_rational_idempotents(q8, z3z3, tables):
     tq = tables[q8.recipe]
     oq = ct.galois_orbits(tq)
-    triv = next(o for o in oq if o.contains_trivial())
+    triv = next(o for o in oq if contains_trivial(o))
     q_triv = ct.rational_idempotent(tq, triv)
     assert all(c == Fraction(1, 8) for c in q_triv.coefficients)
 
@@ -293,9 +305,9 @@ def test_rational_idempotents(q8, z3z3, tables):
     for table in tables.values():
         for orbit in ct.galois_orbits(table):
             q = ct.rational_idempotent(table, orbit)
-            assert (q * q).coefficients == q.coefficients
-            assert q.is_central()
-            parts = [ct.central_idempotent(table, i) for i in orbit.indices]
+            assert multiply(q, q).coefficients == q.coefficients
+            assert is_central(q)
+            parts = [central_idempotent(table, i) for i in orbit.indices]
             assert q.coefficients == tuple(
                 sum(values, CyclotomicNumber.from_rational(0)).as_rational()
                 for values in zip(*parts)
@@ -309,35 +321,40 @@ def test_rational_idempotents(q8, z3z3, tables):
     tz = tables[z3z3.recipe]
     oz = ct.galois_orbits(tz)
     pair = next(o for o in oz if o.field_degree == 2)
-    single = ct.central_idempotent(tz, pair.indices[0])
+    single = central_idempotent(tz, pair.indices[0])
     assert any(not v.is_rational for v in single)
+
+
+def rational_inner_product(table, oj, ok):
+    """<psi_j, psi_k> of the rational characters of two orbits, summed over
+    the classes: the trivial multiplicity in V_j (x) V_k."""
+    group = table.group
+    direct = Fraction(0)
+    for k, cls in enumerate(group.conjugacy_classes):
+        direct += cls.size * oj.rational_values[k] * ok.rational_values[k]
+    return direct / group.order
 
 
 def test_tensor_trivial_multiplicity(q8, z3z3, tables):
     tz = tables[z3z3.recipe]
     oz = ct.galois_orbits(tz)
     pair = next(o for o in oz if o.field_degree == 2)
-    assert ct.tensor_trivial_multiplicity(pair, pair) == 2
-    triv = next(o for o in oz if o.contains_trivial())
-    assert ct.tensor_trivial_multiplicity(pair, triv) == 0
+    assert rational_inner_product(tz, pair, pair) == 2
+    triv = next(o for o in oz if contains_trivial(o))
+    assert rational_inner_product(tz, pair, triv) == 0
 
     tq = tables[q8.recipe]
     oq = ct.galois_orbits(tq)
     o5 = next(o for o in oq if o.complex_degree == 2)
-    assert ct.tensor_trivial_multiplicity(o5, o5) == 4
+    assert rational_inner_product(tq, o5, o5) == 4
 
-    # oracle: direct inner product of the rational characters
+    # oracle: the direct inner product is s^2 * f on the diagonal, 0 off it
     for table in tables.values():
-        group = table.group
         orbits = ct.galois_orbits(table)
         for oj in orbits:
             for ok in orbits:
-                direct = Fraction(0)
-                for k, cls in enumerate(group.conjugacy_classes):
-                    direct += (cls.size * oj.rational_values[k]
-                               * ok.rational_values[k])
-                direct /= group.order
-                assert direct == ct.tensor_trivial_multiplicity(oj, ok)
+                want = oj.schur_index ** 2 * oj.field_degree if oj is ok else 0
+                assert rational_inner_product(table, oj, ok) == want
 
 
 def test_rational_values_are_rational_integers(tables):
@@ -720,7 +737,7 @@ def test_kernel_of_character_matches_element_scan(tables):
         group = table.group
         for orbit in ct.galois_orbits(table):
             scan = frozenset(range(group.order)).intersection(*(
-                {i for i in range(group.order) if chi.value_on_element(i) == chi.values[0]}
+                {i for i in range(group.order) if value_on_element(chi, i) == chi.values[0]}
                 for chi in map(table.__getitem__, orbit.indices)
             ))
             kernel = orbit.kernel()

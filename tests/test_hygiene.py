@@ -1,0 +1,105 @@
+"""Program-wide guards: no definition under `src/isoprod` that nothing but
+the tests reads, and no reference cycle that keeps a group alive."""
+
+import ast
+import gc
+import re
+import weakref
+from pathlib import Path
+
+import isoprod
+from isoprod import catalog as cat
+from isoprod import chartab as ct
+from isoprod import groups as gr
+from isoprod import ramification as rm
+from isoprod import surface as sf
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "isoprod"
+PERFBENCH = ROOT / "perfbench"
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _names_used(node) -> list[str]:
+    """The names read in `node`'s subtree, as `ast.Name` ids and
+    `ast.Attribute` attributes (docstrings and other strings are not read)."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+    return out
+
+
+def _perfbench_names() -> set[str]:
+    """Every name the benchmark reads, string constants included, so the
+    dotted names in `tracing.SPANS` (e.g. "FiniteGroup.closure") count."""
+    out = set()
+    for path in PERFBENCH.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        out.update(_names_used(tree))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                out.update(_IDENTIFIER.findall(n.value))
+    return out
+
+
+def unused_definitions() -> list[str]:
+    """The functions, methods and classes defined under `src/isoprod` that
+    nothing in the program reads outside their own body, that the benchmark
+    does not name, and that are neither exported nor a dunder nor `main`.
+
+    Uses are matched by name only: a definition counts as used when any
+    definition of that name is read, so a `Character.galois` or a
+    `Character.conjugate` would pass on the uses of `CyclotomicNumber.galois`
+    and `FiniteGroup.conjugate`."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    uses: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _names_used(tree):
+            uses[name] = uses.get(name, 0) + 1
+    exempt = set(isoprod.__all__) | {"main"} | _perfbench_names()
+    unused = []
+    for filename, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name in exempt or (name.startswith("__") and name.endswith("__")):
+                continue
+            own = _names_used(node).count(name)  # recursion is no use
+            if uses.get(name, 0) == own:
+                unused.append(f"{filename}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_src_definition_is_read_by_the_program():
+    assert unused_definitions() == []
+
+
+def test_groups_are_freed_without_the_cyclic_collector():
+    """With the cyclic garbage collector off, a group, with everything built
+    on it, is freed by reference counting alone as soon as the last
+    reference goes: no class, memo or generator refers back to it."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        s4 = gr.symmetric_group(4)
+        table = ct.character_table(s4)
+        orbits = ct.galois_orbits(table)
+        idempotents = [ct.rational_idempotent(table, o) for o in orbits]
+        text = ct.render_table(table)
+        z3z3 = cat.realize_structure(cat.entry_by_name("Z3xZ3"))
+        analysis = sf.analyze(z3z3, ct.character_table(z3z3.group))
+        psl = cat.realize_structure(cat.entry_by_name("PSL2F7-a"))  # a limit=1 search
+        found = rm.search_structures(psl.group, ((7, 7, 7), (3, 3, 4)))
+        assert text and analysis.surface_type == "c" and len(found) == 4032
+        refs = [weakref.ref(g) for g in (s4, z3z3.group, psl.group)]
+        del s4, table, orbits, idempotents, text, z3z3, analysis, psl, found
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -9,6 +10,8 @@ import pytest
 from isoprod import groups as gr
 from isoprod import ramification as rm
 from isoprod.structfile import parse_structure_file
+from algebra_oracle import full_subgroup, subgroup, trivial_subgroup
+from conftest import structure_keys, systems_of_type
 from search_oracle import canonical_key, naive_structure_keys
 
 
@@ -179,7 +182,7 @@ def test_sigma_classes_match_brute_force(g128, z2cubed_z4, psl27):
         classes = group.conjugacy_classes
         assert classes[0].members == (0,)
         count = 0
-        for t in itertools.islice(rm._systems_of_type(group, signature, False), 400):
+        for t in itertools.islice(systems_of_type(group, signature, False), 400):
             sigma = set().union(*(brute[e] for e in t))
             ks = rm._sigma_classes(group, t)
             assert 0 in ks
@@ -218,7 +221,7 @@ def test_is_disjoint_matches_element_sets(psl27, z2cubed_z4):
         # class sets that occurs is tried
         by_sigma = {}
         for signature in signatures:
-            for t in rm._systems_of_type(group, signature, first_entry_reps=False):
+            for t in systems_of_type(group, signature, first_entry_reps=False):
                 by_sigma.setdefault(rm._sigma_classes(group, t), []).append(t)
         systems = [rm.validate_spherical(group, t) for ts in by_sigma.values()
                    for t in rng.sample(ts, min(3, len(ts)))]
@@ -234,7 +237,7 @@ def test_is_disjoint_matches_element_sets(psl27, z2cubed_z4):
 
 def test_quotient_systems(z3z3_label, z3z3_structure):
     group, lab = z3z3_label
-    h = group.subgroup([lab[(2, 1)]])
+    h = subgroup(group, [lab[(2, 1)]])
     qc = rm.quotient_system(z3z3_structure.t1, group.quotient(h))
     assert qc.genus == 1
     assert qc.system.signature == (3, 3, 3)
@@ -249,7 +252,7 @@ def test_quotient_system_g128(g128):
     al = gr.default_aliases(g128)
     w = lambda s: gr.parse_word(s, al, g128)
     tc = rm.validate_spherical(g128, [w("g1*g2*g4*g6"), w("g1*g4*g5*g6"), w("g2*g3*g4*g7")])
-    h = g128.subgroup([w("g7"), w("g6"), w("g3*g4"), w("g4*g5")])
+    h = subgroup(g128, [w("g7"), w("g6"), w("g3*g4"), w("g4*g5")])
     qc = rm.quotient_system(tc, g128.quotient(h))
     assert qc.quotient.group.order == 8
     assert gr.identify_q8(qc.quotient.group)
@@ -259,16 +262,16 @@ def test_quotient_system_g128(g128):
 def test_quotient_round_trip(z3z3_structure, z3z3_label):
     group, _ = z3z3_label
     t1 = z3z3_structure.t1
-    q = rm.quotient_system(t1, group.quotient(group.trivial_subgroup()))
+    q = rm.quotient_system(t1, group.quotient(trivial_subgroup(group)))
     assert q.genus == t1.genus()
     assert q.dropped == ()
     # quotient by the full group: genus 0, no system survives
-    q = rm.quotient_system(t1, group.quotient(group.full_subgroup()))
+    q = rm.quotient_system(t1, group.quotient(full_subgroup(group)))
     assert q.genus == 0 and q.system is None
     # a genus-zero two-point quotient is legitimate, not an error
     z4 = gr.cyclic_group(4)
     t = rm.validate_spherical(z4, [1, 1, 2])
-    sub = z4.subgroup([2])
+    sub = subgroup(z4, [2])
     q = rm.quotient_system(t, z4.quotient(sub))
     assert q.genus == 0 and len(q.system.entries) == 2
 
@@ -282,10 +285,10 @@ def test_two_survivors_give_genus_zero():
     two = 0
     for group, signature in cases:
         n = group.order
-        subgroups = [group.subgroup(h) for h in
+        subgroups = [subgroup(group, h) for h in
                      {group.closure([x, y]) for x in range(n) for y in range(x, n)}]
         quotients = [group.quotient(h) for h in subgroups if group.is_normal(h)]
-        for entries in rm._systems_of_type(group, signature, first_entry_reps=True):
+        for entries in systems_of_type(group, signature, first_entry_reps=True):
             system = rm.validate_spherical(group, entries)
             for quot in quotients:
                 q = rm.quotient_system(system, quot)
@@ -320,7 +323,7 @@ def test_search_finds_example_structure(z3z3_label, z3z3_structure):
     key = canonical_key(z3z3_structure)
     assert any(
         k == key
-        for k in rm.iter_structure_keys(group, ((3, 3, 3, 3, 3), (3, 3, 3, 3)))
+        for k in structure_keys(group, ((3, 3, 3, 3, 3), (3, 3, 3, 3)))
     )
 
 
@@ -352,7 +355,7 @@ def _keys_digest(it):
 
 def test_search_completeness_z3z3_small_type(z3z3_label):
     group, _ = z3z3_label
-    pruned = sorted(rm.iter_structure_keys(group, ((3, 3, 3, 3), (3, 3, 3, 3))))
+    pruned = sorted(structure_keys(group, ((3, 3, 3, 3), (3, 3, 3, 3))))
     naive = sorted(
         naive_structure_keys(group, ((3, 3, 3, 3), (3, 3, 3, 3)))
     )
@@ -363,7 +366,7 @@ def test_search_completeness_z3z3_small_type(z3z3_label):
 def test_search_completeness_z3z3_full_type(z3z3_label):
     group, _ = z3z3_label
     types = ((3, 3, 3, 3, 3), (3, 3, 3, 3))
-    assert _keys_digest(rm.iter_structure_keys(group, types)) == _keys_digest(
+    assert _keys_digest(structure_keys(group, types)) == _keys_digest(
         naive_structure_keys(group, types)
     )
 
@@ -372,11 +375,11 @@ def test_search_completeness_z2cubed():
     group = gr.abelian_group([2, 2, 2])
     # no structure with a length-4 side exists: both digests must agree on empty
     types = ((2, 2, 2, 2), (2, 2, 2, 2))
-    assert _keys_digest(rm.iter_structure_keys(group, types)) == (0, 0)
+    assert _keys_digest(structure_keys(group, types)) == (0, 0)
     assert _keys_digest(naive_structure_keys(group, types)) == (0, 0)
     # the minimal nonempty case: both sides of length 6
     types = ((2,) * 6, (2,) * 6)
-    digest = _keys_digest(rm.iter_structure_keys(group, types))
+    digest = _keys_digest(structure_keys(group, types))
     assert digest[0] > 0
     assert digest == _keys_digest(naive_structure_keys(group, types))
 
@@ -406,7 +409,7 @@ def test_canonical_key_matches_brute_force(q8, psl27):
 def test_search_completeness_s4():
     group = gr.build_group("perm (1 2 3 4), (1 2)")
     types = ((2, 2, 3, 3), (4, 4, 4, 4))
-    pruned = sorted(rm.iter_structure_keys(group, types))
+    pruned = sorted(structure_keys(group, types))
     assert pruned == sorted(naive_structure_keys(group, types))
     assert len(pruned) == 3456
 
@@ -418,7 +421,7 @@ def _canonicalise_every_pair(group, type_pair):
     buckets = []
     for types, reps in zip(type_pair, (True, False)):
         by_sigma = {}
-        for t in rm._systems_of_type(group, types, first_entry_reps=reps):
+        for t in systems_of_type(group, types, first_entry_reps=reps):
             by_sigma.setdefault(rm._sigma_classes(group, t), []).append(t)
         buckets.append(by_sigma)
     seen = set()
@@ -447,7 +450,7 @@ def test_minimal_first_tuples_keep_keys_and_order(recipe, types, count):
     """Keeping only the least first tuple of each C_G(r) orbit yields the
     keys of the canonicalise-every-pair search, in the same order."""
     group = gr.build_group(recipe)
-    pruned = list(itertools.islice(rm.iter_structure_keys(group, types), count))
+    pruned = list(itertools.islice(structure_keys(group, types), count))
     assert pruned
     assert pruned == list(itertools.islice(_canonicalise_every_pair(group, types), count))
 
@@ -512,7 +515,7 @@ def test_memoised_generation_still_refuses_a_non_generating_tuple():
 def test_system_sigma_is_computed_once_and_is_no_field(psl27):
     """`system.sigma` is the class set of its entries, `sigma_set` reads it,
     and it takes no part in equality or hashing."""
-    for t in itertools.islice(rm._systems_of_type(psl27, (3, 3, 4), False), 50):
+    for t in itertools.islice(systems_of_type(psl27, (3, 3, 4), False), 50):
         system, twin = rm.validate_spherical(psl27, t), rm.validate_spherical(psl27, t)
         assert system.sigma == rm._sigma_classes(psl27, t)
         assert rm.sigma_set(system) is system.sigma
@@ -592,10 +595,11 @@ def test_sigma_is_computed_once_per_bucketed_tuple(monkeypatch):
             assert system.sigma == rm._sigma_classes(group, system.entries)
 
 
-def _list_disjoint_pairs(group, side1, side2, sigma_of=None):
+def _list_disjoint_pairs(group, side1, side2, sigma_of):
     """The pairing before it read its sides lazily: both sides are read in
     full and bucketed by Sigma before the first pair.  It computes every
-    Sigma itself and leaves the search's class-set memo `sigma_of` unused."""
+    Sigma of `group` itself and leaves the search's class-set memo
+    `sigma_of` unused."""
     by_sigma1, by_sigma2 = {}, {}
     for side, by_sigma in ((side1, by_sigma1), (side2, by_sigma2)):
         for t in side:
@@ -655,9 +659,9 @@ def test_lazy_pairing_matches_list_pairing(monkeypatch, z3z3, q8, psl27, g128,
     nonempty = 0
     for group, types in cases:
         with monkeypatch.context() as m:
-            m.setattr(rm, "_disjoint_pairs", _list_disjoint_pairs)
-            want = list(rm.iter_structure_keys(group, types))
-        assert list(rm.iter_structure_keys(group, types)) == want, (group.recipe, types)
+            m.setattr(rm, "_disjoint_pairs", functools.partial(_list_disjoint_pairs, group))
+            want = list(structure_keys(group, types))
+        assert list(structure_keys(group, types)) == want, (group.recipe, types)
         nonempty += bool(want)
         # a full search of the largest pairs (up to 294,912 structures) is
         # left to the key stream above
@@ -674,7 +678,7 @@ def pulled(monkeypatch):
     counts = {}
     real = rm._systems_of_type
 
-    def counting(group, signature, first_entry_reps, generates=None):
+    def counting(group, signature, first_entry_reps, generates):
         counts.setdefault(tuple(signature), 0)
         for t in real(group, signature, first_entry_reps, generates):
             counts[tuple(signature)] += 1

@@ -9,6 +9,8 @@ from isoprod import groups as gr
 from isoprod import ramification as rm
 from isoprod import surface as sf
 from isoprod.cyclotomic import CyclotomicNumber
+from algebra_oracle import is_self_dual, row_index, value_on_element
+from test_chartab import rational_inner_product
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +93,7 @@ def test_broughton_dimension_and_parity_invariants(
                 == 2 * system.genus()
             assert mults[table.trivial_index] == 0
             for i, chi in enumerate(table):
-                if chi.is_self_dual():
+                if is_self_dual(chi):
                     assert mults[i] % 2 == 0
                 # multiplicity is constant along each orbit
             for orbit in bt.orbits:
@@ -138,6 +140,17 @@ def test_dim_z_breakdowns(z3z3_analysis, g128_analysis, z2z4_analysis, psl_analy
     assert shape(psl_analyses[1]) == [(2, 2, 1)]
     for an in all_analyses(z3z3_analysis, g128_analysis, z2z4_analysis, psl_analyses):
         assert an.dimension_z.total == 4
+
+
+def test_dim_z_tensor_multiplicity_is_the_inner_product(
+    z3z3_analysis, g128_analysis, z2z4_analysis, psl_analyses
+):
+    """Each contribution's trivial multiplicity in V (x) V, which `dim_z`
+    reads as s^2 * f, is the inner product of the orbit's rational character
+    with itself."""
+    for an in all_analyses(z3z3_analysis, g128_analysis, z2z4_analysis, psl_analyses):
+        for c in an.dimension_z.contributions:
+            assert c.tensor_multiplicity == rational_inner_product(an.table, c.orbit, c.orbit)
         for c in an.dimension_z.contributions:
             assert c.product % 2 == 0
 
@@ -229,10 +242,10 @@ def test_quotient_consistency_replays_invariant_dimensions(
             for i in range(group.order):
                 section.setdefault(quot.project(i), i)
             values = tuple(
-                chi.value_on_element(section[cls.representative])
+                value_on_element(chi, section[cls.representative])
                 for cls in q.conjugacy_classes
             )
-            row = qtable.row_index(ct.Character(q, values))
+            row = row_index(qtable, ct.Character(q, values))
             orbit_pos, orbit = next(
                 (pos, o) for pos, o in enumerate(qorbits) if row in o.indices
             )
@@ -281,9 +294,9 @@ def test_broughton_defect_detection(tables, z3z3_label):
         ct.trivial_restriction_multiplicity(bad, lab[(1, 1)])
     # chi(g^2) replaced by chi(g): the restriction sum over <g> is irrational
     g = lab[(1, 1)]
-    chi = next(c for c in table if not c.value_on_element(g).is_rational)
+    chi = next(c for c in table if not value_on_element(c, g).is_rational)
     values = list(chi.values)
-    values[group.class_of[group.power(g, 2)]] = chi.value_on_element(g)
+    values[group.class_of[group.power(g, 2)]] = value_on_element(chi, g)
     bad = ct.Character(group, tuple(values))
     with pytest.raises(ct.CharacterTableError, match="irrational"):
         ct.trivial_restriction_multiplicity(bad, g)
