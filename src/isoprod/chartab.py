@@ -246,15 +246,18 @@ class RationalCharacter:
         return tuple(sums[i] for i in row)
 
     def kernel(self) -> Subgroup:
-        """Common kernel of the constituents: the classes where l_g(chi) = chi(1)."""
+        """Common kernel of the constituents: the classes where l_g(chi) = chi(1).
+
+        It is read from the orbit's first row alone.  Each member row is that
+        row with its columns permuted by a power map C -> C^t (`galois_orbits`
+        checked it), and l_g at class k sums over {C_k^s}, the same classes as
+        {C_k^(st)}: every member has the same kernel."""
         group = self.table.group
         classes = group.conjugacy_classes
-        kernels = {tuple(k for k, c in enumerate(classes)
-                         if trivial_restriction_multiplicity(chi, c.representative) == chi.degree)
-                   for chi in map(self.table.__getitem__, self.indices)}
-        if len(kernels) != 1:
-            raise CharacterTableError("Galois conjugates with different kernels")
-        members = frozenset(x for k in kernels.pop() for x in classes[k].members)
+        chi = self.table[self.indices[0]]
+        members = frozenset(x for c in classes
+                            if trivial_restriction_multiplicity(chi, c.representative) == chi.degree
+                            for x in c.members)
         gens = Subgroup(group, members, ()).small_generators()
         if group.closure(gens) != members:  # a union of classes need not be a subgroup
             raise CharacterTableError("kernel is not a subgroup (corrupt values)")

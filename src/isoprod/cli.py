@@ -13,6 +13,7 @@ The character-table cache directory can also be set with ISOPROD_CACHE.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -147,6 +148,7 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: `main` reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isoprod",

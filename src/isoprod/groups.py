@@ -63,13 +63,14 @@ class OrderBoundError(GroupError):
 class FiniteGroup:
     """A finite group with a full multiplication table on indices 0..n-1."""
 
-    def __init__(self, identity, label_mul, generators, recipe, names,
+    def __init__(self, identity, label_mul, generators, recipe,
                  order_bound=DEFAULT_ORDER_BOUND):
         """Enumerate the closure of `generators` under `label_mul` by BFS and
         fill the multiplication table from the Cayley graph.
 
-        `identity` and `generators` are labels; `names` maps a label to a
-        display string.
+        `identity` and `generators` are labels.  An element is shown only as
+        its word in the declared generators (`word`), which `parse_word`
+        reads back.
 
         `label_mul` is called only on (element, generator) pairs: the BFS
         records right[g][x] = x*g.  Column y of the table (x -> x*y) is the
@@ -106,7 +107,6 @@ class FiniteGroup:
         self.recipe = recipe
         self.generators = tuple(index[g] for g in gen_labels)
         self._parents = parents
-        self._names = [names(x) for x in elems]
         cols = [list(range(n))]
         for p, gpos in parents[1:]:
             cols.append(list(map(right[gpos].__getitem__, cols[p])))
@@ -167,9 +167,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(self._mul[a][b] == self._mul[b][a] for a in gens for b in gens)
-
-    def name(self, i: int) -> str:
-        return self._names[i]
 
     def word(self, i: int) -> str:
         """`i` as a product of the declared generators (from its BFS path)."""
@@ -367,7 +364,6 @@ class FiniteGroup:
         group = FiniteGroup(
             0, label_mul, gen_labels,
             recipe=f"quotient of ({self.recipe}) by subgroup of order {len(members)}",
-            names=lambda r: f"[{self._names[r]}]",
             order_bound=self.order,
         )
         lookup = {lab: k for k, lab in enumerate(group.labels)}
@@ -478,7 +474,7 @@ def cyclic_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     _check_order([n], order_bound)
     return FiniteGroup(0, lambda a, b: (a + b) % n,
                        [1 % n] if n > 1 else [0],
-                       recipe=f"cyclic {n}", names=str, order_bound=order_bound)
+                       recipe=f"cyclic {n}", order_bound=order_bound)
 
 
 def abelian_group(orders, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
@@ -499,7 +495,6 @@ def abelian_group(orders, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
         gens = [identity]
     return FiniteGroup(identity, mul, gens,
                        recipe="abelian " + " ".join(map(str, orders)),
-                       names=lambda t: "(" + ",".join(map(str, t)) + ")",
                        order_bound=order_bound)
 
 
@@ -515,7 +510,6 @@ def dihedral_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
 
     return FiniteGroup((0, 0), mul, [(1 % n, 0), (0, 1)],
                        recipe=f"dihedral {n}",
-                       names=lambda t: f"r{t[0]}" + ("s" if t[1] else ""),
                        order_bound=order_bound)
 
 
@@ -565,7 +559,7 @@ def permutation_group(generators, degree=None, recipe=None,
     identity = tuple(range(deg))
     return FiniteGroup(identity, _perm_mul, gens,
                        recipe=recipe or "perm " + ", ".join(map(_perm_name, gens)),
-                       names=_perm_name, order_bound=order_bound)
+                       order_bound=order_bound)
 
 
 def symmetric_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
@@ -605,7 +599,6 @@ def direct_product(k: FiniteGroup, h: FiniteGroup,
     gens = [(g, 0) for g in k.generators] + [(0, g) for g in h.generators]
     return FiniteGroup((0, 0), mul, gens,
                        recipe=f"product [{k.recipe}] [{h.recipe}]",
-                       names=lambda t: f"({k.name(t[0])},{h.name(t[1])})",
                        order_bound=order_bound)
 
 
@@ -650,7 +643,6 @@ def semidirect_product(k: FiniteGroup, h: FiniteGroup,
     gens = [(g, 0) for g in k.generators] + [(0, g) for g in h.generators]
     return FiniteGroup((0, 0), mul, gens,
                        recipe=f"semidirect [{k.recipe}] [{h.recipe}]",
-                       names=lambda t: f"({k.name(t[0])},{h.name(t[1])})",
                        order_bound=order_bound)
 
 
@@ -757,17 +749,9 @@ def polycyclic_group(relative_orders, powers=None, conjugates=None,
     identity = (0,) * k
     gens = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
 
-    def name(exps):
-        if not any(exps):
-            return "id"
-        return "*".join(
-            f"g{g + 1}" if e == 1 else f"g{g + 1}^{e}"
-            for g, e in enumerate(exps) if e
-        )
-
     group = FiniteGroup(identity, mul, gens,
                         recipe="polycyclic " + " ".join(map(str, pres.orders)),
-                        names=name, order_bound=order_bound)
+                        order_bound=order_bound)
     if group.order != predicted:
         raise GroupError(
             f"inconsistent polycyclic relations: enumerated {group.order} "

@@ -153,14 +153,14 @@ def validate_spherical(group: FiniteGroup, entries, generates=None) -> Spherical
     if any(o < 2 for o in orders):
         bad = idx[orders.index(1)]
         raise RamificationError(
-            f"entry {group.name(bad)} is the identity (order-1 entries are not allowed)"
+            f"entry {group.word(bad)} is the identity (order-1 entries are not allowed)"
         )
     prod = 0
     for e in idx:
         prod = group.mul(prod, e)
     if prod != 0:
         raise RamificationError(
-            f"product of the entries is {group.name(prod)}, not the identity"
+            f"product of the entries is {group.word(prod)}, not the identity"
         )
     if not (generates or _generation_test(group))(idx):
         raise RamificationError("the entries do not generate the group")

@@ -3,13 +3,16 @@ import math
 import random
 from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoprod import catalog as cat
 from isoprod import chartab as ct
 from isoprod import groups as gr
+from isoprod import surface as sf
 from isoprod.cyclotomic import ZERO, CyclotomicNumber, zeta
 from isoprod.structfile import parse_structure_file
 from algebra_oracle import (
@@ -743,6 +746,31 @@ def test_kernel_of_character_matches_element_scan(tables):
             kernel = orbit.kernel()
             assert kernel.members == scan, group.recipe
             assert group.closure(kernel.gens) == scan
+
+
+def test_kernel_reads_the_first_row_of_its_orbit_only():
+    """Galois conjugates share one kernel, so `kernel` sums l_g over the
+    classes of one row: on a fresh table, each contributing orbit of field
+    degree 2 takes one `CyclotomicNumber.sum` per class, not two."""
+    real_sum = CyclotomicNumber.sum
+    calls = []
+
+    def counted(values):
+        calls.append(1)
+        return real_sum(values)
+
+    for name, sums in (("Z3xZ3", 9), ("Z2^3xZ4", 20)):
+        structure = cat.realize_structure(cat.entry_by_name(name))
+        assert len(structure.group.conjugacy_classes) == sums
+        analysis = sf.analyze(structure, ct.character_table(structure.group))
+        orbits = ct.galois_orbits(ct.character_table(structure.group))
+        for q in analysis.quotients:
+            orbit = orbits[q.orbit_position]
+            assert orbit.field_degree == 2
+            calls.clear()
+            with mock.patch.object(CyclotomicNumber, "sum", staticmethod(counted)):
+                assert orbit.kernel().members == q.kernel.members
+            assert len(calls) == sums, name
 
 
 def test_kernel_of_corrupt_row_is_refused():

@@ -115,10 +115,10 @@ def _checked_against_per_pair_oracle():
     built = []
     real_init = gr.FiniteGroup.__init__
 
-    def init(self, identity, label_mul, generators, recipe, names,
+    def init(self, identity, label_mul, generators, recipe,
              order_bound=gr.DEFAULT_ORDER_BOUND):
         generators = list(generators)
-        real_init(self, identity, label_mul, generators, recipe, names, order_bound)
+        real_init(self, identity, label_mul, generators, recipe, order_bound)
         try:
             expected = _per_pair_table(identity, label_mul, generators, order_bound)
         except ValueError as exc:  # GroupError included
@@ -368,10 +368,20 @@ def test_describe_group(q8):
     assert gr.describe_group(gr.symmetric_group(4)).startswith("nonabelian")
 
 
-def test_words_evaluate_back(psl27):
-    al = gr.default_aliases(psl27)
-    for i in range(0, psl27.order, 17):
-        assert gr.parse_word(psl27.word(i), al, psl27) == i
+def test_words_evaluate_back(psl27, g128, z2cubed_z4):
+    """A word is the one way an element is shown: `parse_word` reads it back
+    in a permutation, a polycyclic, a semidirect, a product and a quotient
+    group."""
+    product = gr.build_group("group = product [cyclic 2] [dihedral 3]")
+    al = gr.default_aliases(g128)
+    quotient = g128.quotient(subgroup(g128, [al["g6"], al["g7"]])).group
+    samples = [(psl27, range(0, psl27.order, 17))] + [
+        (group, range(group.order)) for group in (g128, z2cubed_z4, product, quotient)
+    ]
+    for group, elements in samples:
+        al = gr.default_aliases(group)
+        for i in elements:
+            assert gr.parse_word(group.word(i), al, group) == i, group.recipe
 
 
 def test_exponent_and_orders(psl27, g128):

@@ -10,6 +10,7 @@ from pathlib import Path
 import isoprod
 from isoprod import catalog as cat
 from isoprod import chartab as ct
+from isoprod import cli
 from isoprod import groups as gr
 from isoprod import ramification as rm
 from isoprod import surface as sf
@@ -100,6 +101,26 @@ def test_groups_are_freed_without_the_cyclic_collector():
         refs = [weakref.ref(g) for g in (s4, z3z3.group, psl.group)]
         del s4, table, orbits, idempotents, text, z3z3, analysis, psl, found
         assert [r() for r in refs] == [None, None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_cli_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    """`main` reuses one argument parser, so with the cyclic collector off a
+    `catalog` and an `analyze` call leave nothing for it to collect."""
+    fixture = tmp_path / "z3xz3.struct"
+    fixture.write_text(cat._fixture_text("z3xz3.struct"))
+    calls = (["catalog", "--entry", "Z3xZ3"], ["analyze", str(fixture)])
+    for argv in calls:  # warm-up: the parser and the lazy imports
+        assert cli.main(argv) == 0
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in calls:
+            assert cli.main(argv) == 0
+        assert gc.collect() == 0
     finally:
         if was_enabled:
             gc.enable()

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -58,6 +59,30 @@ def test_validate_spherical(z3z3_label):
         rm.validate_spherical(
             group, entries(group, [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)], lab)
         )
+
+
+def _word_in_error(group, entries, pattern):
+    """The word that `validate_spherical`'s refusal of `entries` names,
+    read back to an element."""
+    with pytest.raises(rm.RamificationError) as err:
+        rm.validate_spherical(group, entries)
+    m = re.fullmatch(pattern, str(err.value))
+    assert m, str(err.value)
+    return gr.parse_word(m.group(1), gr.default_aliases(group), group)
+
+
+def test_spherical_errors_name_the_element_as_a_word(z3z3, psl27, g128):
+    """The identity-entry and the product refusals name the element at
+    fault as a word in g1..gk, which `parse_word` maps back to it, in an
+    abelian, a permutation and a polycyclic group."""
+    identity = r"entry (\S+) is the identity \(order-1 entries are not allowed\)"
+    product = r"product of the entries is (\S+), not the identity"
+    for group in (z3z3, psl27, g128):
+        g = group.generators[0]
+        assert _word_in_error(group, [g, 0, group.inverse(g)], identity) == 0
+        for x in range(1, group.order, 3):
+            if group.mul(x, g) != 0:
+                assert _word_in_error(group, [x, g], product) == group.mul(x, g)
 
 
 def test_validate_g128_tuples(g128):

@@ -567,6 +567,19 @@ def test_catalog_deterministic_output(capsys):
     assert first == second
 
 
+def test_fixture_expectations_match_their_catalog_rows():
+    """Each shipped fixture's `expect genus` and `expect type` lines record
+    the same facts as the `genera` and `surface_type` of its catalog row."""
+    entries = shipped_entries()
+    fixtures = {p.name for p in resources.files("isoprod.data").iterdir()
+                if p.name.endswith((".struct", ".search"))}
+    assert sorted(e.fixture for e in entries) == sorted(fixtures)
+    for entry in entries:
+        expectations = parse_structure_file(fixture_text(entry.fixture)).expectations
+        assert tuple(expectations["genus"]) == entry.genera, entry.name
+        assert expectations["type"] == entry.surface_type, entry.name
+
+
 def test_catalog_table_rows_match_expectations():
     # Table rows: orders descending, shipped entries carry the right genera
     orders = [e.order for e in cat.CATALOG]
