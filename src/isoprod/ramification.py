@@ -37,15 +37,31 @@ lexicographic order, so the least member of each C_G(r) orbit comes
 first, and a key is first met at the pair (least t1, t2).  The tests keep
 the canonicalise-every-pair search, over all tuples, as the oracle.
 
-A search pays for each check once.  One generation test, memoised by entry
-set, serves the whole search: both sides' enumerations and the
-`validate_spherical` call that builds each distinct tuple of a key, so a
-tuple that the enumeration proved generating is not closed again.  So it
-goes with Sigma: one class-set memo, by entry tuple, fills the Sigma
-buckets and hands each key tuple's class set to its `SphericalSystem`,
-whose disjointness check in `RamificationStructure` then reads it.  Both
-memos are made per search and die with it; nothing is kept on the group.
-A system built outside a search computes its class set once, on first use.
+Side 2 runs its first entry over every element of G but backtracks only
+from class representatives.  The tuples that start at e are exactly the
+conjugates t u t^-1 of the tuples u that start at the representative r of
+e's class, where t^-1 e t = r (`FiniteGroup._transversal`).  The
+representative is the least member of its class, so it is the first entry
+of its class that the enumeration meets: its batch streams as the
+backtracking finds it, and it is complete by the time another member e
+comes up.  The batch of e is then the conjugated batch of r, sorted by the
+enumeration's own order, the key [(o(x), x) for x in tuple].  So side 2
+yields the stream of the backtracking over every first entry, tuple for
+tuple and in order; the tests keep that backtracking as the oracle.
+
+A search pays for each check once, and only on tuples that start at a
+class representative.  One memo per search (`_SearchMemo`) holds the
+generation test, by entry set, and the Sigma class sets, by entry tuple.
+It serves both sides' enumerations, the Sigma buckets and the
+`validate_spherical` call that builds each distinct tuple of a key: a tuple
+that the enumeration proved generating is not closed again, and each key
+tuple's `SphericalSystem` gets its bucket's class set, which the
+disjointness check in `RamificationStructure` then reads.  A conjugate
+inherits both answers from its source u: <t u t^-1> = t <u> t^-1 is G, and
+Sigma is a union of classes, so the conjugate's class set is u's (the same
+object).  The memo is made per search and dies with it; nothing is kept on
+the group.  A system built outside a search computes its class set once,
+on first use.
 
 The pairing reads each side only as far as the keys taken need, so
 `limit=k` stops after k + 1 keys.  A side's Sigma buckets are filled as
@@ -108,61 +124,67 @@ class SphericalSystem:
         return _sigma_classes(self.group, self.entries)
 
 
-def _generation_test(group: FiniteGroup):
-    """A `generates(entries)` test for `group`, memoised by entry set.  One
-    search makes one and shares it; it is never kept on the group."""
-    memo: dict[frozenset, bool] = {}
+class _SearchMemo:
+    """The checks of one search, each paid once: the generation test,
+    memoised by entry set, and the Sigma class sets, memoised by entry tuple.
+    Equal class sets are kept as one object, so the Sigma memo holds one set
+    per Sigma bucket, not one per tuple.  A conjugate of a generating tuple
+    inherits both answers from its source (`inherit`).  One search makes one
+    and shares it; it is never kept on the group."""
 
-    def generates(entries) -> bool:
+    def __init__(self, group: FiniteGroup):
+        self._group = group
+        self._generating: dict[frozenset, bool] = {}
+        self._sigma: dict[tuple[int, ...], frozenset[int]] = {}
+        self._shared: dict[frozenset[int], frozenset[int]] = {}
+
+    def generates(self, entries) -> bool:
         key = frozenset(entries)
-        hit = memo.get(key)
+        hit = self._generating.get(key)
         if hit is None:
-            hit = memo[key] = len(group.closure(key)) == group.order
+            group = self._group
+            hit = self._generating[key] = len(group.closure(key)) == group.order
         return hit
 
-    return generates
-
-
-def _sigma_memo(group: FiniteGroup):
-    """A `sigma_of(entries)` for `group`, memoised by entry tuple.  Equal
-    class sets are kept as one object, so the memo holds one set per Sigma
-    bucket, not one per tuple.  One search makes one and shares it; it is
-    never kept on the group."""
-    memo: dict[tuple[int, ...], frozenset[int]] = {}
-    shared: dict[frozenset[int], frozenset[int]] = {}
-
-    def sigma_of(entries) -> frozenset[int]:
-        hit = memo.get(entries)
+    def sigma_of(self, entries: tuple[int, ...]) -> frozenset[int]:
+        hit = self._sigma.get(entries)
         if hit is None:
-            sigma = _sigma_classes(group, entries)
-            hit = memo[entries] = shared.setdefault(sigma, sigma)
+            sigma = _sigma_classes(self._group, entries)
+            hit = self._sigma[entries] = self._shared.setdefault(sigma, sigma)
         return hit
 
-    return sigma_of
+    def inherit(self, image: tuple[int, ...], source: tuple[int, ...]) -> None:
+        """Record `image` = t source t^-1 for a generating tuple `source`:
+        <image> = t <source> t^-1 is G, and Sigma is a union of classes, so
+        `image` has the class set of `source` (the same object)."""
+        self._generating[frozenset(image)] = True
+        self._sigma[image] = self.sigma_of(source)
 
 
 def validate_spherical(group: FiniteGroup, entries, generates=None) -> SphericalSystem:
     """Check the spherical-system axioms and compute the type.  `generates`
-    is the generation test of the caller's search (a fresh one without)."""
+    is the generation test of the caller's search (a fresh one without).
+    An index out of range is refused first, then an identity entry (named
+    by its 1-based position), then a product other than the identity."""
     idx = tuple(int(e) for e in entries)
     _check_length(len(idx))
+    n, mul, element_orders = group.order, group._mul, group.element_orders
+    orders, prod = [], 0
     for e in idx:
-        if not 0 <= e < group.order:
+        if not 0 <= e < n:
             raise RamificationError(f"element index {e} out of range")
-    orders = [group.element_orders[e] for e in idx]
-    if any(o < 2 for o in orders):
-        bad = idx[orders.index(1)]
+        orders.append(element_orders[e])
+        prod = mul[prod][e]
+    if 1 in orders:
         raise RamificationError(
-            f"entry {group.word(bad)} is the identity (order-1 entries are not allowed)"
+            f"entry {orders.index(1) + 1} (id) is the identity "
+            "(order-1 entries are not allowed)"
         )
-    prod = 0
-    for e in idx:
-        prod = group.mul(prod, e)
     if prod != 0:
         raise RamificationError(
             f"product of the entries is {group.word(prod)}, not the identity"
         )
-    if not (generates or _generation_test(group))(idx):
+    if not (generates or _SearchMemo(group).generates)(idx):
         raise RamificationError("the entries do not generate the group")
     return SphericalSystem(group, idx, tuple(sorted(orders)))
 
@@ -285,14 +307,18 @@ def quotient_system(system: SphericalSystem, quot: QuotientGroup) -> QuotientSys
 
 
 def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
-                     generates):
-    """Yield entry tuples of the given type (product one, generating).
+                     memo: _SearchMemo):
+    """Yield entry tuples of the given type (product one, generating), in
+    the order of the key [(o(x), x) for x in tuple]: the first entry's
+    order ascending, then the first entry ascending, then the same for the
+    next entries.  The final entry is forced by the product constraint, and
+    generation is tested by the search's `memo`.
 
-    Backtracking over positions; the final entry is forced by the product
-    constraint, and generation is tested by `generates`, the search's
-    memoised test.  When `first_entry_reps` is set, the first entry only
-    runs over conjugacy class representatives (complete up to simultaneous
-    conjugation).
+    When `first_entry_reps` is set, the first entry only runs over conjugacy
+    class representatives (complete up to simultaneous conjugation).
+    Otherwise it runs over every element e of G, but only the tuples that
+    start at the representative r of e's class are found by backtracking;
+    those that start at e are their conjugates (`_conjugate_batch`).
     """
     signature = tuple(sorted(signature))
     by_order: dict[int, list[int]] = {}
@@ -300,26 +326,45 @@ def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
         by_order.setdefault(group.element_orders[i], []).append(i)
     if any(m not in by_order for m in set(signature)):
         return
-    first_candidates: dict[int, list[int]] = {}
-    for m in set(signature):
+    rank = [0] * group.order  # x's place in the order of (o(x), x)
+    for i, x in enumerate(x for m in sorted(by_order) for x in by_order[m]):
+        rank[x] = i
+    class_of = group.class_of
+    for m, rest in _each_order_once(signature):
         if first_entry_reps:
-            first_candidates[m] = [
-                c.representative for c in group.conjugacy_classes
-                if c.element_order == m
-            ]
+            first = [c.representative for c in group.conjugacy_classes
+                     if c.element_order == m]
         else:
-            first_candidates[m] = by_order[m]
-    yield from _extend_tuples(group, generates, first_candidates, by_order,
-                              [], 0, signature)
+            first = by_order[m]
+        batches: dict[int, list[tuple[int, ...]]] = {}  # by class of the first entry
+        for e in first:
+            batch = batches.get(class_of[e])
+            if batch is None:
+                # e is the representative: the least member of its class, so
+                # the first one met; its tuples stream as they are found
+                batch = batches[class_of[e]] = []
+                for t in _extend_tuples(group, memo.generates, by_order, [e], e, rest):
+                    batch.append(t)
+                    yield t
+            else:
+                yield from _conjugate_batch(group, memo, batch, e, rank)
 
 
-def _extend_tuples(group: FiniteGroup, generates, first_candidates, by_order,
-                   prefix: list[int], prod: int, remaining: tuple[int, ...]):
+def _each_order_once(signature: tuple[int, ...]):
+    """(m, rest) for each distinct m of the sorted `signature`, ascending,
+    where rest is `signature` less one m (still sorted)."""
+    for pos, m in enumerate(signature):
+        if pos == 0 or signature[pos - 1] != m:
+            yield m, signature[:pos] + signature[pos + 1:]
+
+
+def _extend_tuples(group: FiniteGroup, generates, by_order, prefix: list[int],
+                   prod: int, remaining: tuple[int, ...]):
     """The generating tuples of product one that extend `prefix`, whose
-    product is `prod`, by entries of the orders `remaining`; `prefix` grows
-    and shrinks back as the backtracking goes.  A module-level generator,
-    not a closure over itself, so a search leaves no reference cycle
-    holding its group and memos."""
+    product is `prod`, by entries of the sorted orders `remaining`; `prefix`
+    grows and shrinks back as the backtracking goes.  A module-level
+    generator, not a closure over itself, so a search leaves no reference
+    cycle holding its group and memos."""
     if len(remaining) == 1:
         last = group.inverse(prod)
         if (
@@ -328,31 +373,39 @@ def _extend_tuples(group: FiniteGroup, generates, first_candidates, by_order,
         ):
             yield tuple(prefix) + (last,)
         return
-    seen_orders = set()
-    rest_sorted = sorted(remaining)
-    for pos, m in enumerate(rest_sorted):
-        if m in seen_orders:
-            continue
-        seen_orders.add(m)
-        rest = tuple(rest_sorted[:pos] + rest_sorted[pos + 1:])
-        pool = first_candidates[m] if not prefix else by_order[m]
-        for e in pool:
+    for m, rest in _each_order_once(remaining):
+        for e in by_order[m]:
             prefix.append(e)
-            yield from _extend_tuples(group, generates, first_candidates, by_order,
+            yield from _extend_tuples(group, generates, by_order,
                                       prefix, group.mul(prod, e), rest)
             prefix.pop()
 
 
-def iter_structure_keys(group: FiniteGroup, type_pair, generates, sigma_of):
+def _conjugate_batch(group: FiniteGroup, memo: _SearchMemo, batch, e: int, rank):
+    """The tuples that start at `e`, from the complete `batch` of those that
+    start at the representative r of e's class: with t^-1 e t = r, they are
+    the t u t^-1 for u in `batch`, yielded in enumeration order (`rank`).
+    Each inherits its generation and its Sigma from u."""
+    mul, inv = group._mul, group._inv
+    t = group._transversal[0][e]
+    left, t_inv = mul[t], inv[t]
+    pairs = [(tuple([mul[left[x]][t_inv] for x in u]), u) for u in batch]
+    pairs.sort(key=lambda pair: [rank[x] for x in pair[0]])
+    for image, source in pairs:
+        memo.inherit(image, source)
+        yield image
+
+
+def iter_structure_keys(group: FiniteGroup, type_pair, memo: _SearchMemo):
     """Canonical keys of all structures of the given type pair, in discovery
-    order, without duplicates.  Both sides share `generates` and `sigma_of`,
-    the search's generation test and class-set memo."""
+    order, without duplicates.  Both sides share `memo`, the search's
+    generation test and class-set memo."""
     a1, a2 = type_pair
     # only the least tuple of each C_G(r) orbit: see the module docstring
-    side1 = (t for t in _systems_of_type(group, a1, True, generates)
+    side1 = (t for t in _systems_of_type(group, a1, True, memo)
              if group.min_conjugate(t) == t)
-    side2 = _systems_of_type(group, a2, False, generates)
-    for t1, t2 in _disjoint_pairs(side1, side2, sigma_of):
+    side2 = _systems_of_type(group, a2, False, memo)
+    for t1, t2 in _disjoint_pairs(side1, side2, memo.sigma_of):
         yield t1 + t2
 
 
@@ -443,11 +496,10 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
         )
     for side in (a1, a2):
         genus(group.order, side)
-    generates = _generation_test(group)  # memos for this search only
-    sigma_of = _sigma_memo(group)
+    memo = _SearchMemo(group)  # for this search only
     keys = []
     limited = False
-    for key in iter_structure_keys(group, (a1, a2), generates, sigma_of):
+    for key in iter_structure_keys(group, (a1, a2), memo):
         if limit is not None and len(keys) == limit:
             limited = True  # one more key exists; it is not kept
             break
@@ -458,9 +510,9 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
     def system(entries):
         found = systems.get(entries)
         if found is None:
-            found = systems[entries] = validate_spherical(group, entries, generates)
+            found = systems[entries] = validate_spherical(group, entries, memo.generates)
             # the bucket's class set fills the `sigma` cache, as a first read would
-            found.__dict__["sigma"] = sigma_of(entries)
+            found.__dict__["sigma"] = memo.sigma_of(entries)
         return found
 
     out = [RamificationStructure(system(key[:len(a1)]), system(key[len(a1):]))

@@ -86,12 +86,10 @@ def assert_int_coordinates(table):
 
 
 def systems_of_type(group, signature, first_entry_reps):
-    """The search's tuple enumeration, with a fresh generation memo."""
-    return rm._systems_of_type(group, signature, first_entry_reps,
-                               rm._generation_test(group))
+    """The search's tuple enumeration, with fresh memos."""
+    return rm._systems_of_type(group, signature, first_entry_reps, rm._SearchMemo(group))
 
 
 def structure_keys(group, type_pair):
     """The search's key stream, with fresh memos, as one search makes them."""
-    return rm.iter_structure_keys(group, type_pair, rm._generation_test(group),
-                                  rm._sigma_memo(group))
+    return rm.iter_structure_keys(group, type_pair, rm._SearchMemo(group))

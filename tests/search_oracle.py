@@ -1,8 +1,14 @@
-"""The slow structure search that the tests compare the pruned one against.
+"""The slow searches that the tests compare the program's search against.
 
-It enumerates every tuple of G^r, canonicalises every Sigma-disjoint pair
-by `min_conjugate` over the whole tuple and keeps each key at its first
-visit.  It shares only the pairing (`_disjoint_pairs`) with the program.
+`naive_structure_keys` enumerates every tuple of G^r, canonicalises every
+Sigma-disjoint pair by `min_conjugate` over the whole tuple and keeps each
+key at its first visit.  It shares only the pairing (`_disjoint_pairs`)
+with the program.
+
+`backtracking_systems_of_type` is the enumeration of a search's second side
+before it conjugated: it backtracks from every first entry of G and closes
+every entry set itself.  The program's side 2 yields its stream, tuple for
+tuple and in order.
 """
 
 import itertools
@@ -31,6 +37,39 @@ def naive_systems_of_type(group, signature):
             yield t
 
 
+def backtracking_systems_of_type(group, signature):
+    """The generating tuples of product one of the given type, backtracking
+    over positions from every first entry: at each position the orders left
+    ascending, then the elements of that order ascending; the final entry is
+    forced by the product."""
+    by_order = {}
+    for x in range(1, group.order):
+        by_order.setdefault(group.element_orders[x], []).append(x)
+    full = frozenset(range(group.order))
+    gen_cache = {}
+
+    def generates(t):
+        key = frozenset(t)
+        if key not in gen_cache:
+            gen_cache[key] = group.closure(key) == full
+        return gen_cache[key]
+
+    def extend(prefix, prod, remaining):
+        if len(remaining) == 1:
+            last = group.inverse(prod)
+            t = tuple(prefix) + (last,)
+            if group.element_orders[last] == remaining[0] and generates(t):
+                yield t
+            return
+        for m in sorted(set(remaining)):
+            rest = list(remaining)
+            rest.remove(m)
+            for x in by_order.get(m, ()):
+                yield from extend(prefix + [x], group.mul(prod, x), rest)
+
+    yield from extend([], 0, sorted(signature))
+
+
 def naive_structure_keys(group, type_pair):
     """Canonical keys of all structures of the given type pair, in discovery
     order, without duplicates, from every pair of the exhausted sides."""
@@ -41,7 +80,7 @@ def naive_structure_keys(group, type_pair):
         else list(naive_systems_of_type(group, a2))
     )
     seen = set()
-    for t1, t2 in rm._disjoint_pairs(side1, side2, rm._sigma_memo(group)):
+    for t1, t2 in rm._disjoint_pairs(side1, side2, rm._SearchMemo(group).sigma_of):
         key = group.min_conjugate(t1 + t2)
         if key not in seen:
             seen.add(key)

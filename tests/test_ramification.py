@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 import re
@@ -13,7 +14,7 @@ from isoprod import ramification as rm
 from isoprod.structfile import parse_structure_file
 from algebra_oracle import full_subgroup, subgroup, trivial_subgroup
 from conftest import structure_keys, systems_of_type
-from search_oracle import canonical_key, naive_structure_keys
+from search_oracle import backtracking_systems_of_type, canonical_key, naive_structure_keys
 
 
 def entries(group, labels, lab):
@@ -75,7 +76,7 @@ def test_spherical_errors_name_the_element_as_a_word(z3z3, psl27, g128):
     """The identity-entry and the product refusals name the element at
     fault as a word in g1..gk, which `parse_word` maps back to it, in an
     abelian, a permutation and a polycyclic group."""
-    identity = r"entry (\S+) is the identity \(order-1 entries are not allowed\)"
+    identity = r"entry \d+ \((\S+)\) is the identity \(order-1 entries are not allowed\)"
     product = r"product of the entries is (\S+), not the identity"
     for group in (z3z3, psl27, g128):
         g = group.generators[0]
@@ -83,6 +84,23 @@ def test_spherical_errors_name_the_element_as_a_word(z3z3, psl27, g128):
         for x in range(1, group.order, 3):
             if group.mul(x, g) != 0:
                 assert _word_in_error(group, [x, g], product) == group.mul(x, g)
+
+
+def test_identity_refusal_names_the_first_identity_position(z3z3, psl27):
+    """An identity entry is refused at its 1-based position, the first one
+    when there are several, and before a product that is not the identity;
+    an index out of range is refused before either."""
+    for group in (z3z3, psl27):
+        g = group.generators[0]
+        cases = [([0, g, group.inverse(g)], 1), ([g, 0, group.inverse(g)], 2),
+                 ([g, group.inverse(g), 0], 3), ([g, 0, g, 0], 2), ([g, g, 0, 0, g], 3)]
+        for entries, pos in cases:
+            with pytest.raises(rm.RamificationError) as err:
+                rm.validate_spherical(group, entries)
+            assert str(err.value) == (
+                f"entry {pos} (id) is the identity (order-1 entries are not allowed)")
+        with pytest.raises(rm.RamificationError, match="out of range"):
+            rm.validate_spherical(group, [0, g, group.order])
 
 
 def test_validate_g128_tuples(g128):
@@ -512,7 +530,7 @@ def test_generation_test_matches_closure(monkeypatch, z3z3, q8, psl27, g128,
         lists = [[rng.randrange(group.order) for _ in range(rng.randint(1, 4))]
                  for _ in range(40)]
         want = [group.closure(t) == full for t in lists]
-        generates = rm._generation_test(group)
+        generates = rm._SearchMemo(group).generates
         assert [generates(t) for t in lists] == want
         with monkeypatch.context() as m:
             m.setattr(gr.FiniteGroup, "closure", None)  # a memo miss would fail
@@ -526,14 +544,15 @@ def test_memoised_generation_still_refuses_a_non_generating_tuple():
     answered for that entry set still refuses it, and a generating tuple
     validates as it does without the memo."""
     a5 = gr.alternating_group(5)
-    generates = rm._generation_test(a5)
+    memo = rm._SearchMemo(a5)
+    generates = memo.generates
     x = a5.element_orders.index(5)
     pair = (x, a5.inverse(x))
     assert not generates(pair)
     for test in (generates, None):
         with pytest.raises(rm.RamificationError, match="do not generate"):
             rm.validate_spherical(a5, pair, test)
-    t = next(rm._systems_of_type(a5, (2, 5, 5), True, generates))
+    t = next(rm._systems_of_type(a5, (2, 5, 5), True, memo))
     assert rm.validate_spherical(a5, t, generates) == rm.validate_spherical(a5, t)
 
 
@@ -559,24 +578,24 @@ def test_generation_memo_lives_for_one_search(monkeypatch):
         resources.files("isoprod.data").joinpath("psl2f7_a.search").read_text())
     group = sfile.build()
     tested, closures = [], []
-    real_test, real_closure = rm._generation_test, gr.FiniteGroup.closure
+    real_init, real_test = rm._SearchMemo.__init__, rm._SearchMemo.generates
+    real_closure = gr.FiniteGroup.closure
 
-    def recording(group):
-        generates = real_test(group)
-        sets = set()
-        tested.append(sets)
+    def recording_init(self, group):
+        real_init(self, group)
+        self.tested = set()
+        tested.append(self.tested)
 
-        def recorded(entries):
-            sets.add(frozenset(entries))
-            return generates(entries)
-
-        return recorded
+    def recorded(self, entries):
+        self.tested.add(frozenset(entries))
+        return real_test(self, entries)
 
     def counting(self, gens):
         closures[-1] += 1
         return real_closure(self, gens)
 
-    monkeypatch.setattr(rm, "_generation_test", recording)
+    monkeypatch.setattr(rm._SearchMemo, "__init__", recording_init)
+    monkeypatch.setattr(rm._SearchMemo, "generates", recorded)
     monkeypatch.setattr(gr.FiniteGroup, "closure", counting)
     for _ in range(2):
         closures.append(0)
@@ -697,15 +716,162 @@ def test_lazy_pairing_matches_list_pairing(monkeypatch, z3z3, q8, psl27, g128,
     assert nonempty >= 9, nonempty
 
 
+def _seeded_types(group, length, rng, count):
+    """Up to `count` distinct types of spherical systems of `group` with
+    `length` entries, from random product-one tuples."""
+    found = []
+    for _ in range(300):
+        entries = [rng.randrange(1, group.order) for _ in range(length - 1)]
+        prod = 0
+        for e in entries:
+            prod = group.mul(prod, e)
+        try:
+            signature = rm.validate_spherical(group, entries + [group.inverse(prod)]).signature
+        except rm.RamificationError:
+            continue
+        if signature not in found:
+            found.append(signature)
+            if len(found) == count:
+                break
+    return found
+
+
+def test_side_two_streams_as_backtracking_from_every_first_entry(monkeypatch, z3z3, q8, psl27,
+                                                                  g128, z2cubed_z4):
+    """Side 2 (conjugates of the batches that start at class representatives)
+    yields the stream of the backtracking over every first entry, tuple for
+    tuple and in order, on seeded types of length 2-4 (and 5-6 on the small
+    groups): in full, or its first 3000 tuples where it is longer.  Each
+    conjugate's generation and Sigma are known without a closure or a Sigma
+    computation."""
+    from test_acceptance import _random_small_groups
+
+    rng = random.Random(2112)
+    compared, conjugated = Counter(), Counter()
+    for group in [z3z3, q8, psl27, g128, z2cubed_z4, gr.alternating_group(5)] + \
+            _random_small_groups():
+        reps = {c.representative for c in group.conjugacy_classes}
+        for length in (2, 3, 4) + ((5, 6) if group.order <= 24 else ()):
+            for signature in _seeded_types(group, length, rng, 2):
+                memo = rm._SearchMemo(group)
+                got = list(itertools.islice(
+                    rm._systems_of_type(group, signature, False, memo), 3000))
+                want = list(itertools.islice(
+                    backtracking_systems_of_type(group, signature), 3000))
+                assert got == want, (group.recipe, signature)
+                conjugates = [t for t in got if t[0] not in reps]
+                want_sigma = [rm._sigma_classes(group, t) for t in conjugates]
+                with monkeypatch.context() as m:
+                    m.setattr(gr.FiniteGroup, "closure", None)  # a memo miss would fail
+                    m.setattr(rm, "_sigma_classes", None)
+                    assert all(memo.generates(t) for t in conjugates)
+                    assert [memo.sigma_of(t) for t in conjugates] == want_sigma
+                compared[length] += 1
+                conjugated[group.recipe] += len(conjugates)
+    # only a cyclic group has a spherical system of length 2
+    assert compared[2] >= 5 and all(compared[n] >= 10 for n in (3, 4, 5, 6)), compared
+    for group in (q8, psl27, g128, z2cubed_z4):
+        assert conjugated[group.recipe] > 0, group.recipe
+
+
+# sha256 of the discovery-order key stream (`iter_structure_keys`) and of the
+# sorted keys `find_structures(..., limit=k)` returns, with its `limited`,
+# recorded before side 2 was found by conjugation
+KEY_STREAM_DIGESTS = {
+    "A5 (2,5,5)/(3,3,3,3)": (
+        6480, "41dd66ddd194eecd0d81f7efb49148e940ffb0ba9207b4d7cfa66ebc93e25422", {
+            1: "5b93bec0b121a83e9e3998dc84a544809825ee7afd263d38791067861e2f74a4",
+            7: "ea719f0cac10a1a27c06467534def87fe8a2f2aa10cf10172a11039849fc2e9d",
+            100: "e3a355c4b65271652cf5d10d5a178359467fdb16bdef282d79ed6418a50f5c3d"}),
+    "psl2f7_a": (
+        4032, "ac4cefbf97fe27755308cc16cbd64d901d298c6da69fc030b8877bbdd6c64436", {
+            1: "f437fe1641c4ab14904cdbdc701c0ee330e3adc9794cd094e503c5ef409045bf",
+            7: "4deded757a385eea04d37c591ddc7b44af858d9b5d14c4038d029fb0722d9b19",
+            100: "cfc1e42db81ecba66e62292d52c4b723a32d896ba830abb31aab770138647a59"}),
+    "psl2f7_b": (
+        4032, "f8960e70add498702886e4b537fe5e13f1ea429c8f8d432560d0258aed89ef3b", {
+            1: "536ac88e603f457bc7059cf410808ec4c7e386aed0eea068695d2d7bf6a44812",
+            7: "18fcf00755441d0410c434cc33231cb2282be6613e968f6f44306ef7ebf2e74b",
+            100: "eb8b854c8e7e104516fe7c6bad5248fe5b05e11dce5a9f48c00b58e3051b758f"}),
+}
+
+
+def _search_case(name):
+    if name.startswith("A5"):
+        return gr.alternating_group(5), ((2, 5, 5), (3, 3, 3, 3))
+    sfile = parse_structure_file(
+        resources.files("isoprod.data").joinpath(name + ".search").read_text())
+    return sfile.build(), sfile.type_pair
+
+
+def _stream_digest(keys):
+    return hashlib.sha256("\n".join(",".join(map(str, k)) for k in keys).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(KEY_STREAM_DIGESTS))
+def test_key_stream_and_limited_results_are_pinned(name):
+    group, types = _search_case(name)
+    count, stream, limited = KEY_STREAM_DIGESTS[name]
+    keys = list(structure_keys(group, types))
+    assert len(keys) == count
+    assert _stream_digest(keys) == stream
+    for k, want in limited.items():
+        found, was_limited = rm.find_structures(group, types, limit=k)
+        assert was_limited
+        assert _stream_digest(canonical_key(s) for s in found) == want
+
+
+def test_checks_run_only_on_tuples_from_class_representatives(monkeypatch):
+    """A full `psl2f7_a` search closes each entry set at most once, and only
+    entry sets of product-one tuples of a side's type that start at a class
+    representative; it computes Sigma at most once per such tuple, and for
+    no other.  The tuples that start elsewhere inherit both."""
+    group, types = _search_case("psl2f7_a")
+    reps = {c.representative for c in group.conjugacy_classes}
+    from_reps = set()
+    for signature in types:
+        for rest in itertools.product(range(1, group.order), repeat=len(signature) - 2):
+            for r in reps:
+                prod = r
+                for e in rest:
+                    prod = group.mul(prod, e)
+                t = (r,) + rest + (group.inverse(prod),)
+                if sorted(group.element_orders[e] for e in t) == sorted(signature):
+                    from_reps.add(t)
+    closed, sigmas = [], []
+    real_closure, real_sigma = gr.FiniteGroup.closure, rm._sigma_classes
+
+    def counting_closure(self, gens):
+        closed.append(frozenset(gens))
+        return real_closure(self, gens)
+
+    def counting_sigma(group, entries):
+        sigmas.append(tuple(entries))
+        return real_sigma(group, entries)
+
+    monkeypatch.setattr(gr.FiniteGroup, "closure", counting_closure)
+    monkeypatch.setattr(rm, "_sigma_classes", counting_sigma)
+    found = rm.search_structures(group, types)
+    monkeypatch.undo()
+    assert len(found) == 4032
+    assert 0 < len(closed) == len(set(closed))
+    assert set(closed) <= {frozenset(t) for t in from_reps}
+    assert 0 < len(sigmas) == len(set(sigmas))
+    assert set(sigmas) <= from_reps
+    # side 2 starts at every element, so most of its tuples were not checked
+    t2s = {s.t2.entries for s in found}
+    assert len(t2s - from_reps) > len(t2s & from_reps)
+
+
 @pytest.fixture
 def pulled(monkeypatch):
     """Counts of the tuples each started side enumeration yields, by type."""
     counts = {}
     real = rm._systems_of_type
 
-    def counting(group, signature, first_entry_reps, generates):
+    def counting(group, signature, first_entry_reps, memo):
         counts.setdefault(tuple(signature), 0)
-        for t in real(group, signature, first_entry_reps, generates):
+        for t in real(group, signature, first_entry_reps, memo):
             counts[tuple(signature)] += 1
             yield t
 
