@@ -27,6 +27,7 @@ from .ramification import (
     RamificationError,
     check_search_options,
     find_structures,
+    genus,
 )
 from .structfile import ParseError, parse_structure_file
 from .surface import SurfaceError
@@ -115,13 +116,15 @@ def cmd_search(args) -> int:
     group = sfile.build(order_bound=args.bound)
     structures, limited = find_structures(group, sfile.type_pair,
                                           limit=args.limit, bound=args.bound)
+    # every structure has the genera of the type pair
+    genera = [genus(group.order, side) for side in sfile.type_pair]
     doc = {
         "group": group.recipe,
         "types": [list(sfile.type_pair[0]), list(sfile.type_pair[1])],
         "count": len(structures),
         "limited": limited,
         "structures": [
-            {"C": s.t1.words(), "D": s.t2.words(), "genera": list(s.genera())}
+            {"C": s.t1.words(), "D": s.t2.words(), "genera": genera}
             for s in structures
         ],
     }

@@ -107,6 +107,7 @@ class FiniteGroup:
         self.recipe = recipe
         self.generators = tuple(index[g] for g in gen_labels)
         self._parents = parents
+        self._words: dict[int, str] = {}  # the memo of `word`
         cols = [list(range(n))]
         for p, gpos in parents[1:]:
             cols.append(list(map(right[gpos].__getitem__, cols[p])))
@@ -169,7 +170,14 @@ class FiniteGroup:
         return all(self._mul[a][b] == self._mul[b][a] for a in gens for b in gens)
 
     def word(self, i: int) -> str:
-        """`i` as a product of the declared generators (from its BFS path)."""
+        """`i` as a product of the declared generators (from its BFS path),
+        spelt once per element and group."""
+        found = self._words.get(i)
+        if found is None:
+            found = self._words[i] = self._spell(i)
+        return found
+
+    def _spell(self, i: int) -> str:
         if i == 0:
             return "id"
         gens = []

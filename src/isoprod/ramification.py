@@ -51,27 +51,32 @@ tuple and in order; the tests keep that backtracking as the oracle.
 
 A search pays for each check once, and only on tuples that start at a
 class representative.  One memo per search (`_SearchMemo`) holds the
-generation test, by entry set, and the Sigma class sets, by entry tuple.
-It serves both sides' enumerations, the Sigma buckets and the
-`validate_spherical` call that builds each distinct tuple of a key: a tuple
-that the enumeration proved generating is not closed again, and each key
-tuple's `SphericalSystem` gets its bucket's class set, which the
-disjointness check in `RamificationStructure` then reads.  A conjugate
-inherits both answers from its source u: <t u t^-1> = t <u> t^-1 is G, and
-Sigma is a union of classes, so the conjugate's class set is u's (the same
-object).  The memo is made per search and dies with it; nothing is kept on
-the group.  A system built outside a search computes its class set once,
-on first use.
+generation test, by entry set, the Sigma class sets, by entry tuple, and
+the `SphericalSystem` of each distinct tuple of a structure.  It serves
+both sides' enumerations, the Sigma buckets and the `validate_spherical`
+call that builds each of those systems: a tuple that the enumeration
+proved generating is not closed again, and each system gets its bucket's
+class set, which the disjointness check in `RamificationStructure` then
+reads.  A conjugate inherits both answers from its source u:
+<t u t^-1> = t <u> t^-1 is G, and Sigma is a union of classes, so the
+conjugate's class set is u's (the same object).  The memo is made per
+search and dies with it; nothing is kept on the group.  A system built
+outside a search computes its class set once, on first use.
 
-The pairing reads each side only as far as the keys taken need, so
-`limit=k` stops after k + 1 keys.  A side's Sigma buckets are filled as
+The result is built from the pairs (t1, t2) themselves, never from their
+concatenation: every t1 has the length of side 1's type, so sorting the
+pairs sorts the keys t1 + t2.  In the sorted pairs all the pairs of one t1
+are adjacent, so its system is looked up once for them all.
+
+The pairing reads each side only as far as the pairs taken need, so
+`limit=k` stops after k + 1 pairs.  A side's Sigma buckets are filled as
 its tuples arrive: a new Sigma-set opens a bucket at the end of the bucket
 list, and a tuple joins its bucket at the end.  A reader that gets past
 the end of the bucket list, or of one bucket, pulls tuples until that list
 grows or the side runs out.  Both lists only grow at their ends, so every
 reader meets the buckets and the members in the order of a side read in
 full first; the loops over them (bucket of side 1, disjoint bucket of side
-2, t1, t2) are those of that full reading, and so are the key stream and
+2, t1, t2) are those of that full reading, and so are the pair stream and
 its order.  Side 2 is not started while side 1 has yielded no tuple.
 """
 
@@ -79,6 +84,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -88,6 +94,7 @@ from .groups import FiniteGroup, QuotientGroup
 DEFAULT_SEARCH_BOUND = 512
 MAX_TUPLE_LENGTH = 6
 _ONLY_IDENTITY = frozenset({0})  # the class set of {id}
+_INT_ONLY = frozenset({int})  # the entry types that need no conversion
 
 
 class RamificationError(ValueError):
@@ -98,7 +105,7 @@ class RamificationError(ValueError):
 # spherical systems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SphericalSystem:
     """A validated generating tuple with product one; `signature` is the
     sorted multiset of entry orders (the system's type)."""
@@ -106,6 +113,15 @@ class SphericalSystem:
     group: FiniteGroup
     entries: tuple[int, ...]
     signature: tuple[int, ...]
+
+    def __init__(self, group: FiniteGroup, entries: tuple[int, ...],
+                 signature: tuple[int, ...]):
+        # the instance is frozen: the fields go straight into its dict, which
+        # is cheaper than the generated __init__'s object.__setattr__ calls
+        fields = self.__dict__
+        fields["group"] = group
+        fields["entries"] = entries
+        fields["signature"] = signature
 
     @property
     def length(self) -> int:
@@ -126,7 +142,8 @@ class SphericalSystem:
 
 class _SearchMemo:
     """The checks of one search, each paid once: the generation test,
-    memoised by entry set, and the Sigma class sets, memoised by entry tuple.
+    memoised by entry set, the Sigma class sets, memoised by entry tuple, and
+    the validated system of each distinct tuple of a structure (`systems`).
     Equal class sets are kept as one object, so the Sigma memo holds one set
     per Sigma bucket, not one per tuple.  A conjugate of a generating tuple
     inherits both answers from its source (`inherit`).  One search makes one
@@ -137,6 +154,7 @@ class _SearchMemo:
         self._generating: dict[frozenset, bool] = {}
         self._sigma: dict[tuple[int, ...], frozenset[int]] = {}
         self._shared: dict[frozenset[int], frozenset[int]] = {}
+        self.systems: dict[tuple[int, ...], SphericalSystem] = {}
 
     def generates(self, entries) -> bool:
         key = frozenset(entries)
@@ -160,21 +178,34 @@ class _SearchMemo:
         self._generating[frozenset(image)] = True
         self._sigma[image] = self.sigma_of(source)
 
+    def system(self, entries: tuple[int, ...]) -> SphericalSystem:
+        """The system of the enumerated tuple `entries`, validated once per
+        search through this memo's generation test; its `sigma` is the
+        bucket's class set, as a first read would compute it."""
+        found = self.systems.get(entries)
+        if found is None:
+            found = self.systems[entries] = validate_spherical(
+                self._group, entries, self.generates)
+            found.__dict__["sigma"] = self.sigma_of(entries)
+        return found
+
 
 def validate_spherical(group: FiniteGroup, entries, generates=None) -> SphericalSystem:
     """Check the spherical-system axioms and compute the type.  `generates`
     is the generation test of the caller's search (a fresh one without).
-    An index out of range is refused first, then an identity entry (named
-    by its 1-based position), then a product other than the identity."""
-    idx = tuple(int(e) for e in entries)
+    An entry that is not an integer is refused first (named by its 1-based
+    position), then an index out of range, then an identity entry (named by
+    its position), then a product other than the identity."""
+    idx = tuple(entries)
+    if set(map(type, idx)) != _INT_ONLY:
+        idx = tuple(map(_element_index, itertools.count(1), idx))
     _check_length(len(idx))
-    n, mul, element_orders = group.order, group._mul, group.element_orders
-    orders, prod = [], 0
+    n, mul, prod = group.order, group._mul, 0
     for e in idx:
         if not 0 <= e < n:
             raise RamificationError(f"element index {e} out of range")
-        orders.append(element_orders[e])
         prod = mul[prod][e]
+    orders = list(map(group.element_orders.__getitem__, idx))
     if 1 in orders:
         raise RamificationError(
             f"entry {orders.index(1) + 1} (id) is the identity "
@@ -187,6 +218,17 @@ def validate_spherical(group: FiniteGroup, entries, generates=None) -> Spherical
     if not (generates or _SearchMemo(group).generates)(idx):
         raise RamificationError("the entries do not generate the group")
     return SphericalSystem(group, idx, tuple(sorted(orders)))
+
+
+def _element_index(pos: int, entry) -> int:
+    """`entry`, the 1-based `pos`-th entry of a tuple, as an element index:
+    an int, or what `operator.index` takes for one, but never a bool."""
+    if not isinstance(entry, bool):
+        try:
+            return operator.index(entry)
+        except TypeError:
+            pass
+    raise RamificationError(f"entry {pos} ({entry!r}) is not an element index")
 
 
 def genus(order: int, signature) -> int:
@@ -250,18 +292,22 @@ def is_disjoint(t1: SphericalSystem, t2: SphericalSystem) -> bool:
     return sigma_set(t1) & sigma_set(t2) == _ONLY_IDENTITY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RamificationStructure:
     """A disjoint pair of spherical systems over one group."""
 
     t1: SphericalSystem
     t2: SphericalSystem
 
-    def __post_init__(self):
-        if not is_disjoint(self.t1, self.t2):
+    def __init__(self, t1: SphericalSystem, t2: SphericalSystem):
+        if not is_disjoint(t1, t2):
             raise RamificationError(
                 "the two systems are not disjoint: the diagonal action is not free"
             )
+        # frozen: the fields go straight into the dict, as in SphericalSystem
+        fields = self.__dict__
+        fields["t1"] = t1
+        fields["t2"] = t2
 
     @property
     def group(self) -> FiniteGroup:
@@ -396,17 +442,17 @@ def _conjugate_batch(group: FiniteGroup, memo: _SearchMemo, batch, e: int, rank)
         yield image
 
 
-def iter_structure_keys(group: FiniteGroup, type_pair, memo: _SearchMemo):
-    """Canonical keys of all structures of the given type pair, in discovery
-    order, without duplicates.  Both sides share `memo`, the search's
-    generation test and class-set memo."""
+def iter_structure_pairs(group: FiniteGroup, type_pair, memo: _SearchMemo):
+    """The pairs (t1, t2) of all structures of the given type pair, in
+    discovery order, without duplicates; t1 + t2 is the structure's
+    canonical key.  Both sides share `memo`, the search's generation test
+    and class-set memo."""
     a1, a2 = type_pair
     # only the least tuple of each C_G(r) orbit: see the module docstring
     side1 = (t for t in _systems_of_type(group, a1, True, memo)
              if group.min_conjugate(t) == t)
     side2 = _systems_of_type(group, a2, False, memo)
-    for t1, t2 in _disjoint_pairs(side1, side2, memo.sigma_of):
-        yield t1 + t2
+    return _disjoint_pairs(side1, side2, memo.sigma_of)
 
 
 class _SigmaBuckets:
@@ -497,24 +543,17 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
     for side in (a1, a2):
         genus(group.order, side)
     memo = _SearchMemo(group)  # for this search only
-    keys = []
-    limited = False
-    for key in iter_structure_keys(group, (a1, a2), memo):
-        if limit is not None and len(keys) == limit:
-            limited = True  # one more key exists; it is not kept
-            break
-        keys.append(key)
-    keys.sort()
-    systems: dict[tuple[int, ...], SphericalSystem] = {}  # one per entries tuple
-
-    def system(entries):
-        found = systems.get(entries)
-        if found is None:
-            found = systems[entries] = validate_spherical(group, entries, memo.generates)
-            # the bucket's class set fills the `sigma` cache, as a first read would
-            found.__dict__["sigma"] = memo.sigma_of(entries)
-        return found
-
-    out = [RamificationStructure(system(key[:len(a1)]), system(key[len(a1):]))
-           for key in keys]
+    pairs = list(itertools.islice(iter_structure_pairs(group, (a1, a2), memo),
+                                  None if limit is None else limit + 1))
+    limited = limit is not None and len(pairs) > limit
+    if limited:
+        pairs.pop()  # one more structure exists; it is not kept
+    pairs.sort()  # by key: every t1 has length len(a1)
+    systems, system = memo.systems, memo.system
+    out = []
+    last = None
+    for t1, t2 in pairs:
+        if t1 != last:
+            last, s1 = t1, system(t1)
+        out.append(RamificationStructure(s1, systems.get(t2) or system(t2)))
     return out, limited

@@ -92,4 +92,5 @@ def systems_of_type(group, signature, first_entry_reps):
 
 def structure_keys(group, type_pair):
     """The search's key stream, with fresh memos, as one search makes them."""
-    return rm.iter_structure_keys(group, type_pair, rm._SearchMemo(group))
+    return (t1 + t2 for t1, t2 in
+            rm.iter_structure_pairs(group, type_pair, rm._SearchMemo(group)))

@@ -9,8 +9,9 @@ After a change that is meant to alter an output, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-and review the diff.  `TABLE_DIGESTS` (sha256 of `render_table` for a few
-groups) is kept in this file and is not rewritten by that command.
+and review the diff.  `FULL_SEARCH_DIGESTS` (sha256 of a full search's
+output) and `TABLE_DIGESTS` (sha256 of `render_table` for a few groups) are
+kept in this file and are not rewritten by that command.
 """
 
 import functools
@@ -72,6 +73,24 @@ def test_cli_output_matches_golden_file(name, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == _expected_exit_codes()[name]
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+# sha256 of the stdout of the unlimited `search psl2f7_a.search` (all 4,032
+# structures), as text and as JSON; too long to keep as golden files
+FULL_SEARCH_DIGESTS = {
+    "text": "fe453d41e9808710ba0adb2a9d4205f004c17afa0347a0f5180061273e5ccbc1",
+    "json": "6f97fca4d24a5c82262afbcec62d7347a53047984757faa6ba999871e4d4d40d",
+}
+
+
+@pytest.mark.parametrize("form", sorted(FULL_SEARCH_DIGESTS))
+def test_full_search_output_digest(form, tmp_path, monkeypatch, capsys):
+    _write_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = ["search", "psl2f7_a.search"] + (["--json"] if form == "json" else [])
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FULL_SEARCH_DIGESTS[form]
 
 
 # sha256 of `render_table` for groups whose nonlinear part needs the

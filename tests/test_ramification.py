@@ -517,6 +517,45 @@ def test_search_validates_each_distinct_tuple_once(monkeypatch):
             assert system == rm.validate_spherical(group, system.entries)
 
 
+@pytest.mark.parametrize("limit", [1, 7, 100])
+def test_limited_search_validates_only_what_it_returns(monkeypatch, limit):
+    """A limited search validates each distinct tuple of the structures it
+    returns once, and no other tuple; every returned system holds its
+    entries' class set."""
+    group = gr.alternating_group(5)
+    calls = []
+    validate = rm.validate_spherical
+
+    def counting(group, entries, generates=None):
+        calls.append(tuple(entries))
+        return validate(group, entries, generates)
+
+    monkeypatch.setattr(rm, "validate_spherical", counting)
+    found = rm.search_structures(group, ((2, 5, 5), (3, 3, 3, 3)), limit=limit)
+    monkeypatch.undo()
+    assert len(found) == limit
+    returned = {system.entries for s in found for system in (s.t1, s.t2)}
+    assert sorted(calls) == sorted(returned)
+    for s in found:
+        for system in (s.t1, s.t2):
+            assert "sigma" in system.__dict__
+            assert system.sigma == rm._sigma_classes(group, system.entries)
+
+
+def test_non_integer_entries_are_refused_at_their_position(z3z3):
+    """A float, a numeric string or a bool is not an element index, although
+    `int` would turn each into one; the first such entry is refused by its
+    1-based position, before any range check."""
+    assert rm.validate_spherical(z3z3, (1, 2, 8)).entries == (1, 2, 8)
+    cases = [((1.7, 2.7, 8.7), 1, "1.7"), (("1", "2", "8"), 1, "'1'"),
+             ((True, 2, 8), 1, "True"), ((1, 2.0, 8), 2, "2.0"),
+             ((1, 2, False, -1), 3, "False"), ((z3z3.order, None), 2, "None")]
+    for entries, pos, shown in cases:
+        with pytest.raises(rm.RamificationError) as err:
+            rm.validate_spherical(z3z3, entries)
+        assert str(err.value) == f"entry {pos} ({shown}) is not an element index"
+
+
 def test_generation_test_matches_closure(monkeypatch, z3z3, q8, psl27, g128,
                                          z2cubed_z4):
     """The memoised generation test answers as a closure does, on seeded
@@ -774,9 +813,10 @@ def test_side_two_streams_as_backtracking_from_every_first_entry(monkeypatch, z3
         assert conjugated[group.recipe] > 0, group.recipe
 
 
-# sha256 of the discovery-order key stream (`iter_structure_keys`) and of the
-# sorted keys `find_structures(..., limit=k)` returns, with its `limited`,
-# recorded before side 2 was found by conjugation
+# sha256 of the discovery-order key stream (the pairs of
+# `iter_structure_pairs`, joined) and of the sorted keys
+# `find_structures(..., limit=k)` returns, with its `limited`, recorded
+# before side 2 was found by conjugation
 KEY_STREAM_DIGESTS = {
     "A5 (2,5,5)/(3,3,3,3)": (
         6480, "41dd66ddd194eecd0d81f7efb49148e940ffb0ba9207b4d7cfa66ebc93e25422", {
