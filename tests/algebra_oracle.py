@@ -1,14 +1,133 @@
 """Oracles for the algebra: plain definitions, element by element, that the
-tests check the program's tables, orbits, idempotents and subgroups
+tests check the program's groups, tables, orbits, idempotents and subgroups
 against.  The program itself never needs them.
 """
 
+import math
 from fractions import Fraction
 
 from isoprod import catalog as cat
 from isoprod import chartab as ct
+from isoprod import groups as gr
 from isoprod.cyclotomic import CyclotomicNumber
 from isoprod.groups import Subgroup
+
+# -- groups
+
+
+def breadth_first(identity, label_mul, generators, order_bound=gr.DEFAULT_ORDER_BOUND):
+    """The BFS of `FiniteGroup.__init__`: (elements, their index, the BFS
+    tree parents[x] = (parent, generator position), right[gpos][x] = x*g)."""
+    index = {identity: 0}
+    elems = [identity]
+    parents = [(-1, -1)]
+    right = [[] for _ in generators]
+    queue = 0
+    while queue < len(elems):
+        x = elems[queue]
+        for gpos, g in enumerate(generators):
+            y = label_mul(x, g)
+            k = index.get(y)
+            if k is None:
+                if len(elems) >= order_bound:
+                    raise gr.OrderBoundError(order_bound)
+                k = index[y] = len(elems)
+                elems.append(y)
+                parents.append((queue, gpos))
+            right[gpos].append(k)
+        queue += 1
+    return elems, index, parents, right
+
+
+def cayley_table(identity, label_mul, generators, order_bound=gr.DEFAULT_ORDER_BOUND):
+    """A group's BFS enumeration and table, as `FiniteGroup.__init__` builds
+    them, with associativity proved on every Cayley edge, O(k |G|^2) for k
+    generators: each edge y -> z = y*g that is not a BFS tree edge must
+    satisfy column z = right[g] o column y, that is (x*y)*g = x*(y*g) for
+    all x.  Returns the attributes the group gets (labels, _parents,
+    generators, _mul, _inv); raises the GroupError that it must raise."""
+    elems, index, parents, right = breadth_first(identity, label_mul, generators,
+                                                 order_bound)
+    n = len(elems)
+    cols = [list(range(n))]
+    for p, gpos in parents[1:]:
+        cols.append(list(map(right[gpos].__getitem__, cols[p])))
+    for gpos, rg in enumerate(right):
+        for y, z in enumerate(rg):
+            if parents[z] != (y, gpos) and cols[z] != list(map(rg.__getitem__, cols[y])):
+                raise gr.GroupError("multiplication is not associative "
+                                    "(inconsistent construction)")
+    table = [list(row) for row in zip(*cols)]
+    inv = [row.index(0) if 0 in row else -1 for row in table]
+    if any(j < 0 or table[j][i] != 0 for i, j in enumerate(inv)):
+        raise gr.GroupError("two-sided inverses missing (inconsistent construction)")
+    return {"labels": elems, "_parents": parents,
+            "generators": tuple(index[g] for g in generators),
+            "_mul": table, "_inv": inv}
+
+
+_COLLECT_STEP_BOUND = 200_000
+
+
+def collect(orders, powers, conjugates, word):
+    """Normal form (exponent tuple) of a word, a list of generator
+    positions, in the polycyclic presentation with relative orders
+    `orders`, power words `powers[i]` and conjugate words
+    `conjugates[(i, j)]` (defaults id and g_i).
+
+    Collection from the left: repeatedly rewrite the leftmost violation,
+    either a descent g_i g_j with i > j (swap via the conjugation relation)
+    or a full power run (replace via the power relation)."""
+    w = list(word)
+    for _ in range(_COLLECT_STEP_BOUND):
+        violation = None
+        run_start, run_len = 0, 0
+        for t in range(len(w)):
+            if run_len and w[t] == w[run_start]:
+                run_len += 1
+            else:
+                run_start, run_len = t, 1
+            if run_len == orders[w[run_start]]:
+                violation = ("power", run_start, w[run_start])
+                break
+            if t + 1 < len(w) and w[t] > w[t + 1]:
+                violation = ("swap", t, None)
+                break
+        if violation is None:
+            exps = [0] * len(orders)
+            for g in w:
+                exps[g] += 1
+            return tuple(exps)
+        kind, t, g = violation
+        if kind == "power":
+            w[t:t + orders[g]] = list(powers.get(g, ()))
+        else:
+            i, j = w[t], w[t + 1]
+            w[t:t + 2] = [j] + list(conjugates.get((i, j), (i,)))
+    raise gr.GroupError("collection failed to terminate: inconsistent relations")
+
+
+def collected_polycyclic_table(orders, powers, conjugates,
+                               order_bound=gr.DEFAULT_ORDER_BOUND):
+    """`cayley_table` of the polycyclic presentation, with label
+    multiplication by collection; a GroupError unless the table has all
+    prod(orders) normal forms."""
+    if math.prod(orders) > order_bound:
+        raise gr.OrderBoundError(order_bound)
+    k = len(orders)
+
+    def expand(exps):
+        return [g for g, e in enumerate(exps) for _ in range(e)]
+
+    def mul(a, b):
+        return collect(orders, powers, conjugates, expand(a) + expand(b))
+
+    gens = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+    out = cayley_table((0,) * k, mul, gens, order_bound)
+    if len(out["labels"]) != math.prod(orders):
+        raise gr.GroupError("inconsistent polycyclic relations")
+    return out
+
 
 # -- characters
 

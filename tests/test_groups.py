@@ -1,13 +1,15 @@
 import contextlib
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebra_oracle import contains_trivial, full_subgroup, subgroup, trivial_subgroup
+from algebra_oracle import (breadth_first, cayley_table, collected_polycyclic_table,
+                            contains_trivial, full_subgroup, subgroup, trivial_subgroup)
 from conftest import G128_RECIPE, PSL27_RECIPE, Z2CUBED_Z4_RECIPE
 from isoprod import chartab as ct
 from isoprod import groups as gr
@@ -51,15 +53,26 @@ def test_non_associative_recipes_rejected():
     # (ab)c != a(bc): g2^g1 = g2^2*g3 is not an automorphism of <g2, g3>
     with pytest.raises(gr.GroupError):
         gr.polycyclic_group([2, 3, 2], conjugates={(1, 0): (1, 1, 2)})
-    # g2 has order 9 and g2^g1 = g2^2 has order 6 mod 9; every element has
-    # a two-sided inverse in the table the Cayley graph gives, so only the
-    # associativity check on its edges rejects this one
+    # g2 has order 9 and g2^g1 = g2^2 has order 6 mod 9; all 18 normal forms
+    # are reached and every element has a two-sided inverse in the table the
+    # Cayley graph gives, so only the associativity check, on the rows of
+    # the generators, rejects this one
     with pytest.raises(gr.GroupError):
         gr.polycyclic_group([2, 3, 3], powers={1: (2,)}, conjugates={(1, 0): (1, 1)})
     # squaring is an automorphism of Z7 of order 3, not 2
     with pytest.raises(gr.GroupError):
         gr.build_group("group = semidirect [cyclic 7] [cyclic 2]\n"
                        "act g2: g1 -> g1^2")
+
+
+def test_generator_that_does_not_multiply_as_itself_is_rejected():
+    """Check (a): under x*1 = x + 3 on Z/4 the BFS enumerates Z4, whose
+    table is associative, but the element labelled 1 multiplies as x + 1,
+    so the words of the elements would not read back.  Every recipe's
+    identity fixes its generator labels, where (a) holds by construction."""
+    with pytest.raises(gr.GroupError, match="not associative"):
+        gr.FiniteGroup(0, lambda a, b: (a + 3 * b) % 4, [1], "contrived")
+    assert gr.FiniteGroup(0, lambda a, b: (a + b) % 4, [1, 3], "cyclic 4").order == 4
 
 
 def test_overlapping_cycles_are_rejected():
@@ -76,21 +89,7 @@ def _per_pair_table(identity, label_mul, generators,
                     order_bound=gr.DEFAULT_ORDER_BOUND):
     """BFS enumeration, then `label_mul` on every pair of elements: the
     table fill that the Cayley-graph fill replaced, kept as its oracle."""
-    index = {identity: 0}
-    elems = [identity]
-    parents = [(-1, -1)]
-    queue = 0
-    while queue < len(elems):
-        x = elems[queue]
-        for gpos, g in enumerate(generators):
-            y = label_mul(x, g)
-            if y not in index:
-                if len(elems) >= order_bound:
-                    raise gr.GroupError(f"group order exceeds the bound {order_bound}")
-                index[y] = len(elems)
-                elems.append(y)
-                parents.append((queue, gpos))
-        queue += 1
+    elems, index, parents, _ = breadth_first(identity, label_mul, generators, order_bound)
     table = []
     for x in elems:
         row = []
@@ -110,15 +109,25 @@ def _per_pair_table(identity, label_mul, generators,
 
 @contextlib.contextmanager
 def _checked_against_per_pair_oracle():
-    """Compare every FiniteGroup built inside the block with the per-pair
-    oracle; yields the list of groups built."""
+    """Compare every FiniteGroup built inside the block with the every-edge
+    oracle, which must reach the same verdict (the same GroupError, or the
+    same group), and every group accepted with the per-pair oracle; yields
+    the list of groups built."""
     built = []
     real_init = gr.FiniteGroup.__init__
 
     def init(self, identity, label_mul, generators, recipe,
              order_bound=gr.DEFAULT_ORDER_BOUND):
         generators = list(generators)
+        try:
+            edge_checked = cayley_table(identity, label_mul, generators, order_bound)
+        except gr.GroupError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                real_init(self, identity, label_mul, generators, recipe, order_bound)
+            raise
         real_init(self, identity, label_mul, generators, recipe, order_bound)
+        for attr, value in edge_checked.items():
+            assert getattr(self, attr) == value, (recipe, attr)
         try:
             expected = _per_pair_table(identity, label_mul, generators, order_bound)
         except ValueError as exc:  # GroupError included
@@ -234,6 +243,72 @@ def test_build_group_rejects_or_builds_an_associative_group(data):
         except gr.GroupError:
             return
     _assert_associative(group)
+
+
+@st.composite
+def _polycyclic_presentations(draw):
+    """(orders, powers, conjugates) with relation words of any letters
+    after the pivot, in any order and with any exponents."""
+    orders = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    k = len(orders)
+    pivots = [(i, None) for i in range(k - 1)] + [
+        (i, j) for i in range(k) for j in range(i)]
+    powers, conjugates = {}, {}
+    for i, j in draw(st.lists(st.sampled_from(pivots), max_size=6, unique=True)
+                     if pivots else st.just([])):
+        after = i if j is None else j
+        word = tuple(draw(st.lists(st.integers(after + 1, k - 1), max_size=4)))
+        if j is None:
+            powers[i] = word
+        else:
+            conjugates[(i, j)] = (i,) * draw(st.integers(0, 2)) + word
+    return orders, powers, conjugates
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_polycyclic_presentations())
+def test_polycyclic_tables_match_the_collection_oracle(presentation):
+    """The tables built from the conjugation action equal those that
+    collection builds, or both builders refuse the presentation."""
+    try:
+        expected = collected_polycyclic_table(*presentation)
+    except gr.GroupError:
+        with pytest.raises(gr.GroupError):
+            gr.polycyclic_group(*presentation)
+        return
+    group = gr.polycyclic_group(*presentation)
+    assert (group.labels, group._mul, group._inv) == (
+        expected["labels"], expected["_mul"], expected["_inv"])
+
+
+def test_label_mul_is_called_once_per_element_and_generator():
+    calls = []
+    real_init = gr.FiniteGroup.__init__
+
+    def init(self, identity, label_mul, generators, recipe,
+             order_bound=gr.DEFAULT_ORDER_BOUND):
+        def counted(a, b):
+            calls.append(None)
+            return label_mul(a, b)
+        real_init(self, identity, counted, generators, recipe, order_bound)
+
+    with mock.patch.object(gr.FiniteGroup, "__init__", init):
+        for recipe, expected in ((G128_RECIPE, 128 * 7), (PSL27_RECIPE, 168 * 2)):
+            calls.clear()
+            group = gr.build_group(recipe)
+            assert len(calls) == group.order * len(group.generators) == expected
+
+
+def test_large_relative_orders_build_the_dihedral_group():
+    """Collection needed about |G| rewrites per product here and did not
+    finish within 100 s; the conjugation action builds it in well under a
+    second."""
+    group = gr.build_group("group = polycyclic 2 1024\nrel g2^g1 = g2^1023")
+    dihedral = gr.dihedral_group(1024)
+    assert group.order == 2048
+    assert (sorted(c.size for c in group.conjugacy_classes)
+            == sorted(c.size for c in dihedral.conjugacy_classes))
+    assert sorted(group.element_orders) == sorted(dihedral.element_orders)
 
 
 def test_group_axioms_exhaustively_on_small_groups(q8, z3z3):

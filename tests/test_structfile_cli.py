@@ -279,6 +279,22 @@ def test_recipe_line_errors_name_their_file_line(tmp_path, capsys):
         assert message in err, (text, err)
 
 
+def test_hostile_polycyclic_presentation_is_refused(tmp_path, capsys):
+    """Ten generators of order 2 with g_j^g_i = g_j*g_(i+1)*...*g10 for
+    every i < j: collecting its words took about a minute before the table
+    was refused.  It ends in a positioned error, without a traceback."""
+    lines = ["group = polycyclic " + " ".join(["2"] * 10)]
+    lines += [f"rel g{j}^g{i} = " + "*".join(f"g{m}" for m in [j, *range(i + 1, 11)])
+              for i in range(1, 11) for j in range(i + 1, 11)]
+    p = tmp_path / "hostile.struct"
+    p.write_text("\n".join(lines) + "\n")
+    assert cli.main(["validate", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1, column 1: ")
+    assert "not associative" in captured.err and "Traceback" not in captured.err
+
+
 def test_non_utf8_file_is_a_positioned_error(tmp_path, capsys):
     p = tmp_path / "latin1.struct"
     p.write_bytes(b"group = cyclic 3\n\xff")
