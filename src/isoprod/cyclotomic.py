@@ -227,9 +227,9 @@ class CyclotomicNumber:
     1, zeta_N, ..., zeta_N^(phi(N)-1) after reduction mod Phi_N.
     """
 
-    # _hash and _sort_key are filled on first use: a value is immutable, and
-    # a table asks for each one many times
-    __slots__ = ("conductor", "coefficients", "_hash", "_sort_key")
+    # _hash, _sort_key and _mean_trace are filled on first use: a value is
+    # immutable, and a table asks for each one many times
+    __slots__ = ("conductor", "coefficients", "_hash", "_sort_key", "_mean_trace")
 
     def __init__(self, conductor: int, coefficients: tuple[int | Fraction, ...]):
         """Wrap a vector already in canonical form; build values with
@@ -378,9 +378,13 @@ class CyclotomicNumber:
         that holds the value.  The images of zeta_N^k add up to the Ramanujan
         sum c_N(k), so no cyclotomic number is built.  An int when the mean
         is integral."""
-        n = self.conductor
-        return _divide(sum(c * ramanujan_sum(n, k)
-                           for k, c in enumerate(self.coefficients) if c), euler_phi(n))
+        try:
+            return self._mean_trace
+        except AttributeError:
+            n = self.conductor
+            self._mean_trace = _divide(sum(c * ramanujan_sum(n, k) for k, c in
+                                           enumerate(self.coefficients) if c), euler_phi(n))
+            return self._mean_trace
 
     # -- comparisons, hashing, rendering
 

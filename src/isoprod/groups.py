@@ -9,14 +9,13 @@ deterministic, so element indices, conjugacy-class order and every
 report derived from them are reproducible.
 
 The recipe's label multiplication is called only by the BFS, once per
-(element, generator) pair.  The BFS words give every column of the table
-(x -> x*y) from the right multiplications by the generators.  Associativity
-is proved on the generators alone, in O(k^2 |G|) for k generators: the
-column of each generator's element must be its right multiplication, and
-the row of each generator's element must commute with every right
-multiplication (see `FiniteGroup.__init__`).  So a recipe that does not
-define a group is rejected with a GroupError instead of yielding a table
-that is not one.
+(element, generator) pair.  Associativity is proved on the generators
+alone, in O(k^2 |G|) for k generators: the column of each generator's
+element must be its right multiplication, and the row of each generator's
+element must commute with every right multiplication (see
+`FiniteGroup.__init__`).  So a recipe that does not define a group is
+rejected with a GroupError instead of yielding a table that is not one.
+Every other row is then built once, from a generator's row.
 
 The classes of the powers of an element are read from one cached table,
 `FiniteGroup.power_classes`, whose row k (the classes of r^0..r^(o(r)-1) for
@@ -78,10 +77,9 @@ class FiniteGroup:
         reads back.
 
         `label_mul` is called only on (element, generator) pairs: the BFS
-        records right[j][x] = x*g_j.  Column y of the table (x -> x*y) is the
-        identity map for y = 0 and right[j] applied to column p when the BFS
-        reached y as p*g_j, since x*(p*g_j) = (x*p)*g_j.  Row x of the table
-        is then y -> x*y, and row 0 is the identity map.
+        records right[j][x] = x*g_j.  The table they define has as column y
+        (x -> x*y) the right[j] along the BFS word of y, applied in turn, since
+        x*(p*g_j) = (x*p)*g_j; its row x follows the tree edges from x.
 
         Associativity is proved in O(k^2 |G|) for k generators by two checks:
         (a) the column of each generator's element h_j equals right[j], and
@@ -91,15 +89,17 @@ class FiniteGroup:
         associative exactly when S is all of G.  A map that commutes with
         every right[j] is fixed by its value at 0, since the BFS tree reaches
         every element from 0 along right[j] edges, and every row follows the
-        tree edges by construction.  So for x, x' in S the composite
-        row_x o row_x' commutes with every right[j] and takes 0 to x*x', as
-        row_(x*x') does; the two agree, and x*x' is in S.  S contains 0 and,
-        by (b), every generator element; by (a) each element is the table
-        product of its BFS path's generator elements, so S is G.  A failed
-        check means the recipe does not define a group.  In every recipe
-        label_mul(identity, g) is g, so the BFS reaches each generator's
-        element from 0 by that generator's own edge, or it is an earlier
-        generator's label with the same right list, and (a) holds.
+        tree edges.  So for x, x' in S the composite row_x o row_x' commutes
+        with every right[j] and takes 0 to x*x', as row_(x*x') does; the two
+        agree, and x*x' is in S.  S contains 0 and, by (b), every generator
+        element; by (a) each element is the table product of its BFS path's
+        generator elements, so S is G.  A failed check means the recipe does
+        not define a group.  In every recipe label_mul(identity, g) is g, so
+        the BFS reaches each generator's element from 0 by that generator's
+        own edge, or it is an earlier generator's label with the same right
+        list, and (a) holds.  The checks read only those columns and rows;
+        then row y, for y = p*g_j = p*h_j by (a), is built once as
+        row_p o row_(h_j), since (p*h_j)*z = p*(h_j*z).
         """
         index = {identity: 0}
         elems = [identity]
@@ -127,18 +127,24 @@ class FiniteGroup:
         self.generators = tuple(index[g] for g in gen_labels)
         self._parents = parents
         self._words: dict[int, str] = {}  # the memo of `word`
-        cols = [list(range(n))]
-        for p, gpos in parents[1:]:
-            cols.append(list(map(right[gpos].__getitem__, cols[p])))
-        columns_ok = all(cols[h] == rg for h, rg in zip(self.generators, right))  # (a)
-        table = [list(row) for row in zip(*cols)]
-        del cols
-        rows = map(table.__getitem__, dict.fromkeys(self.generators))
+        columns_ok, rows = True, {}
+        for h, rg in zip(self.generators, right):
+            row = rows[h] = [h]  # along the tree edges: h*(p*g_j) = (h*p)*g_j
+            col = list(range(n))
+            for p, gpos in parents[1:]:
+                row.append(right[gpos][row[p]])
+            while h:  # along the BFS word of h, last letter first
+                h, gpos = parents[h]
+                col = list(map(col.__getitem__, right[gpos]))
+            columns_ok = columns_ok and col == rg  # (a)
         if not (columns_ok and all(  # (b)
                 list(map(rg.__getitem__, row)) == list(map(row.__getitem__, rg))
-                for row in rows for rg in right)):
+                for row in rows.values() for rg in right)):
             raise GroupError("multiplication is not associative "
                              "(inconsistent construction)")
+        table = [list(range(n))]
+        for p, gpos in parents[1:]:
+            table.append(list(map(table[p].__getitem__, rows[self.generators[gpos]])))
         self._mul = table
         inv = [row.index(0) if 0 in row else -1 for row in table]
         self._inv = inv
@@ -419,21 +425,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
-    def small_generators(self) -> tuple[int, ...]:
-        """A short generating set found greedily over the sorted members."""
-        gens: list[int] = []
-        span = frozenset({0})
-        for i in self.sorted_members():
-            if i not in span:
-                gens.append(i)
-                span = self.group.closure(gens)
-                if span == self.members:
-                    break
-        return tuple(gens)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ reads.  A conjugate inherits both answers from its source u:
 <t u t^-1> = t <u> t^-1 is G, and Sigma is a union of classes, so the
 conjugate's class set is u's (the same object).  The memo is made per
 search and dies with it; nothing is kept on the group.  A system built
-outside a search computes its class set once, on first use.
+outside a search is closed once and computes its class set on first use.
 
 The result is built from the pairs (t1, t2) themselves, never from their
 concatenation: every t1 has the length of side 1's type, so sorting the
@@ -192,7 +192,7 @@ class _SearchMemo:
 
 def validate_spherical(group: FiniteGroup, entries, generates=None) -> SphericalSystem:
     """Check the spherical-system axioms and compute the type.  `generates`
-    is the generation test of the caller's search (a fresh one without).
+    is the generation test of the caller's search (one closure without).
     An entry that is not an integer is refused first (named by its 1-based
     position), then an index out of range, then an identity entry (named by
     its position), then a product other than the identity."""
@@ -215,7 +215,7 @@ def validate_spherical(group: FiniteGroup, entries, generates=None) -> Spherical
         raise RamificationError(
             f"product of the entries is {group.word(prod)}, not the identity"
         )
-    if not (generates or _SearchMemo(group).generates)(idx):
+    if not (generates(idx) if generates else len(group.closure(idx)) == group.order):
         raise RamificationError("the entries do not generate the group")
     return SphericalSystem(group, idx, tuple(sorted(orders)))
 

@@ -137,6 +137,20 @@ def value_on_element(chi, i):
     return chi.values[chi.group.class_of[i]]
 
 
+def restriction_multiplicity(chi, g):
+    """l_g(chi), the multiplicity of the trivial character in chi restricted
+    to <g>: (1/o(g)) sum_t chi(g^t) over the elements g^t of <g>, added as
+    one exact cyclotomic number, which must be a non-negative integer."""
+    group = chi.group
+    powers = [0]
+    while (x := group.mul(powers[-1], g)) != 0:
+        powers.append(x)
+    total = CyclotomicNumber.sum(value_on_element(chi, x) for x in powers)
+    q = (total * Fraction(1, len(powers))).as_integer()
+    assert q >= 0
+    return q
+
+
 def galois(chi, t):
     """chi^sigma_t, value by value."""
     return ct.Character(chi.group, tuple(v.galois(t) for v in chi.values))

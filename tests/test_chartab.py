@@ -3,7 +3,6 @@ import math
 import random
 from fractions import Fraction
 from importlib import resources
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +23,7 @@ from algebra_oracle import (
     is_central,
     is_self_dual,
     multiply,
+    restriction_multiplicity,
     row_index,
     value_on_element,
 )
@@ -267,25 +267,24 @@ def test_trivial_restriction_multiplicity(q8, z3z3, tables):
     assert ct.trivial_restriction_multiplicity(triv, g11) == 1
 
 
-def _restriction_by_pairwise_adds(chi, g):
-    """l_g(chi) as one `+` per element of <g>, each partial sum minimized."""
-    group = chi.group
-    n = group.element_orders[g]
-    total, x = ZERO, 0
-    for _ in range(n):
-        total = total + value_on_element(chi, x)
-        x = group.mul(x, g)
-    return (total * Fraction(1, n)).as_integer()
-
-
-def test_trivial_restriction_multiplicity_matches_pairwise_adds(tables):
-    """The one-sum restriction multiplicity on every row and every element of
-    the fixture and zoo tables."""
+def test_trivial_restriction_multiplicity_matches_the_exact_sum(tables, psl27):
+    """l_g read from mean traces equals the exact cyclotomic sum over <g>:
+    on every row and every element of the fixture and zoo tables, and on
+    every (row, class) pair of eight groups with many classes or
+    irrational values."""
     for table in list(tables.values()) + [ct.character_table(g) for g in zoo_groups()]:
         for chi in table:
             for g in range(table.group.order):
                 assert (ct.trivial_restriction_multiplicity(chi, g)
-                        == _restriction_by_pairwise_adds(chi, g)), table.group.recipe
+                        == restriction_multiplicity(chi, g)), table.group.recipe
+    recipes = ("alternating 5", "cyclic 120", "dihedral 100", "abelian 3 3",
+               "product [symmetric 4] [cyclic 2]", "abelian 4 4 3", "symmetric 5")
+    for group in [psl27] + [gr.build_group(r) for r in recipes]:
+        for chi in ct.character_table(group):
+            for cls in group.conjugacy_classes:
+                g = cls.representative
+                assert (ct.trivial_restriction_multiplicity(chi, g)
+                        == restriction_multiplicity(chi, g)), group.recipe
 
 
 def test_rational_idempotents(q8, z3z3, tables):
@@ -748,29 +747,40 @@ def test_kernel_of_character_matches_element_scan(tables):
             assert group.closure(kernel.gens) == scan
 
 
+def count_restriction_misses(table) -> list:
+    """Give every row of `table` an empty l_g memo that records each miss
+    of `trivial_restriction_multiplicity` (a class not yet read), and
+    return the list the misses are recorded in."""
+    misses = []
+
+    class CountingMemo(dict):
+        def __contains__(self, k):
+            found = super().__contains__(k)
+            if not found:
+                misses.append(k)
+            return found
+
+    for chi in table:
+        chi.__dict__["_trivial_multiplicities"] = CountingMemo()
+    return misses
+
+
 def test_kernel_reads_the_first_row_of_its_orbit_only():
-    """Galois conjugates share one kernel, so `kernel` sums l_g over the
+    """Galois conjugates share one kernel, so `kernel` reads l_g on the
     classes of one row: on a fresh table, each contributing orbit of field
-    degree 2 takes one `CyclotomicNumber.sum` per class, not two."""
-    real_sum = CyclotomicNumber.sum
-    calls = []
-
-    def counted(values):
-        calls.append(1)
-        return real_sum(values)
-
-    for name, sums in (("Z3xZ3", 9), ("Z2^3xZ4", 20)):
+    degree 2 misses the l_g memo once per class, not twice."""
+    for name, classes in (("Z3xZ3", 9), ("Z2^3xZ4", 20)):
         structure = cat.realize_structure(cat.entry_by_name(name))
-        assert len(structure.group.conjugacy_classes) == sums
+        assert len(structure.group.conjugacy_classes) == classes
         analysis = sf.analyze(structure, ct.character_table(structure.group))
-        orbits = ct.galois_orbits(ct.character_table(structure.group))
+        table = ct.character_table(structure.group)
+        orbits = ct.galois_orbits(table)
         for q in analysis.quotients:
             orbit = orbits[q.orbit_position]
             assert orbit.field_degree == 2
-            calls.clear()
-            with mock.patch.object(CyclotomicNumber, "sum", staticmethod(counted)):
-                assert orbit.kernel().members == q.kernel.members
-            assert len(calls) == sums, name
+            misses = count_restriction_misses(table)
+            assert orbit.kernel().members == q.kernel.members
+            assert len(misses) == classes, name
 
 
 def test_kernel_of_corrupt_row_is_refused():

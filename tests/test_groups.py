@@ -195,9 +195,8 @@ def _polycyclic_recipes(draw):
         if head is not None:
             atoms.append(f"g{head + 1}^{draw(st.integers(0, orders[head] - 1))}")
         if first < k:
-            tail = draw(st.lists(st.tuples(st.integers(first, k - 1), st.integers(1, 3)),
-                                 max_size=3))
-            atoms += [f"g{g + 1}^{e}" for g, e in tail]
+            tail = draw(st.lists(st.integers(first, k - 1), max_size=3))
+            atoms += [f"g{g + 1}^{draw(st.integers(1, orders[g] - 1))}" for g in tail]
         return "*".join(atoms) or "id"
 
     pivots = [(i, None) for i in range(k)] + [(i, j) for i in range(k) for j in range(i)]
@@ -210,26 +209,42 @@ def _polycyclic_recipes(draw):
     return "\n".join(lines)
 
 
+# (recipe, the orders of its generators)
+_K_FACTORS = [("cyclic 3", (3,)), ("cyclic 5", (5,)), ("cyclic 7", (7,)), ("cyclic 8", (8,)),
+              ("abelian 2 2", (2, 2)), ("abelian 3 3", (3, 3)), ("dihedral 4", (4, 2)),
+              ("symmetric 3", (2, 3))]
 # (recipe, number of generators)
-_K_FACTORS = [("cyclic 3", 1), ("cyclic 5", 1), ("cyclic 7", 1), ("cyclic 8", 1),
-              ("abelian 2 2", 2), ("abelian 3 3", 2), ("dihedral 4", 2),
-              ("symmetric 3", 2)]
 _H_FACTORS = [("cyclic 2", 1), ("cyclic 3", 1), ("cyclic 4", 1), ("cyclic 6", 1),
               ("abelian 2 2", 2)]
 
 
 @st.composite
 def _semidirect_recipes(draw):
-    k_recipe, nk = draw(st.sampled_from(_K_FACTORS))
+    """Each generator of H acts by a unit power of each generator of K, or by
+    conjugation with a power of one of them, or by images drawn freely.  The
+    first two are automorphisms of every K here, so whether they respect
+    H's relations is left to the associativity check."""
+    k_recipe, k_orders = draw(st.sampled_from(_K_FACTORS))
     h_recipe, nh = draw(st.sampled_from(_H_FACTORS))
+    nk = len(k_orders)
     lines = [f"group = semidirect [{k_recipe}] [{h_recipe}]"]
     for j in range(nh):
-        for i in range(nk):
-            if draw(st.booleans()):
-                atoms = draw(st.lists(st.tuples(st.integers(1, nk), st.integers(1, 4)),
-                                      min_size=1, max_size=2))
-                image = "*".join(f"g{g}^{e}" for g, e in atoms)
-                lines.append(f"act g{nk + j + 1}: g{i + 1} -> {image}")
+        act = f"act g{nk + j + 1}: g"
+        kind = draw(st.sampled_from(("power", "inner", "free")))
+        if kind == "power":
+            for i, n in enumerate(k_orders):
+                e = draw(st.sampled_from([e for e in range(1, n) if math.gcd(e, n) == 1]))
+                lines.append(f"{act}{i + 1} -> g{i + 1}^{e}")
+        elif kind == "inner":
+            m, a = draw(st.integers(1, nk)), draw(st.integers(1, 3))
+            lines += [f"{act}{i + 1} -> g{m}^-{a}*g{i + 1}*g{m}^{a}" for i in range(nk)]
+        else:
+            for i in range(nk):
+                if draw(st.booleans()):
+                    atoms = draw(st.lists(st.tuples(st.integers(1, nk), st.integers(1, 4)),
+                                          min_size=1, max_size=2))
+                    image = "*".join(f"g{g}^{e}" for g, e in atoms)
+                    lines.append(f"{act}{i + 1} -> {image}")
     return "\n".join(lines)
 
 

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from importlib import resources
 
 import pytest
@@ -173,6 +175,19 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     p.write_text("tuple C = [g1]\n")
     assert cli.main(["analyze", str(p)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_unreadable_file_is_an_error(tmp_path, capsys):
+    """A structure file that cannot be opened is reported like any other user
+    error: `main` returns 1 and prints one `error:` line, raising nothing."""
+    missing, directory = tmp_path / "missing.struct", tmp_path / "a-directory"
+    directory.mkdir()
+    for path, code in ((missing, errno.ENOENT), (directory, errno.EISDIR)):
+        for command in ("analyze", "validate", "search", "chartab"):
+            assert cli.main([command, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: [Errno {code}] {os.strerror(code)}: '{path}'\n"
 
 
 def test_cli_inconsistent_group_is_a_positioned_error(tmp_path, capsys):
@@ -433,23 +448,33 @@ def test_cli_unusable_cache_is_an_error(tmp_path, capsys, monkeypatch):
     path = fixture_path("z3xz3.struct", tmp_path)
     not_a_dir = tmp_path / "plain-file"
     not_a_dir.write_text("not a directory\n")
+    # a directory where the table's cache file goes: it can be neither read
+    # nor replaced
+    group = parse_structure_file(fixture_text("z3xz3.struct")).build()
+    blocked = tmp_path / "blocked"
+    (blocked / f"chartab-{ct.group_fingerprint(group)}.txt").mkdir(parents=True)
     commands = (["chartab", path], ["analyze", path], ["catalog", "--entry", "Z3xZ3"])
-    for argv in commands:
-        assert cli.main(argv + ["--cache", str(not_a_dir)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and "cache directory" in captured.err
+    for cache in (not_a_dir, blocked):
+        for argv in commands:
+            assert cli.main(argv + ["--cache", str(cache)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and "cache directory" in captured.err
     assert not_a_dir.read_text() == "not a directory\n"
 
-    # a directory that cannot be written to
-    def refuse(**kwargs):
+    # a directory that cannot be written to, or whose file cannot be replaced
+    def refuse(*args, **kwargs):
         raise PermissionError(13, "Permission denied")
 
-    monkeypatch.setattr(ct.tempfile, "mkstemp", refuse)
-    for argv in commands:
-        assert cli.main(argv + ["--cache", str(tmp_path / "cache")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Permission denied" in err
+    for module, name in ((ct.tempfile, "mkstemp"), (ct.os, "replace")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, refuse)
+            for argv in commands:
+                cache = tmp_path / f"cache-{name}"
+                assert cli.main(argv + ["--cache", str(cache)]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and "Permission denied" in err
+                assert [p.name for p in cache.iterdir()] == []
 
 
 def test_cli_search(tmp_path, capsys):

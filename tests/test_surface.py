@@ -1,5 +1,4 @@
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -8,9 +7,9 @@ from isoprod import chartab as ct
 from isoprod import groups as gr
 from isoprod import ramification as rm
 from isoprod import surface as sf
-from isoprod.cyclotomic import CyclotomicNumber
+from isoprod.cyclotomic import CyclotomicNumber, render_cyclotomic
 from algebra_oracle import is_self_dual, row_index, value_on_element
-from test_chartab import rational_inner_product
+from test_chartab import count_restriction_misses, rational_inner_product
 
 
 @pytest.fixture(scope="module")
@@ -282,7 +281,7 @@ def test_report_is_json_serializable(z3z3_analysis):
     assert "total: 4" in text
 
 
-def test_broughton_defect_detection(tables, z3z3_label):
+def test_broughton_defect_detection(tables, z3z3_label, tmp_path):
     group, lab = z3z3_label
     table = tables[group.recipe]
     # a corrupted class function: non-integral restriction average
@@ -292,34 +291,36 @@ def test_broughton_defect_detection(tables, z3z3_label):
     bad = ct.Character(group, tuple(values))
     with pytest.raises(ct.CharacterTableError):
         ct.trivial_restriction_multiplicity(bad, lab[(1, 1)])
-    # chi(g^2) replaced by chi(g): the restriction sum over <g> is irrational
+    # chi(g^2) replaced by chi(g): the restriction sum over <g> is irrational.
+    # l_g reads mean traces, so such a row must never reach it: written to a
+    # cache file, it is refused by `parse_table` and the table is recomputed
     g = lab[(1, 1)]
     chi = next(c for c in table if not value_on_element(c, g).is_rational)
     values = list(chi.values)
     values[group.class_of[group.power(g, 2)]] = value_on_element(chi, g)
-    bad = ct.Character(group, tuple(values))
-    with pytest.raises(ct.CharacterTableError, match="irrational"):
-        ct.trivial_restriction_multiplicity(bad, g)
+    rows = [values if row is chi else row.values for row in table]
+    text = ct._header(group) + "".join(
+        "char " + " ; ".join(map(render_cyclotomic, row)) + "\n" for row in rows)
+    assert text != ct.render_table(table)
+    with pytest.raises(ct.CharacterTableError):
+        ct.parse_table(text, group)
+    path = tmp_path / f"chartab-{ct.group_fingerprint(group)}.txt"
+    path.write_text(text)
+    recomputed = ct.cached_character_table(group, str(tmp_path))
+    assert [row.values for row in recomputed] == [row.values for row in table]
+    assert path.read_text() == ct.render_table(table)
 
 
-def test_restriction_sums_once_per_character_and_class(psl27, monkeypatch):
-    """Two analyses of one PSL(2,7) structure over one fresh table sum each
-    (row, class) restriction at most once: at most 6 x 6 sums in all, and
-    none in the second pass."""
+def test_restriction_sums_once_per_character_and_class(psl27):
+    """Two analyses of one PSL(2,7) structure over one fresh table read each
+    (row, class) restriction at most once: at most 6 x 6 l_g memo misses in
+    all, and none in the second pass."""
     table = ct.character_table(psl27)
     orbits = ct.galois_orbits(table)
     (structure,) = rm.search_structures(psl27, ((7, 7, 7), (3, 3, 4)), limit=1)
-    original = CyclotomicNumber.sum
-    sums = []
-
-    def counting_sum(values):
-        if sys._getframe(1).f_code is ct.trivial_restriction_multiplicity.__code__:
-            sums.append(1)
-        return original(values)
-
-    monkeypatch.setattr(CyclotomicNumber, "sum", staticmethod(counting_sum))
+    misses = count_restriction_misses(table)
     first = sf.analysis_report(sf.analyze(structure, table, orbits))
-    after_first = len(sums)
+    after_first = len(misses)
     second = sf.analysis_report(sf.analyze(structure, table, orbits))
     assert first == second
-    assert 0 < after_first == len(sums) <= len(table) * len(psl27.conjugacy_classes)
+    assert 0 < after_first == len(misses) <= len(table) * len(psl27.conjugacy_classes)
