@@ -95,7 +95,7 @@ class Character:
     group: FiniteGroup
     values: tuple[CyclotomicNumber, ...]
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return self.values[0].as_integer()
 

@@ -448,7 +448,9 @@ def identify_q8(group: FiniteGroup) -> bool:
 
 
 def is_cyclic(group: FiniteGroup) -> bool:
-    return any(o == group.order for o in group.element_orders)
+    """True iff some element's order is |G|.  (The exponent alone cannot
+    tell: S3 has exponent 6 = |S3|.)"""
+    return group.order in group.element_orders
 
 
 def describe_group(group: FiniteGroup) -> str:

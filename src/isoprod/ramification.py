@@ -61,7 +61,9 @@ reads.  A conjugate inherits both answers from its source u:
 <t u t^-1> = t <u> t^-1 is G, and Sigma is a union of classes, so the
 conjugate's class set is u's (the same object).  The memo is made per
 search and dies with it; nothing is kept on the group.  A system built
-outside a search is closed once and computes its class set on first use.
+outside a search is closed once and computes its class set on first use;
+the image of a system in a quotient G/H is not closed at all, since a
+projection of a generating tuple generates G/H (`quotient_system`).
 
 The result is built from the pairs (t1, t2) themselves, never from their
 concatenation: every t1 has the length of side 1's type, so sorting the
@@ -131,6 +133,12 @@ class SphericalSystem:
         return [self.group.word(i) for i in self.entries]
 
     def genus(self) -> int:
+        return self._genus
+
+    @cached_property
+    def _genus(self) -> int:
+        """The genus, computed on first use and kept on the instance, as
+        `sigma` is; not a field either."""
         return genus(self.group.order, self.signature)
 
     @cached_property
@@ -334,18 +342,26 @@ class QuotientSystem:
 def quotient_system(system: SphericalSystem, quot: QuotientGroup) -> QuotientSystem:
     """Project a system to the quotient `quot` = G/H, dropping identity images.
 
-    A trivial quotient yields genus 0 with no system.  Otherwise the images
-    still multiply to one and generate G/H (`validate_spherical` checks it),
-    so at least two survive; two survivors are x and x^-1, which generate a
-    cyclic G/H of order m = o(x), and genus(m, (m, m)) = 0.
+    A trivial quotient yields genus 0 with no system.  Otherwise the system
+    is built straight from the projection, with no check left to make: the
+    projection is a homomorphism onto G/H, so the images of a tuple that
+    multiplies to one and generates G multiply to one and generate G/H, and
+    dropping identity images changes neither.  A nontrivial G/H is not
+    generated by one element of product one, so at least two images
+    survive; two survivors are x and x^-1, which generate a cyclic G/H of
+    order m = o(x), and genus(m, (m, m)) = 0.  A system over a group other
+    than G is refused.
     """
+    if system.group is not quot.kernel.group:
+        raise RamificationError("the system does not belong to the quotient's group")
     q = quot.group
     if q.order == 1:
         return QuotientSystem(quot, None, tuple(range(system.length)))
-    images = [quot.project(e) for e in system.entries]
-    survivors = [x for x in images if x != 0]
-    dropped = tuple(i for i, x in enumerate(images) if x == 0)
-    return QuotientSystem(quot, validate_spherical(q, survivors), dropped)
+    images = [quot.projection[e] for e in system.entries]
+    survivors = tuple(x for x in images if x)
+    dropped = tuple(i for i, x in enumerate(images) if not x)
+    signature = tuple(sorted(map(q.element_orders.__getitem__, survivors)))
+    return QuotientSystem(quot, SphericalSystem(q, survivors, signature), dropped)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ module computes, exactly:
 Everything is pure bookkeeping over exact character data; out-of-regime
 inputs are reported as `unclassified` with a diagnosis instead of being
 forced into a case.
+
+An analysis is reported as a key-value tree (`analysis_report`), which the
+CLI prints as JSON or as indented text; `render_report` renders the text in
+one pass that appends every line of the tree to a single list.
 """
 
 from __future__ import annotations
@@ -424,19 +428,25 @@ def analysis_report(analysis: SurfaceAnalysis, name: str | None = None) -> dict:
     return report
 
 
-def render_report(report: dict, indent: int = 0) -> str:
-    """Deterministic plain-text rendering of a report tree."""
-    lines = []
-    pad = "  " * indent
-    for key, value in report.items():
+def render_report(report: dict) -> str:
+    """Deterministic plain-text rendering of a report tree, in one pass."""
+    lines: list[str] = []
+    _render_lines(report, "", lines)
+    return "\n".join(lines)
+
+
+def _render_lines(tree: dict, pad: str, lines: list[str]) -> None:
+    """Append the lines of `tree`, indented by `pad`, to `lines`: a nested
+    dict goes two spaces deeper, a list of dicts an item per "-"; an empty
+    dict adds no line."""
+    for key, value in tree.items():
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
-            lines.append(render_report(value, indent + 1))
+            _render_lines(value, pad + "  ", lines)
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             lines.append(f"{pad}{key}:")
             for item in value:
                 lines.append(f"{pad}  -")
-                lines.append(render_report(item, indent + 2))
+                _render_lines(item, pad + "    ", lines)
         else:
             lines.append(f"{pad}{key}: {value}")
-    return "\n".join(ln for ln in lines if ln)

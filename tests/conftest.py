@@ -1,12 +1,14 @@
 """Shared group/table fixtures (session-scoped: tables are reused)."""
 
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from isoprod import chartab as ct
 from isoprod import groups as gr
 from isoprod import ramification as rm
+from isoprod.structfile import parse_structure_file
 
 G128_RECIPE = """
 group = polycyclic 2 2 2 2 2 2 2
@@ -67,6 +69,26 @@ def tables(z3z3, q8, psl27, g128, z2cubed_z4):
         g.recipe: ct.character_table(g)
         for g in (z3z3, q8, psl27, g128, z2cubed_z4)
     }
+
+
+@pytest.fixture(scope="session")
+def shipped_structures(psl27, tables):
+    """(file name, structures, table, orbits): the structure of each shipped
+    `.struct` file over its own group and table, and 100 structures of each
+    shipped `.search` file's type pair over the `psl27` fixture."""
+    data = resources.files("isoprod.data")
+    cases = []
+    for name in ("z3xz3.struct", "g128_36.struct", "z2cubed_z4.struct"):
+        structure = parse_structure_file(data.joinpath(name).read_text()).structure()
+        table = ct.character_table(structure.group)
+        cases.append((name, [structure], table, ct.galois_orbits(table)))
+    table = tables[psl27.recipe]
+    for name in ("psl2f7_a.search", "psl2f7_b.search"):
+        type_pair = parse_structure_file(data.joinpath(name).read_text()).type_pair
+        found = rm.search_structures(psl27, type_pair, limit=100)
+        assert len(found) == 100
+        cases.append((name, found, table, ct.galois_orbits(table)))
+    return cases
 
 
 def table_for(tables, group):

@@ -42,6 +42,7 @@ EXTRA_FILES = {
 CASES = {
     "catalog_assert": ["catalog", "--assert"],
     "catalog_assert_json": ["catalog", "--assert", "--json"],
+    **{f"analyze_{name}": ["analyze", name] for name in STRUCT_FILES},
     **{f"analyze_json_{name}": ["analyze", name, "--json"] for name in STRUCT_FILES},
     **{f"chartab_{name}": ["chartab", name] for name in STRUCT_FILES},
     **{f"search_json_limit5_{name}": ["search", name, "--json", "--limit", "5"]

@@ -13,6 +13,7 @@ from algebra_oracle import (breadth_first, cayley_table, collected_polycyclic_ta
 from conftest import G128_RECIPE, PSL27_RECIPE, Z2CUBED_Z4_RECIPE
 from isoprod import chartab as ct
 from isoprod import groups as gr
+from test_chartab import zoo_groups
 
 
 def test_recipe_orders():
@@ -366,6 +367,27 @@ def test_conjugacy_classes(q8, z3z3, psl27):
             for x in cls.members:
                 for gen in g.generators:
                     assert g.conjugate(x, gen) in members
+
+
+def test_is_cyclic_matches_the_definition(z3z3, q8, g128, z2cubed_z4):
+    """`is_cyclic` against the definition, some element of order |G| found
+    by brute force, over the zoo.  S3 (exponent 6 = |S3|) and Z2 x Z2 are
+    not cyclic; Z6 = Z2 x Z3 and the trivial group are."""
+    def generated_by_one_element(group):
+        return any(len(group.closure([x])) == group.order for x in range(group.order))
+
+    extra = [gr.symmetric_group(3), gr.abelian_group([2, 2]), gr.abelian_group([2, 3]),
+             gr.cyclic_group(1), gr.cyclic_group(7), gr.dihedral_group(3),
+             gr.direct_product(gr.cyclic_group(4), gr.cyclic_group(9))]
+    verdicts = set()
+    for group in zoo_groups() + extra + [z3z3, q8, g128, z2cubed_z4]:
+        want = generated_by_one_element(group)
+        assert gr.is_cyclic(group) == want, group.recipe
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    s3 = gr.symmetric_group(3)
+    assert s3.exponent == s3.order and not gr.is_cyclic(s3)
+    assert not gr.is_cyclic(gr.abelian_group([2, 2]))
 
 
 def test_subgroups_and_quotients(z3z3_label):

@@ -11,6 +11,7 @@ import pytest
 
 from isoprod import groups as gr
 from isoprod import ramification as rm
+from isoprod import surface as sf
 from isoprod.structfile import parse_structure_file
 from algebra_oracle import full_subgroup, subgroup, trivial_subgroup
 from conftest import structure_keys, systems_of_type
@@ -319,20 +320,33 @@ def test_quotient_round_trip(z3z3_structure, z3z3_label):
     assert q.genus == 0 and len(q.system.entries) == 2
 
 
+# small groups whose systems of these types project to G/H with two, three
+# and more survivors, over every normal subgroup H
+TWO_SURVIVOR_CASES = (("symmetric 3", (2, 2, 3)), ("cyclic 6", (2, 3, 6)),
+                      ("dihedral 4", (2, 2, 2, 4)), ("alternating 4", (2, 3, 3)))
+
+
+def _systems_and_normal_quotients(recipe, signature):
+    """Every system of `signature` over the group of `recipe` (first entry a
+    class representative), with the quotients by all normal subgroups."""
+    group = gr.build_group(f"group = {recipe}")
+    n = group.order
+    subgroups = [subgroup(group, h) for h in
+                 {group.closure([x, y]) for x in range(n) for y in range(x, n)}]
+    quotients = [group.quotient(h) for h in subgroups if group.is_normal(h)]
+    systems = [rm.validate_spherical(group, entries) for entries
+               in systems_of_type(group, signature, first_entry_reps=True)]
+    return systems, quotients
+
+
 def test_two_survivors_give_genus_zero():
     """When exactly two images survive in G/H they are x and x^-1, which
     generate a cyclic G/H of order o(x), and the quotient curve has genus 0:
     every system of these types, projected to every normal subgroup."""
-    cases = [(gr.symmetric_group(3), (2, 2, 3)), (gr.cyclic_group(6), (2, 3, 6)),
-             (gr.dihedral_group(4), (2, 2, 2, 4)), (gr.alternating_group(4), (2, 3, 3))]
     two = 0
-    for group, signature in cases:
-        n = group.order
-        subgroups = [subgroup(group, h) for h in
-                     {group.closure([x, y]) for x in range(n) for y in range(x, n)}]
-        quotients = [group.quotient(h) for h in subgroups if group.is_normal(h)]
-        for entries in systems_of_type(group, signature, first_entry_reps=True):
-            system = rm.validate_spherical(group, entries)
+    for recipe, signature in TWO_SURVIVOR_CASES:
+        systems, quotients = _systems_and_normal_quotients(recipe, signature)
+        for system in systems:
             for quot in quotients:
                 q = rm.quotient_system(system, quot)
                 if q.system is None or q.system.length != 2:
@@ -343,6 +357,58 @@ def test_two_survivors_give_genus_zero():
                 assert quot.group.element_orders[x] == quot.group.order
                 assert q.genus == 0
     assert two > 20, two
+
+
+def _assert_projection_matches_validation(system, quot):
+    """`quotient_system` builds its system from the projection alone; the
+    slow path validates the surviving images in G/H, closure and all, and
+    must give the same entries, type and genus."""
+    got = rm.quotient_system(system, quot)
+    images = [quot.project(e) for e in system.entries]
+    assert got.dropped == tuple(i for i, x in enumerate(images) if x == 0)
+    if quot.group.order == 1:
+        assert got.system is None and got.genus == 0
+        return
+    want = rm.validate_spherical(quot.group, [x for x in images if x != 0])
+    assert got.system.group is want.group
+    assert (got.system.entries, got.system.signature) == (want.entries, want.signature)
+    assert got.genus == want.genus()
+
+
+def test_quotient_systems_match_the_validating_oracle(shipped_structures):
+    """Projection against validation: on the quotient by each contributing
+    kernel of every shipped structure and of 100 structures of each shipped
+    search's type pair, and on every normal quotient of the two-survivor
+    groups."""
+    checked = 0
+    for _, structures, table, orbits in shipped_structures:
+        for structure in structures:
+            for qa in sf.analyze(structure, table, orbits).quotients:
+                quot = structure.group.quotient(qa.kernel)
+                for system in (structure.t1, structure.t2):
+                    _assert_projection_matches_validation(system, quot)
+                    checked += 1
+    for recipe, signature in TWO_SURVIVOR_CASES:
+        systems, quotients = _systems_and_normal_quotients(recipe, signature)
+        for system in systems:
+            for quot in quotients:
+                _assert_projection_matches_validation(system, quot)
+                checked += 1
+    assert checked > 800, checked
+
+
+def test_quotient_system_refuses_a_system_of_another_group(z3z3_structure, z3z3_label):
+    """A system is projected only by a quotient of its own group: another
+    group's quotient, even an isomorphic copy, is refused by name."""
+    group, lab = z3z3_label
+    other, z2 = gr.abelian_group([3, 3]), gr.cyclic_group(2)
+    h = subgroup(other, [lab[(2, 1)]])
+    for quot in (other.quotient(h), other.quotient(trivial_subgroup(other)),
+                 other.quotient(full_subgroup(other)), z2.quotient(trivial_subgroup(z2))):
+        with pytest.raises(rm.RamificationError, match="quotient's group"):
+            rm.quotient_system(z3z3_structure.t1, quot)
+    assert rm.quotient_system(z3z3_structure.t1,
+                              group.quotient(subgroup(group, [lab[(2, 1)]]))).genus == 1
 
 
 def test_search_z2_empty():

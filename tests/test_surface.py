@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -324,3 +325,42 @@ def test_restriction_sums_once_per_character_and_class(psl27):
     second = sf.analysis_report(sf.analyze(structure, table, orbits))
     assert first == second
     assert 0 < after_first == len(misses) <= len(table) * len(psl27.conjugacy_classes)
+
+
+def test_analysis_closes_nothing_outside_the_kernel_spans(shipped_structures, monkeypatch):
+    """`quotient_system` takes generation in G/H from the projection, so an
+    analysis calls `FiniteGroup.closure` only where `RationalCharacter.kernel`
+    spans a nontrivial kernel: never inside `quotient_system`, and not at all
+    for the trivial kernels of PSL(2,7), on every shipped structure and on
+    100 structures of each shipped search's type pair."""
+    stack: list[str] = []  # the counted callers running, innermost last
+    entered, closures = Counter(), Counter()
+
+    def within(name, function):
+        def wrapper(*args):
+            entered[name] += 1
+            stack.append(name)
+            try:
+                return function(*args)
+            finally:
+                stack.pop()
+        return wrapper
+
+    closure = gr.FiniteGroup.closure
+
+    def counting_closure(self, gens):
+        closures[stack[-1] if stack else "elsewhere"] += 1
+        return closure(self, gens)
+
+    monkeypatch.setattr(gr.FiniteGroup, "closure", counting_closure)
+    monkeypatch.setattr(ct.RationalCharacter, "kernel",
+                        within("kernel", ct.RationalCharacter.kernel))
+    monkeypatch.setattr(sf, "quotient_system", within("quotient_system", rm.quotient_system))
+    for name, structures, table, orbits in shipped_structures:
+        entered.clear()
+        closures.clear()
+        contributing = sum(len(sf.analyze(s, table, orbits).quotients) for s in structures)
+        assert entered["quotient_system"] == 2 * contributing > 0, name
+        assert closures["quotient_system"] == closures["elsewhere"] == 0, (name, closures)
+        # the shipped structures' kernels are nontrivial, PSL(2,7)'s trivial
+        assert (closures["kernel"] > 0) == name.endswith(".struct"), (name, closures)
