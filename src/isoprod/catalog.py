@@ -1,10 +1,12 @@
 """The built-in catalog.
 
 One entry per known family of regular unmixed higher-product quotients
-with chi(O_S) = 2: five entries ship a working structure (three explicit
-fixtures plus the two bounded searches over PSL(2,F7)); the remaining
-rows are type-only -- their group, order, small-group id, genera and
-type are recorded and reported with status `structure not shipped`.
+with chi(O_S) = 2: five entries ship a working structure, each as a
+fixture that holds its two tuples, so the catalog searches nothing (the
+two over PSL(2,F7) hold the first structure that the search of
+`psl2f7_a.search` or `psl2f7_b.search` finds); the remaining rows are
+type-only -- their group, order, small-group id, genera and type are
+recorded and reported with status `structure not shipped`.
 
 `run_catalog` analyzes every selected entry, compares the results with
 the recorded expectations, and collects mismatches instead of raising,
@@ -19,7 +21,7 @@ from importlib import resources
 
 from . import chartab as ct
 from . import surface as sf
-from .ramification import RamificationStructure, search_structures
+from .ramification import RamificationStructure
 from .structfile import parse_structure_file
 
 
@@ -31,7 +33,7 @@ class CatalogEntry:
     small_group_id: str
     genera: tuple[int, int]
     surface_type: str
-    fixture: str | None = None      # package data file with tuples or types
+    fixture: str | None = None      # package data file with the two tuples
 
     @property
     def shipped(self) -> bool:
@@ -46,9 +48,9 @@ CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("PSL2F7xZ2-17-43", "PSL(2,F7) x Z2", 336, "<336,209>", (17, 43), "a"),
     CatalogEntry("Z2^3:S4-49-9", "(Z2)^3 x| S4", 192, "<192,955>", (49, 9), "a"),
     CatalogEntry("PSL2F7-a", "PSL(2,F7)", 168, "<168,42>", (49, 8), "a",
-                 fixture="psl2f7_a.search"),
+                 fixture="psl2f7_a.struct"),
     CatalogEntry("PSL2F7-b", "PSL(2,F7)", 168, "<168,42>", (17, 22), "a",
-                 fixture="psl2f7_b.search"),
+                 fixture="psl2f7_b.struct"),
     CatalogEntry("Z2^4:D5-5-81", "(Z2)^4 x| D5", 160, "<160,234>", (5, 81), "a"),
     CatalogEntry("G128-36", "G(128,36)", 128, "<128,36>", (17, 17), "b",
                  fixture="g128_36.struct"),
@@ -91,17 +93,11 @@ def entry_by_name(name: str) -> CatalogEntry:
 
 
 def realize_structure(entry: CatalogEntry) -> RamificationStructure:
-    """Build the entry's structure: parse the fixture, or run its search."""
+    """Build the entry's structure from its fixture's two tuples; nothing is
+    searched."""
     if not entry.shipped:
         raise KeyError(f"catalog entry {entry.name!r} ships no structure")
-    sfile = parse_structure_file(_fixture_text(entry.fixture))
-    group = sfile.build()
-    if sfile.type_pair is not None:
-        found = search_structures(group, sfile.type_pair, limit=1)
-        if not found:
-            raise RuntimeError(f"search found no structure for {entry.name}")
-        return found[0]
-    return sfile.structure(group)
+    return parse_structure_file(_fixture_text(entry.fixture)).structure()
 
 
 @dataclass(frozen=True)

@@ -51,24 +51,30 @@ tuple and in order; the tests keep that backtracking as the oracle.
 
 A search pays for each check once, and only on tuples that start at a
 class representative.  One memo per search (`_SearchMemo`) holds the
-generation test, by entry set, the Sigma class sets, by entry tuple, and
-the `SphericalSystem` of each distinct tuple of a structure.  It serves
-both sides' enumerations, the Sigma buckets and the `validate_spherical`
-call that builds each of those systems: a tuple that the enumeration
-proved generating is not closed again, and each system gets its bucket's
-class set, which the disjointness check in `RamificationStructure` then
-reads.  A conjugate inherits both answers from its source u:
-<t u t^-1> = t <u> t^-1 is G, and Sigma is a union of classes, so the
-conjugate's class set is u's (the same object).  The memo is made per
-search and dies with it; nothing is kept on the group.  A system built
-outside a search is closed once and computes its class set on first use;
-the image of a system in a quotient G/H is not closed at all, since a
+generation test, by entry set, the Sigma class sets, by entry tuple, the
+source of each conjugate, and the `SphericalSystem` of each distinct tuple
+of a structure.  It serves both sides' enumerations, the Sigma buckets and
+the systems of the result.  A tuple that the backtracking found is
+validated (`validate_spherical`), but not closed again: the enumeration
+proved it generating.  Its system gets its bucket's class set.  A
+conjugate t u t^-1 inherits all of it from its source u, with nothing
+left to check: <t u t^-1> = t <u> t^-1 is G, conjugation keeps the
+product one and the entry orders, so the signature is u's, and Sigma is a
+union of classes, so the class set is u's (the same object).  The memo is
+made per search and dies with it; nothing is kept on the group.  A system
+built outside a search is closed once and computes its class set on first
+use; the image of a system in a quotient G/H is not closed at all, since a
 projection of a generating tuple generates G/H (`quotient_system`).
 
 The result is built from the pairs (t1, t2) themselves, never from their
 concatenation: every t1 has the length of side 1's type, so sorting the
 pairs sorts the keys t1 + t2.  In the sorted pairs all the pairs of one t1
-are adjacent, so its system is looked up once for them all.
+are adjacent, so its system is looked up once for them all.  Equal class
+sets are one object, so a pair of Sigma buckets is a pair of objects.  The
+first structure of each bucket pair is built by `RamificationStructure`,
+which checks that the two class sets are disjoint (`is_disjoint`); its
+bucket-mates hold the same two objects, so they are built without the
+check.
 
 The pairing reads each side only as far as the pairs taken need, so
 `limit=k` stops after k + 1 pairs.  A side's Sigma buckets are filled as
@@ -151,17 +157,19 @@ class SphericalSystem:
 class _SearchMemo:
     """The checks of one search, each paid once: the generation test,
     memoised by entry set, the Sigma class sets, memoised by entry tuple, and
-    the validated system of each distinct tuple of a structure (`systems`).
-    Equal class sets are kept as one object, so the Sigma memo holds one set
-    per Sigma bucket, not one per tuple.  A conjugate of a generating tuple
-    inherits both answers from its source (`inherit`).  One search makes one
-    and shares it; it is never kept on the group."""
+    the system of each distinct tuple of a structure (`systems`).  Equal
+    class sets are kept as one object, so the Sigma memo holds one set per
+    Sigma bucket, not one per tuple.  A conjugate of a generating tuple
+    inherits both answers, and later its system, from its source (`inherit`,
+    `_sources`).  One search makes one and shares it; it is never kept on the
+    group."""
 
     def __init__(self, group: FiniteGroup):
         self._group = group
         self._generating: dict[frozenset, bool] = {}
         self._sigma: dict[tuple[int, ...], frozenset[int]] = {}
         self._shared: dict[frozenset[int], frozenset[int]] = {}
+        self._sources: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.systems: dict[tuple[int, ...], SphericalSystem] = {}
 
     def generates(self, entries) -> bool:
@@ -182,19 +190,30 @@ class _SearchMemo:
     def inherit(self, image: tuple[int, ...], source: tuple[int, ...]) -> None:
         """Record `image` = t source t^-1 for a generating tuple `source`:
         <image> = t <source> t^-1 is G, and Sigma is a union of classes, so
-        `image` has the class set of `source` (the same object)."""
+        `image` has the class set of `source` (the same object).  `source`
+        is kept as the image's, for `system`."""
         self._generating[frozenset(image)] = True
         self._sigma[image] = self.sigma_of(source)
+        self._sources[image] = source
 
     def system(self, entries: tuple[int, ...]) -> SphericalSystem:
-        """The system of the enumerated tuple `entries`, validated once per
-        search through this memo's generation test; its `sigma` is the
-        bucket's class set, as a first read would compute it."""
+        """The system of the enumerated tuple `entries`, built once per
+        search.  A tuple that the backtracking found is validated, through
+        this memo's generation test, and gets its bucket's class set as
+        `sigma`.  A conjugate t u t^-1 of such a tuple u is not checked
+        again: conjugation keeps the product one, the entry orders and
+        generation, so it gets u's signature and u's class set."""
         found = self.systems.get(entries)
         if found is None:
-            found = self.systems[entries] = validate_spherical(
-                self._group, entries, self.generates)
-            found.__dict__["sigma"] = self.sigma_of(entries)
+            source = self._sources.get(entries)
+            if source is None:
+                found = validate_spherical(self._group, entries, self.generates)
+                found.__dict__["sigma"] = self.sigma_of(entries)
+            else:
+                origin = self.system(source)
+                found = SphericalSystem(self._group, entries, origin.signature)
+                found.__dict__["sigma"] = origin.sigma
+            self.systems[entries] = found
         return found
 
 
@@ -316,6 +335,16 @@ class RamificationStructure:
         fields = self.__dict__
         fields["t1"] = t1
         fields["t2"] = t2
+
+    @classmethod
+    def _proved(cls, t1: SphericalSystem, t2: SphericalSystem) -> RamificationStructure:
+        """The structure of a pair whose disjointness the caller has already
+        checked, built without checking it again."""
+        structure = cls.__new__(cls)
+        fields = structure.__dict__
+        fields["t1"] = t1
+        fields["t2"] = t2
+        return structure
 
     @property
     def group(self) -> FiniteGroup:
@@ -545,7 +574,12 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
                     ) -> tuple[list[RamificationStructure], bool]:
     """`search_structures`, plus whether the limit stopped the enumeration:
     True exactly when a structure beyond the first `limit` exists.  A side
-    that Riemann-Hurwitz refuses for |G| raises before any enumeration."""
+    that Riemann-Hurwitz refuses for |G| raises before any enumeration.
+
+    Each system of the result comes from the search's memo (`system`).  The
+    disjointness of the two class sets is checked once per pair of Sigma
+    buckets, compared by object identity, at the first structure of that
+    pair; the others of the pair are built without the check."""
     a1, a2 = check_type(type_pair[0]), check_type(type_pair[1])
     check_search_options(limit, bound)
     if group.order > bound:
@@ -565,11 +599,19 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
     if limited:
         pairs.pop()  # one more structure exists; it is not kept
     pairs.sort()  # by key: every t1 has length len(a1)
-    systems, system = memo.systems, memo.system
+    systems, system, proved = memo.systems, memo.system, RamificationStructure._proved
     out = []
+    checked = set()  # the Sigma bucket pairs checked, as class-set object ids
     last = None
     for t1, t2 in pairs:
         if t1 != last:
             last, s1 = t1, system(t1)
-        out.append(RamificationStructure(s1, systems.get(t2) or system(t2)))
+            sigma1 = id(s1.sigma)
+        s2 = systems.get(t2) or system(t2)
+        buckets = (sigma1, id(s2.sigma))
+        if buckets in checked:
+            out.append(proved(s1, s2))
+        else:
+            checked.add(buckets)
+            out.append(RamificationStructure(s1, s2))
     return out, limited

@@ -564,8 +564,27 @@ def test_minimal_first_tuples_keep_keys_and_order(recipe, types, count):
     assert pruned == list(itertools.islice(_canonicalise_every_pair(group, types), count))
 
 
-def test_search_validates_each_distinct_tuple_once(monkeypatch):
-    group = gr.alternating_group(5)
+def _backtracked_source(group, entries):
+    """The tuple whose backtracking found `entries`: `entries` itself when it
+    starts at its class representative r, else t^-1 entries t for the
+    transversal element t with t^-1 e t = r, e its first entry."""
+    first = entries[0]
+    r = group.conjugacy_classes[group.class_of[first]].representative
+    if first == r:
+        return entries
+    t = group._transversal[0][first]
+    t_inv = group.inverse(t)
+    source = tuple(group.mul(group.mul(t_inv, x), t) for x in entries)
+    assert source[0] == r
+    return source
+
+
+def _assert_sources_validated_once(monkeypatch, name, limit):
+    """A search of the case `name` calls `validate_spherical` once per
+    distinct backtracked source of a returned tuple, and never on a
+    conjugate; every returned system is the one `validate_spherical` builds
+    from its entries, and holds its entries' class set."""
+    group, types = _search_case(name)
     calls = []
     validate = rm.validate_spherical
 
@@ -574,38 +593,39 @@ def test_search_validates_each_distinct_tuple_once(monkeypatch):
         return validate(group, entries, generates)
 
     monkeypatch.setattr(rm, "validate_spherical", counting)
-    found = rm.search_structures(group, ((2, 5, 5), (3, 3, 3, 3)))
+    found = rm.search_structures(group, types, limit=limit)
     monkeypatch.undo()
-    assert len(found) == 6480
-    assert len(calls) == len(set(calls)) == 1086  # 2 x 6480 before
-    for s in found:
-        for system in (s.t1, s.t2):
-            assert system == rm.validate_spherical(group, system.entries)
+    assert len(found) == (KEY_STREAM_DIGESTS[name][0] if limit is None else limit)
+    reps = {c.representative for c in group.conjugacy_classes}
+    returned = {system.entries: system for s in found for system in (s.t1, s.t2)}
+    sources = {_backtracked_source(group, t) for t in returned}
+    assert len(calls) == len(set(calls)) == len(sources)
+    assert set(calls) == sources
+    assert all(t[0] in reps for t in calls)
+    for entries, system in returned.items():
+        assert system == rm.validate_spherical(group, entries)  # entries, signature
+        assert "sigma" in system.__dict__
+        assert system.sigma == rm._sigma_classes(group, entries)
+    return len(calls), len(returned)
+
+
+def test_search_validates_each_distinct_tuple_once(monkeypatch):
+    """A full search validates the backtracked source of each returned tuple
+    once and no conjugate: (calls, distinct returned tuples) per case.  On A5
+    that is 60 calls, against 1,086 when every distinct tuple was validated
+    and 2 x 6,480 when every structure was."""
+    counts = {name: _assert_sources_validated_once(monkeypatch, name, None)
+              for name in sorted(KEY_STREAM_DIGESTS)}
+    assert counts == {"A5 (2,5,5)/(3,3,3,3)": (60, 1086), "psl2f7_a": (42, 2018),
+                      "psl2f7_b": (22, 678)}
 
 
 @pytest.mark.parametrize("limit", [1, 7, 100])
 def test_limited_search_validates_only_what_it_returns(monkeypatch, limit):
-    """A limited search validates each distinct tuple of the structures it
-    returns once, and no other tuple; every returned system holds its
-    entries' class set."""
-    group = gr.alternating_group(5)
-    calls = []
-    validate = rm.validate_spherical
-
-    def counting(group, entries, generates=None):
-        calls.append(tuple(entries))
-        return validate(group, entries, generates)
-
-    monkeypatch.setattr(rm, "validate_spherical", counting)
-    found = rm.search_structures(group, ((2, 5, 5), (3, 3, 3, 3)), limit=limit)
-    monkeypatch.undo()
-    assert len(found) == limit
-    returned = {system.entries for s in found for system in (s.t1, s.t2)}
-    assert sorted(calls) == sorted(returned)
-    for s in found:
-        for system in (s.t1, s.t2):
-            assert "sigma" in system.__dict__
-            assert system.sigma == rm._sigma_classes(group, system.entries)
+    """A limited search validates the backtracked source of each tuple it
+    returns once, and no other tuple."""
+    for name in sorted(KEY_STREAM_DIGESTS):
+        _assert_sources_validated_once(monkeypatch, name, limit)
 
 
 def test_non_integer_entries_are_refused_at_their_position(z3z3):
@@ -905,6 +925,10 @@ KEY_STREAM_DIGESTS = {
 def _search_case(name):
     if name.startswith("A5"):
         return gr.alternating_group(5), ((2, 5, 5), (3, 3, 3, 3))
+    if name.startswith("Z3xZ3"):  # the type pair of z3xz3.struct
+        return gr.abelian_group([3, 3]), ((3, 3, 3, 3, 3), (3, 3, 3, 3))
+    if name.startswith("Z2^3"):
+        return gr.abelian_group([2, 2, 2]), ((2,) * 6, (2,) * 6)
     sfile = parse_structure_file(
         resources.files("isoprod.data").joinpath(name + ".search").read_text())
     return sfile.build(), sfile.type_pair
@@ -925,6 +949,43 @@ def test_key_stream_and_limited_results_are_pinned(name):
         found, was_limited = rm.find_structures(group, types, limit=k)
         assert was_limited
         assert _stream_digest(canonical_key(s) for s in found) == want
+
+
+@pytest.mark.parametrize("name, limit, count, bucket_pairs", [
+    ("Z3xZ3 (3,3,3,3,3)/(3,3,3,3)", None, 11520, 6),
+    ("A5 (2,5,5)/(3,3,3,3)", None, 6480, 1),
+    ("psl2f7_a", None, 4032, 1), ("psl2f7_b", None, 4032, 1),
+    # 680,400 structures in full; the first 20,000 pair one side-1 bucket
+    # with three side-2 buckets
+    ("Z2^3 (2^6)/(2^6)", 20000, 20000, 3),
+])
+def test_search_checks_disjointness_once_per_sigma_bucket_pair(monkeypatch, name, limit,
+                                                               count, bucket_pairs):
+    """A search runs `is_disjoint` once per distinct (t1.sigma, t2.sigma)
+    pair among its structures, builds the others of that pair without the
+    check, and every structure it returns is disjoint.  A structure built
+    without the check equals, and hashes as, the checked one."""
+    group, types = _search_case(name)
+    checked = []
+    real = rm.is_disjoint
+
+    def counting(t1, t2):
+        checked.append((t1.sigma, t2.sigma))
+        return real(t1, t2)
+
+    monkeypatch.setattr(rm, "is_disjoint", counting)
+    found = rm.search_structures(group, types, limit=limit)
+    monkeypatch.undo()
+    assert len(found) == count
+    pairs = {(s.t1.sigma, s.t2.sigma) for s in found}
+    assert len(checked) == len(set(checked)) == len(pairs) == bucket_pairs
+    assert set(checked) == pairs
+    assert all(rm.is_disjoint(s.t1, s.t2) for s in found)
+    for s in found[::7]:
+        proved = rm.RamificationStructure._proved(s.t1, s.t2)
+        for built in (s, proved):
+            want = rm.RamificationStructure(s.t1, s.t2)
+            assert built == want and hash(built) == hash(want)
 
 
 def test_checks_run_only_on_tuples_from_class_representatives(monkeypatch):

@@ -609,16 +609,34 @@ def test_catalog_deterministic_output(capsys):
 
 
 def test_fixture_expectations_match_their_catalog_rows():
-    """Each shipped fixture's `expect genus` and `expect type` lines record
-    the same facts as the `genera` and `surface_type` of its catalog row."""
+    """Each shipped row's fixture is a data file, and its `expect genus` and
+    `expect type` lines record the same facts as the `genera` and
+    `surface_type` of the row.  A data file may be named by no row (the
+    `.search` files are read by the `search` command)."""
     entries = shipped_entries()
     fixtures = {p.name for p in resources.files("isoprod.data").iterdir()
                 if p.name.endswith((".struct", ".search"))}
-    assert sorted(e.fixture for e in entries) == sorted(fixtures)
+    named = [e.fixture for e in entries]
+    assert len(named) == len(set(named)) == 5
+    assert set(named) <= fixtures
     for entry in entries:
         expectations = parse_structure_file(fixture_text(entry.fixture)).expectations
         assert tuple(expectations["genus"]) == entry.genera, entry.name
         assert expectations["type"] == entry.surface_type, entry.name
+
+
+@pytest.mark.parametrize("name", ["psl2f7_a", "psl2f7_b"])
+def test_frozen_psl_structures_are_the_first_hits_of_their_searches(name):
+    """`<name>.struct` holds the first structure that the search of
+    `<name>.search` finds, over the same group recipe, with the same
+    expectations."""
+    frozen = parse_structure_file(fixture_text(name + ".struct"))
+    searched = parse_structure_file(fixture_text(name + ".search"))
+    assert frozen.group_lines == searched.group_lines
+    assert frozen.expectations == searched.expectations
+    group = searched.build()
+    (first,) = rm.search_structures(group, searched.type_pair, limit=1)
+    assert frozen.structure(group) == first
 
 
 def test_catalog_table_rows_match_expectations():
