@@ -50,42 +50,40 @@ yields the stream of the backtracking over every first entry, tuple for
 tuple and in order; the tests keep that backtracking as the oracle.
 
 A search pays for each check once, and only on tuples that start at a
-class representative.  One memo per search (`_SearchMemo`) holds the
-generation test, by entry set, the Sigma class sets, by entry tuple, the
-source of each conjugate, and the `SphericalSystem` of each distinct tuple
-of a structure.  It serves both sides' enumerations, the Sigma buckets and
-the systems of the result.  A tuple that the backtracking found is
-validated (`validate_spherical`), but not closed again: the enumeration
-proved it generating.  Its system gets its bucket's class set.  A
-conjugate t u t^-1 inherits all of it from its source u, with nothing
-left to check: <t u t^-1> = t <u> t^-1 is G, conjugation keeps the
-product one and the entry orders, so the signature is u's, and Sigma is a
-union of classes, so the class set is u's (the same object).  The memo is
-made per search and dies with it; nothing is kept on the group.  A system
-built outside a search is closed once and computes its class set on first
-use; the image of a system in a quotient G/H is not closed at all, since a
-projection of a generating tuple generates G/H (`quotient_system`).
+class representative.  The enumeration yields `SphericalSystem`s, never
+bare tuples: a tuple that the backtracking finds becomes its system where
+it is found, validated (`validate_spherical`) but not closed again, since
+the enumeration proved it generating, and holding its Sigma class set.
+On side 1 that happens only to the tuples that the C_G(r) filter keeps.
+A conjugate t u t^-1 is built from its source system u with nothing left
+to check: <t u t^-1> = t <u> t^-1 is G, conjugation keeps the product one
+and the entry orders, so the signature is u's, and Sigma is a union of
+classes, so the class set is u's (the same object).  One memo per search
+(`_SearchMemo`) serves both sides: the generation test, by entry set, and
+the interning of class sets, so that equal class sets are one object.  It
+is made per search and dies with it; nothing is kept on the group.  A
+system built outside a search is closed once and computes its class set on
+first use; the image of a system in a quotient G/H is not closed at all,
+since a projection of a generating tuple generates G/H (`quotient_system`).
 
-The result is built from the pairs (t1, t2) themselves, never from their
-concatenation: every t1 has the length of side 1's type, so sorting the
-pairs sorts the keys t1 + t2.  In the sorted pairs all the pairs of one t1
-are adjacent, so its system is looked up once for them all.  Equal class
-sets are one object, so a pair of Sigma buckets is a pair of objects.  The
-first structure of each bucket pair is built by `RamificationStructure`,
-which checks that the two class sets are disjoint (`is_disjoint`); its
-bucket-mates hold the same two objects, so they are built without the
-check.
+The Sigma buckets, the pairing and the result all hold those systems.  The
+members of a bucket share one class set, so the pairing tests each pair of
+buckets once, with `is_disjoint` on their first members, and that is the
+search's one disjointness check: the result is built from the pairs it
+proved (`RamificationStructure._proved`).  Every t1 has the length of side
+1's type, so sorting the pairs by (t1.entries, t2.entries) sorts the keys
+t1 + t2.
 
 The pairing reads each side only as far as the pairs taken need, so
 `limit=k` stops after k + 1 pairs.  A side's Sigma buckets are filled as
-its tuples arrive: a new Sigma-set opens a bucket at the end of the bucket
-list, and a tuple joins its bucket at the end.  A reader that gets past
-the end of the bucket list, or of one bucket, pulls tuples until that list
-grows or the side runs out.  Both lists only grow at their ends, so every
+its systems arrive: a new Sigma-set opens a bucket at the end of the
+bucket list, and a system joins its bucket at the end.  A reader that
+gets past the end of the bucket list, or of one bucket, pulls systems
+until that list grows or the side runs out.  Both lists only grow at their ends, so every
 reader meets the buckets and the members in the order of a side read in
 full first; the loops over them (bucket of side 1, disjoint bucket of side
 2, t1, t2) are those of that full reading, and so are the pair stream and
-its order.  Side 2 is not started while side 1 has yielded no tuple.
+its order.  Side 2 is not started while side 1 has yielded no system.
 """
 
 from __future__ import annotations
@@ -153,24 +151,23 @@ class SphericalSystem:
         equality and hashing are those of (group, entries, signature)."""
         return _sigma_classes(self.group, self.entries)
 
+    def _holding(self, sigma: frozenset[int]) -> SphericalSystem:
+        """This system, with `sigma` as its known class set: the one place
+        a search hands a system its Sigma instead of computing it."""
+        self.__dict__["sigma"] = sigma
+        return self
+
 
 class _SearchMemo:
-    """The checks of one search, each paid once: the generation test,
-    memoised by entry set, the Sigma class sets, memoised by entry tuple, and
-    the system of each distinct tuple of a structure (`systems`).  Equal
-    class sets are kept as one object, so the Sigma memo holds one set per
-    Sigma bucket, not one per tuple.  A conjugate of a generating tuple
-    inherits both answers, and later its system, from its source (`inherit`,
-    `_sources`).  One search makes one and shares it; it is never kept on the
-    group."""
+    """What the tuples of one search share: the generation test, memoised
+    by entry set, and the interning of class sets, so that equal Sigma
+    class sets are one object, one per Sigma bucket.  Both sides of one
+    search share one; it is never kept on the group."""
 
     def __init__(self, group: FiniteGroup):
         self._group = group
         self._generating: dict[frozenset, bool] = {}
-        self._sigma: dict[tuple[int, ...], frozenset[int]] = {}
         self._shared: dict[frozenset[int], frozenset[int]] = {}
-        self._sources: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.systems: dict[tuple[int, ...], SphericalSystem] = {}
 
     def generates(self, entries) -> bool:
         key = frozenset(entries)
@@ -180,41 +177,13 @@ class _SearchMemo:
             hit = self._generating[key] = len(group.closure(key)) == group.order
         return hit
 
-    def sigma_of(self, entries: tuple[int, ...]) -> frozenset[int]:
-        hit = self._sigma.get(entries)
-        if hit is None:
-            sigma = _sigma_classes(self._group, entries)
-            hit = self._sigma[entries] = self._shared.setdefault(sigma, sigma)
-        return hit
-
-    def inherit(self, image: tuple[int, ...], source: tuple[int, ...]) -> None:
-        """Record `image` = t source t^-1 for a generating tuple `source`:
-        <image> = t <source> t^-1 is G, and Sigma is a union of classes, so
-        `image` has the class set of `source` (the same object).  `source`
-        is kept as the image's, for `system`."""
-        self._generating[frozenset(image)] = True
-        self._sigma[image] = self.sigma_of(source)
-        self._sources[image] = source
-
-    def system(self, entries: tuple[int, ...]) -> SphericalSystem:
-        """The system of the enumerated tuple `entries`, built once per
-        search.  A tuple that the backtracking found is validated, through
-        this memo's generation test, and gets its bucket's class set as
-        `sigma`.  A conjugate t u t^-1 of such a tuple u is not checked
-        again: conjugation keeps the product one, the entry orders and
-        generation, so it gets u's signature and u's class set."""
-        found = self.systems.get(entries)
-        if found is None:
-            source = self._sources.get(entries)
-            if source is None:
-                found = validate_spherical(self._group, entries, self.generates)
-                found.__dict__["sigma"] = self.sigma_of(entries)
-            else:
-                origin = self.system(source)
-                found = SphericalSystem(self._group, entries, origin.signature)
-                found.__dict__["sigma"] = origin.sigma
-            self.systems[entries] = found
-        return found
+    def found(self, entries: tuple[int, ...]) -> SphericalSystem:
+        """The system of a tuple that the backtracking found, validated
+        through this memo's generation test, holding its interned class
+        set."""
+        system = validate_spherical(self._group, entries, self.generates)
+        sigma = _sigma_classes(self._group, system.entries)
+        return system._holding(self._shared.setdefault(sigma, sigma))
 
 
 def validate_spherical(group: FiniteGroup, entries, generates=None) -> SphericalSystem:
@@ -338,8 +307,9 @@ class RamificationStructure:
 
     @classmethod
     def _proved(cls, t1: SphericalSystem, t2: SphericalSystem) -> RamificationStructure:
-        """The structure of a pair whose disjointness the caller has already
-        checked, built without checking it again."""
+        """The structure of a pair that a search's pairing has already found
+        disjoint (`_disjoint_pairs`), built without checking it again; every
+        other caller goes through the checking constructor."""
         structure = cls.__new__(cls)
         fields = structure.__dict__
         fields["t1"] = t1
@@ -399,17 +369,20 @@ def quotient_system(system: SphericalSystem, quot: QuotientGroup) -> QuotientSys
 
 def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
                      memo: _SearchMemo):
-    """Yield entry tuples of the given type (product one, generating), in
-    the order of the key [(o(x), x) for x in tuple]: the first entry's
-    order ascending, then the first entry ascending, then the same for the
-    next entries.  The final entry is forced by the product constraint, and
-    generation is tested by the search's `memo`.
+    """Yield the `SphericalSystem`s of the given type, in the order of the
+    key [(o(x), x) for x in entries]: the first entry's order ascending,
+    then the first entry ascending, then the same for the next entries.  The
+    final entry is forced by the product constraint, and generation is
+    tested by the search's `memo`.  A tuple that the backtracking finds
+    becomes its system there (`_SearchMemo.found`).
 
-    When `first_entry_reps` is set, the first entry only runs over conjugacy
-    class representatives (complete up to simultaneous conjugation).
-    Otherwise it runs over every element e of G, but only the tuples that
-    start at the representative r of e's class are found by backtracking;
-    those that start at e are their conjugates (`_conjugate_batch`).
+    When `first_entry_reps` is set (side 1), the first entry only runs over
+    conjugacy class representatives r, and only the tuples least among
+    their conjugates under C_G(r) are kept, and only they are validated:
+    see the module docstring.  Otherwise (side 2) the first entry runs over
+    every element e of G, but only the systems that start at the
+    representative r of e's class are found by backtracking; those that
+    start at e are their conjugates (`_conjugate_batch`).
     """
     signature = tuple(sorted(signature))
     by_order: dict[int, list[int]] = {}
@@ -420,25 +393,28 @@ def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
     rank = [0] * group.order  # x's place in the order of (o(x), x)
     for i, x in enumerate(x for m in sorted(by_order) for x in by_order[m]):
         rank[x] = i
-    class_of = group.class_of
+    class_of, found = group.class_of, memo.found
     for m, rest in _each_order_once(signature):
         if first_entry_reps:
             first = [c.representative for c in group.conjugacy_classes
                      if c.element_order == m]
         else:
             first = by_order[m]
-        batches: dict[int, list[tuple[int, ...]]] = {}  # by class of the first entry
+        batches: dict[int, list[SphericalSystem]] = {}  # by class of the first entry
         for e in first:
             batch = batches.get(class_of[e])
             if batch is None:
                 # e is the representative: the least member of its class, so
-                # the first one met; its tuples stream as they are found
+                # the first one met; its systems stream as they are found
                 batch = batches[class_of[e]] = []
                 for t in _extend_tuples(group, memo.generates, by_order, [e], e, rest):
-                    batch.append(t)
-                    yield t
+                    if first_entry_reps and group.min_conjugate(t) != t:
+                        continue
+                    system = found(t)
+                    batch.append(system)
+                    yield system
             else:
-                yield from _conjugate_batch(group, memo, batch, e, rank)
+                yield from _conjugate_batch(group, batch, e, rank)
 
 
 def _each_order_once(signature: tuple[int, ...]):
@@ -472,60 +448,59 @@ def _extend_tuples(group: FiniteGroup, generates, by_order, prefix: list[int],
             prefix.pop()
 
 
-def _conjugate_batch(group: FiniteGroup, memo: _SearchMemo, batch, e: int, rank):
-    """The tuples that start at `e`, from the complete `batch` of those that
-    start at the representative r of e's class: with t^-1 e t = r, they are
-    the t u t^-1 for u in `batch`, yielded in enumeration order (`rank`).
-    Each inherits its generation and its Sigma from u."""
+def _conjugate_batch(group: FiniteGroup, batch, e: int, rank):
+    """The systems that start at `e`, from the complete `batch` of those
+    that start at the representative r of e's class: with t^-1 e t = r, they
+    are the t u t^-1 for u in `batch`, yielded in enumeration order
+    (`rank`).  Nothing is checked: <t u t^-1> = t <u> t^-1 is G, and
+    conjugation keeps the product one and the entry orders, so each gets
+    u's signature, and Sigma is a union of classes, so it gets u's class set
+    (the same object)."""
     mul, inv = group._mul, group._inv
     t = group._transversal[0][e]
     left, t_inv = mul[t], inv[t]
-    pairs = [(tuple([mul[left[x]][t_inv] for x in u]), u) for u in batch]
-    pairs.sort(key=lambda pair: [rank[x] for x in pair[0]])
-    for image, source in pairs:
-        memo.inherit(image, source)
-        yield image
+    images = [(tuple([mul[left[x]][t_inv] for x in u.entries]), u) for u in batch]
+    images.sort(key=lambda pair: [rank[x] for x in pair[0]])
+    for image, u in images:
+        yield SphericalSystem(group, image, u.signature)._holding(u.sigma)
 
 
-def iter_structure_pairs(group: FiniteGroup, type_pair, memo: _SearchMemo):
-    """The pairs (t1, t2) of all structures of the given type pair, in
-    discovery order, without duplicates; t1 + t2 is the structure's
-    canonical key.  Both sides share `memo`, the search's generation test
-    and class-set memo."""
+def iter_structure_pairs(group: FiniteGroup, type_pair):
+    """The pairs (t1, t2) of systems of all structures of the given type
+    pair, in discovery order, without duplicates; t1.entries + t2.entries is
+    the structure's canonical key.  Both sides share one `_SearchMemo`,
+    made here for this search only."""
     a1, a2 = type_pair
-    # only the least tuple of each C_G(r) orbit: see the module docstring
-    side1 = (t for t in _systems_of_type(group, a1, True, memo)
-             if group.min_conjugate(t) == t)
-    side2 = _systems_of_type(group, a2, False, memo)
-    return _disjoint_pairs(side1, side2, memo.sigma_of)
+    memo = _SearchMemo(group)
+    return _disjoint_pairs(_systems_of_type(group, a1, True, memo),
+                           _systems_of_type(group, a2, False, memo))
 
 
 class _SigmaBuckets:
-    """The tuples of one side grouped by Sigma class set, pulled from the
-    side only as far as a reader asks: the buckets in order of first
-    appearance, each bucket's members in side order."""
+    """The systems of one side grouped by Sigma class set, pulled from the
+    side only as far as a reader asks: the buckets, each the list of its
+    members, in order of first appearance, each bucket's members in side
+    order."""
 
-    def __init__(self, side, sigma_of):
-        self._sigma_of = sigma_of
+    def __init__(self, side):
         self._side = iter(side)
         self._read_all = False
         self._by_sigma: dict[frozenset, list] = {}
-        self._buckets: list[tuple[frozenset, list]] = []
+        self._buckets: list[list] = []
 
     def _reach(self, items: list, i: int) -> bool:
-        """Pull tuples until `items` (the bucket list or one bucket) has an
+        """Pull systems until `items` (the bucket list or one bucket) has an
         item i; False when the side runs out first."""
         while len(items) <= i:
-            t = next(self._side, None)
-            if t is None:
+            system = next(self._side, None)
+            if system is None:
                 self._read_all = True
                 return False
-            sigma = self._sigma_of(t)
-            members = self._by_sigma.get(sigma)
+            members = self._by_sigma.get(system.sigma)
             if members is None:
-                members = self._by_sigma[sigma] = []
-                self._buckets.append((sigma, members))
-            members.append(t)
+                members = self._by_sigma[system.sigma] = []
+                self._buckets.append(members)
+            members.append(system)
         return True
 
     def __iter__(self):
@@ -533,7 +508,7 @@ class _SigmaBuckets:
 
     def read(self, items: list):
         """`items`, the bucket list or one bucket, from its first item,
-        pulling tuples as the reader gets past what has been read; once the
+        pulling systems as the reader gets past what has been read; once the
         side has run out, `items` is complete and is read as it stands."""
         return items if self._read_all else self._pulled(items)
 
@@ -544,20 +519,19 @@ class _SigmaBuckets:
             i += 1
 
 
-def _disjoint_pairs(side1, side2, sigma_of):
-    """Every pair (t1, t2) with Sigma-sets meeting only in the identity,
-    bucket by bucket, in the order of the two sides; each side is read only
-    as far as the pairs taken need.  `sigma_of` is the search's class-set
-    memo."""
-    buckets1 = _SigmaBuckets(side1, sigma_of)
-    buckets2 = _SigmaBuckets(side2, sigma_of)
-    for s1, group1 in buckets1:
-        for s2, group2 in buckets2:
-            if s1 & s2 != _ONLY_IDENTITY:
-                continue
-            for t1 in buckets1.read(group1):
-                for t2 in buckets2.read(group2):
-                    yield t1, t2
+def _disjoint_pairs(side1, side2):
+    """Every pair (t1, t2) of systems with Sigma-sets meeting only in the
+    identity, bucket by bucket, in the order of the two sides; each side is
+    read only as far as the pairs taken need.  The members of a bucket share
+    one Sigma, so each pair of buckets is tested once, by `is_disjoint` on
+    its first members."""
+    buckets1, buckets2 = _SigmaBuckets(side1), _SigmaBuckets(side2)
+    for bucket1 in buckets1:
+        for bucket2 in buckets2:
+            if is_disjoint(bucket1[0], bucket2[0]):
+                for t1 in buckets1.read(bucket1):
+                    for t2 in buckets2.read(bucket2):
+                        yield t1, t2
 
 
 def search_structures(group: FiniteGroup, type_pair, limit: int | None = None,
@@ -576,10 +550,10 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
     True exactly when a structure beyond the first `limit` exists.  A side
     that Riemann-Hurwitz refuses for |G| raises before any enumeration.
 
-    Each system of the result comes from the search's memo (`system`).  The
-    disjointness of the two class sets is checked once per pair of Sigma
-    buckets, compared by object identity, at the first structure of that
-    pair; the others of the pair are built without the check."""
+    The pairing has proved every pair disjoint, once per pair of Sigma
+    buckets (`_disjoint_pairs`), so each structure is built without the
+    check (`RamificationStructure._proved`).  Every t1 has the length of
+    side 1's type, so sorting by (t1.entries, t2.entries) sorts the keys."""
     a1, a2 = check_type(type_pair[0]), check_type(type_pair[1])
     check_search_options(limit, bound)
     if group.order > bound:
@@ -592,26 +566,10 @@ def find_structures(group: FiniteGroup, type_pair, limit: int | None = None,
         )
     for side in (a1, a2):
         genus(group.order, side)
-    memo = _SearchMemo(group)  # for this search only
-    pairs = list(itertools.islice(iter_structure_pairs(group, (a1, a2), memo),
+    pairs = list(itertools.islice(iter_structure_pairs(group, (a1, a2)),
                                   None if limit is None else limit + 1))
     limited = limit is not None and len(pairs) > limit
     if limited:
         pairs.pop()  # one more structure exists; it is not kept
-    pairs.sort()  # by key: every t1 has length len(a1)
-    systems, system, proved = memo.systems, memo.system, RamificationStructure._proved
-    out = []
-    checked = set()  # the Sigma bucket pairs checked, as class-set object ids
-    last = None
-    for t1, t2 in pairs:
-        if t1 != last:
-            last, s1 = t1, system(t1)
-            sigma1 = id(s1.sigma)
-        s2 = systems.get(t2) or system(t2)
-        buckets = (sigma1, id(s2.sigma))
-        if buckets in checked:
-            out.append(proved(s1, s2))
-        else:
-            checked.add(buckets)
-            out.append(RamificationStructure(s1, s2))
-    return out, limited
+    pairs.sort(key=lambda pair: (pair[0].entries, pair[1].entries))
+    return list(itertools.starmap(RamificationStructure._proved, pairs)), limited

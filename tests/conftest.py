@@ -108,11 +108,11 @@ def assert_int_coordinates(table):
 
 
 def systems_of_type(group, signature, first_entry_reps):
-    """The search's tuple enumeration, with fresh memos."""
-    return rm._systems_of_type(group, signature, first_entry_reps, rm._SearchMemo(group))
+    """The entry tuples of the search's enumeration, with a fresh memo."""
+    return (system.entries for system in
+            rm._systems_of_type(group, signature, first_entry_reps, rm._SearchMemo(group)))
 
 
 def structure_keys(group, type_pair):
-    """The search's key stream, with fresh memos, as one search makes them."""
-    return (t1 + t2 for t1, t2 in
-            rm.iter_structure_pairs(group, type_pair, rm._SearchMemo(group)))
+    """The search's key stream, as one search makes it."""
+    return (t1.entries + t2.entries for t1, t2 in rm.iter_structure_pairs(group, type_pair))

@@ -72,16 +72,17 @@ def backtracking_systems_of_type(group, signature):
 
 def naive_structure_keys(group, type_pair):
     """Canonical keys of all structures of the given type pair, in discovery
-    order, without duplicates, from every pair of the exhausted sides."""
+    order, without duplicates, from every pair of the validated systems of
+    the exhausted sides."""
     a1, a2 = type_pair
-    side1 = list(naive_systems_of_type(group, a1))
+    side1 = [rm.validate_spherical(group, t) for t in naive_systems_of_type(group, a1)]
     side2 = (
         side1 if tuple(sorted(a1)) == tuple(sorted(a2))
-        else list(naive_systems_of_type(group, a2))
+        else [rm.validate_spherical(group, t) for t in naive_systems_of_type(group, a2)]
     )
     seen = set()
-    for t1, t2 in rm._disjoint_pairs(side1, side2, rm._SearchMemo(group).sigma_of):
-        key = group.min_conjugate(t1 + t2)
+    for t1, t2 in rm._disjoint_pairs(side1, side2):
+        key = group.min_conjugate(t1.entries + t2.entries)
         if key not in seen:
             seen.add(key)
             yield key

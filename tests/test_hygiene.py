@@ -95,11 +95,15 @@ def test_groups_are_freed_without_the_cyclic_collector():
         text = ct.render_table(table)
         z3z3 = cat.realize_structure(cat.entry_by_name("Z3xZ3"))
         analysis = sf.analyze(z3z3, ct.character_table(z3z3.group))
-        psl = cat.realize_structure(cat.entry_by_name("PSL2F7-a"))  # a limit=1 search
+        psl = cat.realize_structure(cat.entry_by_name("PSL2F7-a"))  # parses psl2f7_a.struct
         found = rm.search_structures(psl.group, ((7, 7, 7), (3, 3, 4)))
+        # a limited search leaves its lazy sides suspended, holding systems
+        limited = [rm.search_structures(psl.group, ((7, 7, 7), (3, 3, 4)), limit=k)
+                   for k in (1, 7)]
         assert text and analysis.surface_type == "c" and len(found) == 4032
+        assert [len(s) for s in limited] == [1, 7]
         refs = [weakref.ref(g) for g in (s4, z3z3.group, psl.group)]
-        del s4, table, orbits, idempotents, text, z3z3, analysis, psl, found
+        del s4, table, orbits, idempotents, text, z3z3, analysis, psl, found, limited
         assert [r() for r in refs] == [None, None, None]
     finally:
         if was_enabled:

@@ -37,6 +37,13 @@ def conjugates_of_powers(group, e):
     return out
 
 
+def from_class_representatives(group, signature):
+    """The backtracking enumeration's tuples of `signature` whose first
+    entry is a conjugacy class representative, in its order."""
+    reps = {c.representative for c in group.conjugacy_classes}
+    return (t for t in backtracking_systems_of_type(group, signature) if t[0] in reps)
+
+
 @pytest.fixture(scope="module")
 def z3z3_structure(z3z3_label):
     group, lab = z3z3_label
@@ -335,7 +342,7 @@ def _systems_and_normal_quotients(recipe, signature):
                  {group.closure([x, y]) for x in range(n) for y in range(x, n)}]
     quotients = [group.quotient(h) for h in subgroups if group.is_normal(h)]
     systems = [rm.validate_spherical(group, entries) for entries
-               in systems_of_type(group, signature, first_entry_reps=True)]
+               in from_class_representatives(group, signature)]
     return systems, quotients
 
 
@@ -528,9 +535,11 @@ def _canonicalise_every_pair(group, type_pair):
     Sigma-disjoint pair of the two sides is canonicalised, and each key is
     kept at its first visit."""
     buckets = []
-    for types, reps in zip(type_pair, (True, False)):
+    sides = (from_class_representatives(group, type_pair[0]),
+             systems_of_type(group, type_pair[1], first_entry_reps=False))
+    for side in sides:
         by_sigma = {}
-        for t in systems_of_type(group, types, first_entry_reps=reps):
+        for t in side:
             by_sigma.setdefault(rm._sigma_classes(group, t), []).append(t)
         buckets.append(by_sigma)
     seen = set()
@@ -579,34 +588,40 @@ def _backtracked_source(group, entries):
     return source
 
 
-def _assert_sources_validated_once(monkeypatch, name, limit):
-    """A search of the case `name` calls `validate_spherical` once per
-    distinct backtracked source of a returned tuple, and never on a
-    conjugate; every returned system is the one `validate_spherical` builds
-    from its entries, and holds its entries' class set."""
+def _assert_read_tuples_validated_once(monkeypatch, name, limit):
+    """A search of the case `name` calls `validate_spherical` exactly once on
+    each tuple that it reads from backtracking (one that starts at a class
+    representative), as it reads it, and never on a conjugate; every
+    returned system is the one `validate_spherical` builds from its entries,
+    and holds its entries' class set.  Returns the validated tuples and the
+    returned systems by entries."""
     group, types = _search_case(name)
-    calls = []
-    validate = rm.validate_spherical
+    calls, read = [], []
+    validate, enumerate_systems = rm.validate_spherical, rm._systems_of_type
 
     def counting(group, entries, generates=None):
         calls.append(tuple(entries))
         return validate(group, entries, generates)
 
+    def reading(*args):
+        for system in enumerate_systems(*args):
+            read.append(system.entries)
+            yield system
+
     monkeypatch.setattr(rm, "validate_spherical", counting)
+    monkeypatch.setattr(rm, "_systems_of_type", reading)
     found = rm.search_structures(group, types, limit=limit)
     monkeypatch.undo()
     assert len(found) == (KEY_STREAM_DIGESTS[name][0] if limit is None else limit)
     reps = {c.representative for c in group.conjugacy_classes}
+    assert calls == [t for t in read if t[0] in reps]
+    assert len(calls) == len(set(calls))
     returned = {system.entries: system for s in found for system in (s.t1, s.t2)}
-    sources = {_backtracked_source(group, t) for t in returned}
-    assert len(calls) == len(set(calls)) == len(sources)
-    assert set(calls) == sources
-    assert all(t[0] in reps for t in calls)
     for entries, system in returned.items():
         assert system == rm.validate_spherical(group, entries)  # entries, signature
         assert "sigma" in system.__dict__
         assert system.sigma == rm._sigma_classes(group, entries)
-    return len(calls), len(returned)
+    return calls, returned
 
 
 def test_search_validates_each_distinct_tuple_once(monkeypatch):
@@ -614,18 +629,22 @@ def test_search_validates_each_distinct_tuple_once(monkeypatch):
     once and no conjugate: (calls, distinct returned tuples) per case.  On A5
     that is 60 calls, against 1,086 when every distinct tuple was validated
     and 2 x 6,480 when every structure was."""
-    counts = {name: _assert_sources_validated_once(monkeypatch, name, None)
-              for name in sorted(KEY_STREAM_DIGESTS)}
+    counts = {}
+    for name in sorted(KEY_STREAM_DIGESTS):
+        calls, returned = _assert_read_tuples_validated_once(monkeypatch, name, None)
+        group = _search_case(name)[0]
+        assert set(calls) == {_backtracked_source(group, t) for t in returned}
+        counts[name] = len(calls), len(returned)
     assert counts == {"A5 (2,5,5)/(3,3,3,3)": (60, 1086), "psl2f7_a": (42, 2018),
                       "psl2f7_b": (22, 678)}
 
 
 @pytest.mark.parametrize("limit", [1, 7, 100])
 def test_limited_search_validates_only_what_it_returns(monkeypatch, limit):
-    """A limited search validates the backtracked source of each tuple it
-    returns once, and no other tuple."""
+    """A limited search validates each tuple it reads from backtracking once,
+    as it reads it, and no conjugate; what it returns is validated."""
     for name in sorted(KEY_STREAM_DIGESTS):
-        _assert_sources_validated_once(monkeypatch, name, limit)
+        _assert_read_tuples_validated_once(monkeypatch, name, limit)
 
 
 def test_non_integer_entries_are_refused_at_their_position(z3z3):
@@ -678,7 +697,8 @@ def test_memoised_generation_still_refuses_a_non_generating_tuple():
         with pytest.raises(rm.RamificationError, match="do not generate"):
             rm.validate_spherical(a5, pair, test)
     t = next(rm._systems_of_type(a5, (2, 5, 5), True, memo))
-    assert rm.validate_spherical(a5, t, generates) == rm.validate_spherical(a5, t)
+    assert rm.validate_spherical(a5, t.entries, generates) == rm.validate_spherical(
+        a5, t.entries) == t
 
 
 def test_system_sigma_is_computed_once_and_is_no_field(psl27):
@@ -732,9 +752,9 @@ def test_generation_memo_lives_for_one_search(monkeypatch):
 
 def test_sigma_is_computed_once_per_bucketed_tuple(monkeypatch):
     """One search computes each tuple's Sigma class set once: the buckets
-    and the key systems share one memo, so a full `psl2f7_a` search makes
-    no more `_sigma_classes` calls than tuples it buckets, and every system
-    it returns still holds its own entries' class set."""
+    and the result hold one system per tuple, so a full `psl2f7_a` search
+    makes no more `_sigma_classes` calls than systems it buckets, and every
+    system it returns still holds its own entries' class set."""
     sfile = parse_structure_file(
         resources.files("isoprod.data").joinpath("psl2f7_a.search").read_text())
     group = sfile.build()
@@ -745,13 +765,13 @@ def test_sigma_is_computed_once_per_bucketed_tuple(monkeypatch):
         counts["sigma"] += 1
         return real_sigma(group, entries)
 
-    def counting_init(self, side, sigma_of):
+    def counting_init(self, side):
         def counted():
-            for t in side:
+            for system in side:
                 counts["bucketed"] += 1
-                yield t
+                yield system
 
-        real_init(self, counted(), sigma_of)
+        real_init(self, counted())
 
     monkeypatch.setattr(rm, "_sigma_classes", counting_sigma)
     monkeypatch.setattr(rm._SigmaBuckets, "__init__", counting_init)
@@ -764,15 +784,15 @@ def test_sigma_is_computed_once_per_bucketed_tuple(monkeypatch):
             assert system.sigma == rm._sigma_classes(group, system.entries)
 
 
-def _list_disjoint_pairs(group, side1, side2, sigma_of):
+def _list_disjoint_pairs(group, side1, side2):
     """The pairing before it read its sides lazily: both sides are read in
     full and bucketed by Sigma before the first pair.  It computes every
-    Sigma of `group` itself and leaves the search's class-set memo
-    `sigma_of` unused."""
+    Sigma of `group` itself, from the systems' entries, and tests each
+    bucket pair's class sets itself."""
     by_sigma1, by_sigma2 = {}, {}
     for side, by_sigma in ((side1, by_sigma1), (side2, by_sigma2)):
         for t in side:
-            by_sigma.setdefault(rm._sigma_classes(group, t), []).append(t)
+            by_sigma.setdefault(rm._sigma_classes(group, t.entries), []).append(t)
     for s1, group1 in by_sigma1.items():
         for s2, group2 in by_sigma2.items():
             if s1 & s2 != {0}:
@@ -866,11 +886,35 @@ def test_side_two_streams_as_backtracking_from_every_first_entry(monkeypatch, z3
     """Side 2 (conjugates of the batches that start at class representatives)
     yields the stream of the backtracking over every first entry, tuple for
     tuple and in order, on seeded types of length 2-4 (and 5-6 on the small
-    groups): in full, or its first 3000 tuples where it is longer.  Each
-    conjugate's generation and Sigma are known without a closure or a Sigma
-    computation."""
+    groups): in full, or its first 3000 tuples where it is longer.  Building
+    a conjugate's system calls no `closure`, no `_sigma_classes` and no
+    `validate_spherical`, and the system holds its entries' class set."""
     from test_acceptance import _random_small_groups
 
+    building = [False]
+    real_batch = rm._conjugate_batch
+
+    def refused_while_building(real):
+        def guarded(*args):
+            assert not building[0], real.__name__
+            return real(*args)
+        return guarded
+
+    def watched_batch(*args):
+        batch = real_batch(*args)
+        while True:
+            building[0] = True
+            system = next(batch, None)
+            building[0] = False
+            if system is None:
+                return
+            built.append(system)
+            yield system
+
+    monkeypatch.setattr(gr.FiniteGroup, "closure", refused_while_building(gr.FiniteGroup.closure))
+    monkeypatch.setattr(rm, "_sigma_classes", refused_while_building(rm._sigma_classes))
+    monkeypatch.setattr(rm, "validate_spherical", refused_while_building(rm.validate_spherical))
+    monkeypatch.setattr(rm, "_conjugate_batch", watched_batch)
     rng = random.Random(2112)
     compared, conjugated = Counter(), Counter()
     for group in [z3z3, q8, psl27, g128, z2cubed_z4, gr.alternating_group(5)] + \
@@ -878,19 +922,18 @@ def test_side_two_streams_as_backtracking_from_every_first_entry(monkeypatch, z3
         reps = {c.representative for c in group.conjugacy_classes}
         for length in (2, 3, 4) + ((5, 6) if group.order <= 24 else ()):
             for signature in _seeded_types(group, length, rng, 2):
-                memo = rm._SearchMemo(group)
+                built = []
                 got = list(itertools.islice(
-                    rm._systems_of_type(group, signature, False, memo), 3000))
+                    rm._systems_of_type(group, signature, False, rm._SearchMemo(group)),
+                    3000))
                 want = list(itertools.islice(
                     backtracking_systems_of_type(group, signature), 3000))
-                assert got == want, (group.recipe, signature)
-                conjugates = [t for t in got if t[0] not in reps]
-                want_sigma = [rm._sigma_classes(group, t) for t in conjugates]
-                with monkeypatch.context() as m:
-                    m.setattr(gr.FiniteGroup, "closure", None)  # a memo miss would fail
-                    m.setattr(rm, "_sigma_classes", None)
-                    assert all(memo.generates(t) for t in conjugates)
-                    assert [memo.sigma_of(t) for t in conjugates] == want_sigma
+                assert [system.entries for system in got] == want, (group.recipe, signature)
+                conjugates = [system for system in got if system.entries[0] not in reps]
+                assert conjugates == built
+                for system in conjugates:
+                    assert "sigma" in system.__dict__
+                    assert system.sigma == rm._sigma_classes(group, system.entries)
                 compared[length] += 1
                 conjugated[group.recipe] += len(conjugates)
     # only a cyclic group has a spherical system of length 2
@@ -951,39 +994,48 @@ def test_key_stream_and_limited_results_are_pinned(name):
         assert _stream_digest(canonical_key(s) for s in found) == want
 
 
-@pytest.mark.parametrize("name, limit, count, bucket_pairs", [
-    ("Z3xZ3 (3,3,3,3,3)/(3,3,3,3)", None, 11520, 6),
-    ("A5 (2,5,5)/(3,3,3,3)", None, 6480, 1),
-    ("psl2f7_a", None, 4032, 1), ("psl2f7_b", None, 4032, 1),
+@pytest.mark.parametrize("name, limit, count, examined, disjoint", [
+    ("Z3xZ3 (3,3,3,3,3)/(3,3,3,3)", None, 11520, 110, 6),
+    ("A5 (2,5,5)/(3,3,3,3)", None, 6480, 1, 1),
+    ("psl2f7_a", None, 4032, 1, 1), ("psl2f7_b", None, 4032, 1, 1),
     # 680,400 structures in full; the first 20,000 pair one side-1 bucket
-    # with three side-2 buckets
-    ("Z2^3 (2^6)/(2^6)", 20000, 20000, 3),
+    # with three side-2 buckets, of the 280 bucket pairs examined
+    ("Z2^3 (2^6)/(2^6)", 20000, 20000, 280, 3),
 ])
 def test_search_checks_disjointness_once_per_sigma_bucket_pair(monkeypatch, name, limit,
-                                                               count, bucket_pairs):
-    """A search runs `is_disjoint` once per distinct (t1.sigma, t2.sigma)
-    pair among its structures, builds the others of that pair without the
-    check, and every structure it returns is disjoint.  A structure built
-    without the check equals, and hashes as, the checked one."""
+                                                               count, examined, disjoint):
+    """A search runs `is_disjoint` once per pair of Sigma buckets that its
+    pairing examines, each verdict is that of the element-level Sigma-sets,
+    and the bucket pairs of the structures it returns are exactly those found
+    disjoint.  A structure built without the check equals, and hashes as,
+    the checked one."""
     group, types = _search_case(name)
-    checked = []
+    verdicts = []
     real = rm.is_disjoint
 
     def counting(t1, t2):
-        checked.append((t1.sigma, t2.sigma))
-        return real(t1, t2)
+        verdict = real(t1, t2)
+        verdicts.append((t1, t2, verdict))
+        return verdict
 
     monkeypatch.setattr(rm, "is_disjoint", counting)
     found = rm.search_structures(group, types, limit=limit)
     monkeypatch.undo()
     assert len(found) == count
-    pairs = {(s.t1.sigma, s.t2.sigma) for s in found}
-    assert len(checked) == len(set(checked)) == len(pairs) == bucket_pairs
-    assert set(checked) == pairs
+    pairs = [(t1.sigma, t2.sigma) for t1, t2, _ in verdicts]
+    assert len(pairs) == len(set(pairs)) == examined
+    brute = {}
+    for t1, t2, verdict in verdicts:
+        sigmas = [brute.setdefault(t.entries, frozenset().union(
+            *(conjugates_of_powers(group, e) for e in t.entries))) for t in (t1, t2)]
+        assert verdict == (sigmas[0] & sigmas[1] == {0})
+    proved = {pair for pair, (_, _, verdict) in zip(pairs, verdicts) if verdict}
+    assert len(proved) == disjoint
+    assert {(s.t1.sigma, s.t2.sigma) for s in found} == proved
     assert all(rm.is_disjoint(s.t1, s.t2) for s in found)
     for s in found[::7]:
-        proved = rm.RamificationStructure._proved(s.t1, s.t2)
-        for built in (s, proved):
+        unchecked = rm.RamificationStructure._proved(s.t1, s.t2)
+        for built in (s, unchecked):
             want = rm.RamificationStructure(s.t1, s.t2)
             assert built == want and hash(built) == hash(want)
 
@@ -1032,22 +1084,22 @@ def test_checks_run_only_on_tuples_from_class_representatives(monkeypatch):
 
 @pytest.fixture
 def pulled(monkeypatch):
-    """Counts of the tuples each started side enumeration yields, by type."""
+    """Counts of the systems each started side enumeration yields, by type."""
     counts = {}
     real = rm._systems_of_type
 
     def counting(group, signature, first_entry_reps, memo):
         counts.setdefault(tuple(signature), 0)
-        for t in real(group, signature, first_entry_reps, memo):
+        for system in real(group, signature, first_entry_reps, memo):
             counts[tuple(signature)] += 1
-            yield t
+            yield system
 
     monkeypatch.setattr(rm, "_systems_of_type", counting)
     return counts
 
 
 def test_limited_search_reads_only_the_tuples_it_needs(psl27, pulled):
-    for types, total in ((((7, 7, 7), (3, 3, 4)), 2030), (((3, 3, 7), (4, 4, 4)), 698)):
+    for types, total in ((((7, 7, 7), (3, 3, 4)), 2018), (((3, 3, 7), (4, 4, 4)), 678)):
         pulled.clear()
         assert len(rm.search_structures(psl27, types, limit=1)) == 1
         assert sum(pulled.values()) <= 3, pulled

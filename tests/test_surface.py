@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -9,6 +10,7 @@ from isoprod import groups as gr
 from isoprod import ramification as rm
 from isoprod import surface as sf
 from isoprod.cyclotomic import CyclotomicNumber, render_cyclotomic
+from isoprod.structfile import parse_structure_file
 from algebra_oracle import is_self_dual, row_index, value_on_element
 from test_chartab import count_restriction_misses, rational_inner_product
 
@@ -364,3 +366,91 @@ def test_analysis_closes_nothing_outside_the_kernel_spans(shipped_structures, mo
         assert closures["quotient_system"] == closures["elsewhere"] == 0, (name, closures)
         # the shipped structures' kernels are nontrivial, PSL(2,7)'s trivial
         assert (closures["kernel"] > 0) == name.endswith(".struct"), (name, closures)
+
+
+# ---------------------------------------------------------------------------
+# cross-path oracles on the five shipped `.struct` fixtures
+
+
+@pytest.fixture(scope="module")
+def shipped_struct_analyses():
+    """(file name, analysis) of each shipped `.struct` fixture, over its own
+    group and character table."""
+    data = resources.files("isoprod.data")
+    names = sorted(f.name for f in data.iterdir() if f.name.endswith(".struct"))
+    assert len(names) == 5, names
+    out = []
+    for name in names:
+        structure = parse_structure_file(data.joinpath(name).read_text()).structure()
+        table = ct.character_table(structure.group)
+        out.append((name, sf.analyze(structure, table, ct.galois_orbits(table))))
+    return out
+
+
+def _invariant_parts(analysis):
+    """What both a swap of the curves and a Hurwitz move keep."""
+    return analysis.dimension_z.total, analysis.surface_type, analysis.picard
+
+
+def test_quotient_genera_are_the_dimensions_of_the_kernel_invariants(shipped_struct_analyses):
+    """For each contributing orbit with kernel H, H^1(C/H) is the
+    H-invariant part of H^1(C): an irreducible of the normal H is either
+    fixed pointwise or has no fixed vector, so 2 g(C/H) is the sum of
+    n_C(chi) chi(1) over the chi with H <= ker chi, read element by element;
+    the same for D.  `quotient_system` takes the genera from the projected
+    systems instead."""
+    cases = 0
+    for name, an in shipped_struct_analyses:
+        for qa in an.quotients:
+            rows = [i for i, chi in enumerate(an.table)
+                    if all(value_on_element(chi, h) == chi.degree for h in qa.kernel.members)]
+            for b, genus in zip((an.broughton_c, an.broughton_d), qa.genera):
+                n = b.complex_multiplicities
+                assert 2 * genus == sum(n[i] * an.table[i].degree for i in rows), name
+                cases += 1
+    assert cases == 12, cases
+
+
+def test_swapping_the_curves_swaps_their_data(shipped_struct_analyses):
+    """The structure (D, C) has the genera, the complex Broughton vectors and
+    the quotient genera of (C, D) swapped, over the same kernels, and the
+    same dim Z, type and Picard verdict."""
+    for name, an in shipped_struct_analyses:
+        s = an.structure
+        swapped = sf.analyze(rm.RamificationStructure(s.t2, s.t1), an.table,
+                             an.broughton_c.orbits)
+        assert swapped.genera == an.genera[::-1], name
+        assert swapped.broughton_c.complex_multiplicities == \
+            an.broughton_d.complex_multiplicities, name
+        assert swapped.broughton_d.complex_multiplicities == \
+            an.broughton_c.complex_multiplicities, name
+        assert [(q.kernel, q.genera) for q in swapped.quotients] == \
+            [(q.kernel, q.genera[::-1]) for q in an.quotients], name
+        assert _invariant_parts(swapped) == _invariant_parts(an), name
+
+
+def _hurwitz_move(system):
+    """(g1, g2, ...) -> (g1 g2 g1^-1, g1, ...), validated again."""
+    group = system.group
+    g1, g2, *rest = system.entries
+    return rm.validate_spherical(
+        group, [group.mul(group.mul(g1, g2), group.inverse(g1)), g1, *rest])
+
+
+def test_a_hurwitz_move_keeps_the_analysis(shipped_struct_analyses):
+    """The braid move (g1, g2, ...) -> (g1 g2 g1^-1, g1, ...) on C, or on D,
+    keeps the tuple's product, generation and classes, so the moved
+    structure has the same genera, both Broughton vectors, dim Z, type and
+    Picard verdict."""
+    for name, an in shipped_struct_analyses:
+        s = an.structure
+        for moved in (rm.RamificationStructure(_hurwitz_move(s.t1), s.t2),
+                      rm.RamificationStructure(s.t1, _hurwitz_move(s.t2))):
+            assert (moved.t1, moved.t2) != (s.t1, s.t2), name
+            after = sf.analyze(moved, an.table, an.broughton_c.orbits)
+            assert after.genera == an.genera, name
+            for b_after, b in ((after.broughton_c, an.broughton_c),
+                               (after.broughton_d, an.broughton_d)):
+                assert b_after.complex_multiplicities == b.complex_multiplicities, name
+                assert b_after.rational_multiplicities == b.rational_multiplicities, name
+            assert _invariant_parts(after) == _invariant_parts(an), name
