@@ -48,7 +48,8 @@ conjugates of its first row, sum_k c_k mu(m)/phi(m) with m = n/gcd(n, k)
 for a value sum_k c_k zeta_n^k (a Ramanujan sum over phi(n)), read from
 one trace per distinct value; l_g(chi) is a mean of the same traces.  Only
 the indicator and a cached table's column check add values as cyclotomic
-numbers.
+numbers; a cached table's row orthogonality is checked in F_p, on each
+distinct value reduced once.
 """
 
 from __future__ import annotations
@@ -813,17 +814,48 @@ def parse_table(text: str, group: FiniteGroup) -> CharacterTable:
             raise CharacterTableError("wrong number of character values")
         rows.append(Character(group, values))
     table = CharacterTable(group, rows)
+    # The rows are orthogonal, checked in F_p, before any exact arithmetic.
+    _check_row_orthogonality(group, rows)
     # The regular character sum_i chi_i(1) chi_i is |G| on the identity class
-    # and 0 elsewhere; a single altered value always breaks this.
+    # and 0 elsewhere, exactly; a single altered value always breaks this.
     for k in range(len(group.conjugacy_classes)):
         total = CyclotomicNumber.sum(chi.values[0] * chi.values[k] for chi in rows)
         if total != (group.order if k == 0 else 0):
             raise CharacterTableError("fixture values fail column orthogonality")
-    # Some damage keeps every such sum: two rows of one degree swapped on a
-    # class whose values are irrational.  The Galois check of the value index
-    # refuses that.
+    # Two rows of one degree swapped on a class keep every such sum; the row
+    # check refuses them, and when the swapped values are irrational, so does
+    # the Galois check of the value index.
     table.value_index
     return table
+
+
+def _check_row_orthogonality(group: FiniteGroup, rows) -> None:
+    """Refuse rows that fail sum_k |C_k| chi_i(C_k) chi_j(C_k^-1) = [i = j] |G|
+    for some i <= j, checked in F_p with p = `dixon_prime`: p = 1 (mod e),
+    e = exp(G), so zeta_e maps to an element z of order e, and p is prime to
+    |G|.  Each distinct value is reduced once, as sum_j c_j z^(j e/n) at its
+    conductor n, which divides e (`_parse_value`); a value with a
+    non-integer coordinate is refused, since a character value is an
+    algebraic integer.  A row norm alone misses rows of one degree swapped
+    on a class of values +-1, whose squares agree."""
+    classes = group.conjugacy_classes
+    order, e = group.order, group.exponent
+    p = dixon_prime(order, e)
+    z = pow(_primitive_root(p), (p - 1) // e, p)
+    zpow = [pow(z, j, p) for j in range(e)]
+    residue = {}
+    for v in {v for chi in rows for v in chi.values}:
+        if any(c.denominator != 1 for c in v.coefficients):
+            raise CharacterTableError(f"character value {v} is not an algebraic integer")
+        step = e // v.conductor
+        residue[v] = sum(c * zpow[j * step] for j, c in enumerate(v.coefficients)) % p
+    inverse = [group.class_of[group.inverse(c.representative)] for c in classes]
+    left = [[residue[v] for v in chi.values] for chi in rows]
+    right = [[c.size * r[k] for c, k in zip(classes, inverse)] for r in left]
+    for i, a in enumerate(left):
+        for j in range(i, len(left)):
+            if sum(map(operator.mul, a, right[j])) % p != (order % p if i == j else 0):
+                raise CharacterTableError("fixture values fail row orthogonality")
 
 
 def cached_character_table(group: FiniteGroup, cache_dir: str | None = None) -> CharacterTable:

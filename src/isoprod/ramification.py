@@ -58,19 +58,22 @@ On side 1 that happens only to the tuples that the C_G(r) filter keeps.
 A conjugate t u t^-1 is built from its source system u with nothing left
 to check: <t u t^-1> = t <u> t^-1 is G, conjugation keeps the product one
 and the entry orders, so the signature is u's, and Sigma is a union of
-classes, so the class set is u's (the same object).  One memo per search
-(`_SearchMemo`) serves both sides: the generation test, by entry set, and
-the interning of class sets, so that equal class sets are one object.  It
-is made per search and dies with it; nothing is kept on the group.  A
-system built outside a search is closed once and computes its class set on
-first use; the image of a system in a quotient G/H is not closed at all,
-since a projection of a generating tuple generates G/H (`quotient_system`).
+classes, so the class set is u's (the same object).  Both sides share one
+generation test, memoised by entry set (`_generation_test`); it is made per
+search and dies with it, and nothing is kept on the group.  A system built
+outside a search is closed once and computes its class set on first use;
+the image of a system in a quotient G/H is not closed at all, since a
+projection of a generating tuple generates G/H (`quotient_system`).
 
-The Sigma buckets, the pairing and the result all hold those systems.  The
-members of a bucket share one class set, so the pairing tests each pair of
-buckets once, with `is_disjoint` on their first members, and that is the
-search's one disjointness check: the result is built from the pairs it
-proved (`RamificationStructure._proved`).  Every t1 has the length of side
+The Sigma buckets, the pairing and the result all hold those systems.  A
+side's buckets are indexed by class set, and that index is the side's one
+table of class sets: a system that joins a bucket is handed the class-set
+object of the bucket's first member, so equal class sets of one side are
+one object, and a search's memory does not grow with a copy per system.
+The members of a bucket share one class set, so the pairing tests each
+pair of buckets once, with `is_disjoint` on their first members, and that
+is the search's one disjointness check: the result is built from the pairs
+it proved (`RamificationStructure._proved`).  Every t1 has the length of side
 1's type, so sorting the pairs by (t1.entries, t2.entries) sorts the keys
 t1 + t2.
 
@@ -152,38 +155,26 @@ class SphericalSystem:
         return _sigma_classes(self.group, self.entries)
 
     def _holding(self, sigma: frozenset[int]) -> SphericalSystem:
-        """This system, with `sigma` as its known class set: the one place
-        a search hands a system its Sigma instead of computing it."""
+        """This system, with `sigma` as its known class set (equal to its
+        own): the one place a search hands a system its Sigma instead of
+        computing it, or swaps it for its bucket's equal object."""
         self.__dict__["sigma"] = sigma
         return self
 
 
-class _SearchMemo:
-    """What the tuples of one search share: the generation test, memoised
-    by entry set, and the interning of class sets, so that equal Sigma
-    class sets are one object, one per Sigma bucket.  Both sides of one
-    search share one; it is never kept on the group."""
+def _generation_test(group: FiniteGroup):
+    """The generation test of one search, memoised by entry set: a closure
+    that the search makes and drops, so nothing is kept on the group."""
+    generating: dict[frozenset, bool] = {}
 
-    def __init__(self, group: FiniteGroup):
-        self._group = group
-        self._generating: dict[frozenset, bool] = {}
-        self._shared: dict[frozenset[int], frozenset[int]] = {}
-
-    def generates(self, entries) -> bool:
+    def generates(entries) -> bool:
         key = frozenset(entries)
-        hit = self._generating.get(key)
+        hit = generating.get(key)
         if hit is None:
-            group = self._group
-            hit = self._generating[key] = len(group.closure(key)) == group.order
+            hit = generating[key] = len(group.closure(key)) == group.order
         return hit
 
-    def found(self, entries: tuple[int, ...]) -> SphericalSystem:
-        """The system of a tuple that the backtracking found, validated
-        through this memo's generation test, holding its interned class
-        set."""
-        system = validate_spherical(self._group, entries, self.generates)
-        sigma = _sigma_classes(self._group, system.entries)
-        return system._holding(self._shared.setdefault(sigma, sigma))
+    return generates
 
 
 def validate_spherical(group: FiniteGroup, entries, generates=None) -> SphericalSystem:
@@ -368,13 +359,14 @@ def quotient_system(system: SphericalSystem, quot: QuotientGroup) -> QuotientSys
 
 
 def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
-                     memo: _SearchMemo):
+                     generates):
     """Yield the `SphericalSystem`s of the given type, in the order of the
     key [(o(x), x) for x in entries]: the first entry's order ascending,
     then the first entry ascending, then the same for the next entries.  The
     final entry is forced by the product constraint, and generation is
-    tested by the search's `memo`.  A tuple that the backtracking finds
-    becomes its system there (`_SearchMemo.found`).
+    tested by the search's `generates`.  A tuple that the backtracking finds
+    becomes its system there: validated through `generates`, holding its
+    Sigma class set.
 
     When `first_entry_reps` is set (side 1), the first entry only runs over
     conjugacy class representatives r, and only the tuples least among
@@ -393,7 +385,7 @@ def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
     rank = [0] * group.order  # x's place in the order of (o(x), x)
     for i, x in enumerate(x for m in sorted(by_order) for x in by_order[m]):
         rank[x] = i
-    class_of, found = group.class_of, memo.found
+    class_of = group.class_of
     for m, rest in _each_order_once(signature):
         if first_entry_reps:
             first = [c.representative for c in group.conjugacy_classes
@@ -407,10 +399,11 @@ def _systems_of_type(group: FiniteGroup, signature, first_entry_reps: bool,
                 # e is the representative: the least member of its class, so
                 # the first one met; its systems stream as they are found
                 batch = batches[class_of[e]] = []
-                for t in _extend_tuples(group, memo.generates, by_order, [e], e, rest):
+                for t in _extend_tuples(group, generates, by_order, [e], e, rest):
                     if first_entry_reps and group.min_conjugate(t) != t:
                         continue
-                    system = found(t)
+                    system = validate_spherical(group, t, generates)._holding(
+                        _sigma_classes(group, t))
                     batch.append(system)
                     yield system
             else:
@@ -431,7 +424,7 @@ def _extend_tuples(group: FiniteGroup, generates, by_order, prefix: list[int],
     product is `prod`, by entries of the sorted orders `remaining`; `prefix`
     grows and shrinks back as the backtracking goes.  A module-level
     generator, not a closure over itself, so a search leaves no reference
-    cycle holding its group and memos."""
+    cycle holding its group and generation test."""
     if len(remaining) == 1:
         last = group.inverse(prod)
         if (
@@ -468,19 +461,22 @@ def _conjugate_batch(group: FiniteGroup, batch, e: int, rank):
 def iter_structure_pairs(group: FiniteGroup, type_pair):
     """The pairs (t1, t2) of systems of all structures of the given type
     pair, in discovery order, without duplicates; t1.entries + t2.entries is
-    the structure's canonical key.  Both sides share one `_SearchMemo`,
-    made here for this search only."""
+    the structure's canonical key.  Both sides share one generation test
+    (`_generation_test`), made here for this search only; each side's Sigma
+    buckets keep its one table of class sets."""
     a1, a2 = type_pair
-    memo = _SearchMemo(group)
-    return _disjoint_pairs(_systems_of_type(group, a1, True, memo),
-                           _systems_of_type(group, a2, False, memo))
+    generates = _generation_test(group)
+    return _disjoint_pairs(_systems_of_type(group, a1, True, generates),
+                           _systems_of_type(group, a2, False, generates))
 
 
 class _SigmaBuckets:
     """The systems of one side grouped by Sigma class set, pulled from the
     side only as far as a reader asks: the buckets, each the list of its
     members, in order of first appearance, each bucket's members in side
-    order."""
+    order.  The index by class set is the side's one table of class sets:
+    a system that joins a bucket is handed the class-set object of the
+    bucket's first member, so the members of a bucket share one object."""
 
     def __init__(self, side):
         self._side = iter(side)
@@ -496,10 +492,15 @@ class _SigmaBuckets:
             if system is None:
                 self._read_all = True
                 return False
-            members = self._by_sigma.get(system.sigma)
+            sigma = system.sigma
+            members = self._by_sigma.get(sigma)
             if members is None:
-                members = self._by_sigma[system.sigma] = []
+                members = self._by_sigma[sigma] = []
                 self._buckets.append(members)
+            elif members[0].sigma is not sigma:
+                # a conjugate already holds its source's class set, which is
+                # the bucket's object; a backtracked system holds its own
+                system._holding(members[0].sigma)
             members.append(system)
         return True
 

@@ -68,9 +68,11 @@ class StructureFile:
             raise ParseError(str(exc), self.group_linenos[exc.recipe_line]) from exc
 
     def alias_table(self, group: FiniteGroup) -> dict[str, int]:
+        """The generators g1, g2, ... and the file's aliases, by name; `id`
+        names the identity in every word, so it is taken too."""
         table = default_aliases(group)
         for name, word, line in self.aliases:
-            if name in table:
+            if name in table or name == "id":
                 raise ParseError(f"alias {name!r} is already defined", line)
             try:
                 table[name] = parse_word(word, table, group)

@@ -108,9 +108,10 @@ def assert_int_coordinates(table):
 
 
 def systems_of_type(group, signature, first_entry_reps):
-    """The entry tuples of the search's enumeration, with a fresh memo."""
-    return (system.entries for system in
-            rm._systems_of_type(group, signature, first_entry_reps, rm._SearchMemo(group)))
+    """The entry tuples of the search's enumeration, with a fresh generation
+    test."""
+    return (system.entries for system in rm._systems_of_type(
+        group, signature, first_entry_reps, rm._generation_test(group)))
 
 
 def structure_keys(group, type_pair):

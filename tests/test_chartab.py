@@ -436,6 +436,57 @@ def test_table_export_import_roundtrip(q8, tables, tmp_path, monkeypatch):
     assert files[0].read_text() == text
 
 
+def test_rows_that_are_not_orthogonal_are_recomputed(tmp_path):
+    """S4 with its two degree-3 rows swapped on the transpositions keeps
+    every column sum weighted by chi(1), the Galois action (every value is
+    rational) and every row norm (the swapped values are +-1), but the rows
+    are no longer orthogonal: the cache file is refused and recomputed."""
+    group = gr.symmetric_group(4)
+    table = ct.character_table(group)
+    text = ct.render_table(table)
+    k = next(i for i, c in enumerate(group.conjugacy_classes)
+             if c.element_order == 2 and c.size == 6)
+    lines = text.splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.startswith("char 3 ;")]
+    a, b = (lines[i][5:].rstrip("\n").split(" ; ") for i in at)
+    assert {a[k], b[k]} == {"1", "-1"}
+    a[k], b[k] = b[k], a[k]
+    for i, values in zip(at, (a, b)):
+        lines[i] = "char " + " ; ".join(values) + "\n"
+    bad = "".join(lines)
+    sizes = [c.size for c in group.conjugacy_classes]
+    for row in (a, b):  # every class of S4 is its own inverse
+        assert sum(size * int(v) ** 2 for size, v in zip(sizes, row)) == group.order
+    with pytest.raises(ct.CharacterTableError, match="row orthogonality"):
+        ct.parse_table(bad, group)
+    path = tmp_path / f"chartab-{ct.group_fingerprint(group)}.txt"
+    path.write_text(bad)
+    recomputed = ct.cached_character_table(group, str(tmp_path))
+    assert [row.values for row in recomputed] == [row.values for row in table]
+    assert path.read_text() == text
+
+
+def test_every_table_reads_back_through_the_parse_checks(index_tables):
+    """The tables of the shipped groups, the zoos and the irrational groups
+    pass the column, row orthogonality and Galois checks of `parse_table`."""
+    for table in index_tables:
+        back = ct.parse_table(ct.render_table(table), table.group)
+        assert [chi.values for chi in back] == [chi.values for chi in table], \
+            table.group.recipe
+
+
+def test_a_non_integral_value_is_refused_by_the_parse_checks(z3z3, tables):
+    """A value with a non-integer coordinate is no character value: it is
+    refused before any row is paired."""
+    text = ct.render_table(tables[z3z3.recipe])
+    lines = text.splitlines(keepends=True)
+    last = len(lines) - 1
+    lines[last] = lines[last].replace("char 1 ;", "char 1/2 ;", 1)
+    assert lines[last].startswith("char 1/2 ;")
+    with pytest.raises(ct.CharacterTableError, match="not an algebraic integer"):
+        ct.parse_table("".join(lines), z3z3)
+
+
 def test_cache_write_leaves_no_partial_file(q8, tmp_path, monkeypatch):
     def failing_render(table):
         raise RuntimeError("render interrupted")

@@ -674,7 +674,7 @@ def test_generation_test_matches_closure(monkeypatch, z3z3, q8, psl27, g128,
         lists = [[rng.randrange(group.order) for _ in range(rng.randint(1, 4))]
                  for _ in range(40)]
         want = [group.closure(t) == full for t in lists]
-        generates = rm._SearchMemo(group).generates
+        generates = rm._generation_test(group)
         assert [generates(t) for t in lists] == want
         with monkeypatch.context() as m:
             m.setattr(gr.FiniteGroup, "closure", None)  # a memo miss would fail
@@ -688,15 +688,14 @@ def test_memoised_generation_still_refuses_a_non_generating_tuple():
     answered for that entry set still refuses it, and a generating tuple
     validates as it does without the memo."""
     a5 = gr.alternating_group(5)
-    memo = rm._SearchMemo(a5)
-    generates = memo.generates
+    generates = rm._generation_test(a5)
     x = a5.element_orders.index(5)
     pair = (x, a5.inverse(x))
     assert not generates(pair)
     for test in (generates, None):
         with pytest.raises(rm.RamificationError, match="do not generate"):
             rm.validate_spherical(a5, pair, test)
-    t = next(rm._systems_of_type(a5, (2, 5, 5), True, memo))
+    t = next(rm._systems_of_type(a5, (2, 5, 5), True, generates))
     assert rm.validate_spherical(a5, t.entries, generates) == rm.validate_spherical(
         a5, t.entries) == t
 
@@ -723,24 +722,22 @@ def test_generation_memo_lives_for_one_search(monkeypatch):
         resources.files("isoprod.data").joinpath("psl2f7_a.search").read_text())
     group = sfile.build()
     tested, closures = [], []
-    real_init, real_test = rm._SearchMemo.__init__, rm._SearchMemo.generates
-    real_closure = gr.FiniteGroup.closure
+    real_test, real_closure = rm._generation_test, gr.FiniteGroup.closure
 
-    def recording_init(self, group):
-        real_init(self, group)
-        self.tested = set()
-        tested.append(self.tested)
+    def recording_test(group):
+        generates, sets = real_test(group), set()
+        tested.append(sets)
 
-    def recorded(self, entries):
-        self.tested.add(frozenset(entries))
-        return real_test(self, entries)
+        def recorded(entries):
+            sets.add(frozenset(entries))
+            return generates(entries)
+        return recorded
 
     def counting(self, gens):
         closures[-1] += 1
         return real_closure(self, gens)
 
-    monkeypatch.setattr(rm._SearchMemo, "__init__", recording_init)
-    monkeypatch.setattr(rm._SearchMemo, "generates", recorded)
+    monkeypatch.setattr(rm, "_generation_test", recording_test)
     monkeypatch.setattr(gr.FiniteGroup, "closure", counting)
     for _ in range(2):
         closures.append(0)
@@ -782,6 +779,19 @@ def test_sigma_is_computed_once_per_bucketed_tuple(monkeypatch):
     for s in found[::97]:
         for system in (s.t1, s.t2):
             assert system.sigma == rm._sigma_classes(group, system.entries)
+
+
+def test_each_side_holds_one_class_set_object_per_class_set(z3z3):
+    """A side's Sigma buckets are its one table of class sets: the systems a
+    search returns hold one class-set object per distinct class set on each
+    side.  Z3xZ3 (3^5)/(3^4) has 6 class sets on each side; without the
+    interning its systems would hold 480 and 144 objects."""
+    found = rm.search_structures(z3z3, ((3,) * 5, (3,) * 4))
+    for side in ("t1", "t2"):
+        systems = {getattr(s, side).entries: getattr(s, side) for s in found}.values()
+        sets = {system.sigma for system in systems}
+        assert len(sets) == 6
+        assert len({id(system.sigma) for system in systems}) == len(sets), side
 
 
 def _list_disjoint_pairs(group, side1, side2):
@@ -924,7 +934,8 @@ def test_side_two_streams_as_backtracking_from_every_first_entry(monkeypatch, z3
             for signature in _seeded_types(group, length, rng, 2):
                 built = []
                 got = list(itertools.islice(
-                    rm._systems_of_type(group, signature, False, rm._SearchMemo(group)),
+                    rm._systems_of_type(group, signature, False,
+                                        rm._generation_test(group)),
                     3000))
                 want = list(itertools.islice(
                     backtracking_systems_of_type(group, signature), 3000))
@@ -1088,9 +1099,9 @@ def pulled(monkeypatch):
     counts = {}
     real = rm._systems_of_type
 
-    def counting(group, signature, first_entry_reps, memo):
+    def counting(group, signature, first_entry_reps, generates):
         counts.setdefault(tuple(signature), 0)
-        for system in real(group, signature, first_entry_reps, memo):
+        for system in real(group, signature, first_entry_reps, generates):
             counts[tuple(signature)] += 1
             yield system
 

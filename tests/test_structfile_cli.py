@@ -72,6 +72,21 @@ def test_unknown_recipe_and_alias_errors():
         sfile.structure(group)
 
 
+def test_id_cannot_be_redefined_as_an_alias():
+    """Every word reads `id` as the identity, so `gen id = ...` would be
+    accepted and then ignored: it is refused as already defined, at its
+    line, like a redefined generator; the file builds without it."""
+    tuples = "tuple C = [a*b, a^2*b, a*b, a*b^2, a*b]\ntuple D = [b^2, b, a, a^2]\n"
+    valid = "group = abelian 3 3\ngen a = g1\ngen b = g2\n" + tuples
+    assert parse_structure_file(valid).structure().genera() == (7, 4)
+    for line in ("gen id = g1", "gen id = id", "gen g1 = g2"):
+        sfile = parse_structure_file(
+            f"group = abelian 3 3\n{line}\ngen a = g1\ngen b = g2\n" + tuples)
+        with pytest.raises(ParseError, match=r"alias '(id|g1)' is already defined") as err:
+            sfile.structure()
+        assert err.value.line == 2
+
+
 def test_product_not_identity_names_offending_tuple():
     text = (
         "group = abelian 3 3\n"
@@ -398,7 +413,7 @@ tuple D = [g1, g1^2, g1^2*g2, g2^4*g1]
 def _swap_degree_3_rows_on_order_5_class(text, group):
     """A5's cached table with the values of its two degree-3 rows swapped on
     the first class of order 5: every column keeps its sum weighted by
-    chi(1), which is all `parse_table`'s orthogonality check sees."""
+    chi(1), which is all `parse_table`'s column check sees."""
     k = next(i for i, c in enumerate(group.conjugacy_classes) if c.element_order == 5)
     lines = text.splitlines(keepends=True)
     at = [i for i, line in enumerate(lines) if line.startswith("char 3 ;")]

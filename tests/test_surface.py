@@ -429,23 +429,58 @@ def test_swapping_the_curves_swaps_their_data(shipped_struct_analyses):
         assert _invariant_parts(swapped) == _invariant_parts(an), name
 
 
-def _hurwitz_move(system):
-    """(g1, g2, ...) -> (g1 g2 g1^-1, g1, ...), validated again."""
+def test_broughton_on_each_quotient_is_broughton_on_the_inflated_rows(
+        shipped_struct_analyses):
+    """For each contributing orbit with kernel H, Broughton's formula on G,
+    read on the chi with H <= ker chi, equals Broughton's formula on G/H
+    for `quotient_system`'s system, with G/H's table inflated to G's
+    classes: the restriction of an inflated character to <g> is one to
+    <gH>, and an entry in H adds chi(1) to both chi(1)(r - 2) and the sum of
+    the l_g, so dropping it changes nothing.  The same for D."""
+    cases = 0
+    for name, an in shipped_struct_analyses:
+        reps = [c.representative for c in an.structure.group.conjugacy_classes]
+        for qa in an.quotients:
+            quot = qa.system_c.quotient
+            table = ct.character_table(quot.group)
+            orbits = ct.galois_orbits(table)
+            inflated = [tuple(value_on_element(psi, quot.projection[r]) for r in reps)
+                        for psi in table]
+            rows = [i for i, chi in enumerate(an.table)
+                    if all(value_on_element(chi, h) == chi.degree for h in qa.kernel.members)]
+            assert len(rows) == len(inflated)
+            assert {an.table[i].values for i in rows} == set(inflated), name
+            for b, qs in ((an.broughton_c, qa.system_c), (an.broughton_d, qa.system_d)):
+                on_quotient = sf.broughton(qs.system, table, orbits)
+                want = dict(zip(inflated, on_quotient.complex_multiplicities))
+                got = {an.table[i].values: b.complex_multiplicities[i] for i in rows}
+                assert got == want, name
+                cases += 1
+    assert cases == 12, cases
+
+
+def _hurwitz_move(system, i):
+    """(.., g_i, g_i+1, ..) -> (.., g_i g_i+1 g_i^-1, g_i, ..), the braid move
+    at the 0-based position i, validated again."""
     group = system.group
-    g1, g2, *rest = system.entries
-    return rm.validate_spherical(
-        group, [group.mul(group.mul(g1, g2), group.inverse(g1)), g1, *rest])
+    t = list(system.entries)
+    t[i], t[i + 1] = group.mul(group.mul(t[i], t[i + 1]), group.inverse(t[i])), t[i]
+    return rm.validate_spherical(group, t)
 
 
-def test_a_hurwitz_move_keeps_the_analysis(shipped_struct_analyses):
-    """The braid move (g1, g2, ...) -> (g1 g2 g1^-1, g1, ...) on C, or on D,
-    keeps the tuple's product, generation and classes, so the moved
-    structure has the same genera, both Broughton vectors, dim Z, type and
-    Picard verdict."""
+def test_every_hurwitz_move_keeps_the_analysis(shipped_struct_analyses):
+    """The braid move at each position i, on C or on D, keeps the tuple's
+    product, generation and classes, so the moved structure has the same
+    genera, both Broughton vectors, dim Z, type and Picard verdict."""
+    moves = 0
     for name, an in shipped_struct_analyses:
         s = an.structure
-        for moved in (rm.RamificationStructure(_hurwitz_move(s.t1), s.t2),
-                      rm.RamificationStructure(s.t1, _hurwitz_move(s.t2))):
+        moved_structures = (
+            [rm.RamificationStructure(_hurwitz_move(s.t1, i), s.t2)
+             for i in range(s.t1.length - 1)]
+            + [rm.RamificationStructure(s.t1, _hurwitz_move(s.t2, i))
+               for i in range(s.t2.length - 1)])
+        for moved in moved_structures:
             assert (moved.t1, moved.t2) != (s.t1, s.t2), name
             after = sf.analyze(moved, an.table, an.broughton_c.orbits)
             assert after.genera == an.genera, name
@@ -454,3 +489,5 @@ def test_a_hurwitz_move_keeps_the_analysis(shipped_struct_analyses):
                 assert b_after.complex_multiplicities == b.complex_multiplicities, name
                 assert b_after.rational_multiplicities == b.rational_multiplicities, name
             assert _invariant_parts(after) == _invariant_parts(an), name
+            moves += 1
+    assert moves == 25, moves
