@@ -10,7 +10,11 @@ recorded and reported with status `structure not shipped`.
 
 `run_catalog` analyzes every selected entry, compares the results with
 the recorded expectations, and collects mismatches instead of raising,
-so a single bad entry cannot hide the others.
+so a single bad entry cannot hide the others.  One run builds each
+distinct fixture group once (fixtures of one group carry one recipe text,
+the memo's key), reads or computes its table once and its Galois orbits
+once, and shares them between the entries on that group.  The memo lives
+for one `run_catalog` call: no state crosses runs.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from importlib import resources
 
 from . import chartab as ct
 from . import surface as sf
+from .groups import FiniteGroup
 from .ramification import RamificationStructure
-from .structfile import parse_structure_file
+from .structfile import StructureFile, parse_structure_file
 
 
 @dataclass(frozen=True)
@@ -92,12 +97,40 @@ def entry_by_name(name: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry named {name!r}")
 
 
-def realize_structure(entry: CatalogEntry) -> RamificationStructure:
-    """Build the entry's structure from its fixture's two tuples; nothing is
-    searched."""
+class _RunMemo:
+    """What the entries of one catalog run share: each distinct fixture
+    group, keyed by its recipe text (the string `build_group` reads), and
+    each such group's table and Galois orbits.  A failed build or table is
+    not kept, so every entry that needs it fails on its own."""
+
+    def __init__(self):
+        self.groups: dict[str, FiniteGroup] = {}
+        self.tables: dict[FiniteGroup, tuple] = {}  # group -> (table, orbits)
+
+    def group(self, sfile: StructureFile) -> FiniteGroup:
+        recipe = "\n".join(sfile.group_lines)
+        group = self.groups.get(recipe)
+        if group is None:
+            group = self.groups[recipe] = sfile.build()
+        return group
+
+    def table(self, group: FiniteGroup, cache_dir) -> tuple:
+        found = self.tables.get(group)
+        if found is None:
+            table = ct.cached_character_table(group, cache_dir)
+            found = self.tables[group] = (table, ct.galois_orbits(table))
+        return found
+
+
+def realize_structure(entry: CatalogEntry, memo: _RunMemo | None = None
+                      ) -> RamificationStructure:
+    """Build the entry's structure from its fixture's two tuples, on the
+    run's group for the fixture's recipe when a run memo is given; nothing
+    is searched."""
     if not entry.shipped:
         raise KeyError(f"catalog entry {entry.name!r} ships no structure")
-    return parse_structure_file(_fixture_text(entry.fixture)).structure()
+    sfile = parse_structure_file(_fixture_text(entry.fixture))
+    return sfile.structure(None if memo is None else memo.group(sfile))
 
 
 @dataclass(frozen=True)
@@ -128,7 +161,8 @@ def _check_expectations(entry: CatalogEntry, analysis) -> list[str]:
     return problems
 
 
-def run_entry(entry: CatalogEntry, cache_dir=None) -> CatalogResult:
+def run_entry(entry: CatalogEntry, cache_dir=None,
+              memo: _RunMemo | None = None) -> CatalogResult:
     if not entry.shipped:
         report = {
             "name": entry.name,
@@ -140,10 +174,11 @@ def run_entry(entry: CatalogEntry, cache_dir=None) -> CatalogResult:
             "status": "structure not shipped",
         }
         return CatalogResult(entry, report, ())
+    memo = memo or _RunMemo()
     try:
-        structure = realize_structure(entry)
-        table = ct.cached_character_table(structure.group, cache_dir)
-        analysis = sf.analyze(structure, table)
+        structure = realize_structure(entry, memo)
+        table, orbits = memo.table(structure.group, cache_dir)
+        analysis = sf.analyze(structure, table, orbits)
     except ct.CacheError:
         raise  # not the entry's failure: no entry can use the cache
     except Exception as exc:  # per-entry failures are collected, not fatal
@@ -162,7 +197,8 @@ def run_catalog(names=None, cache_dir=None) -> list[CatalogResult]:
         if unknown:
             raise KeyError(f"unknown catalog entries: {sorted(unknown)}")
         selected = [e for e in selected if e.name in wanted]
-    return [run_entry(e, cache_dir) for e in selected]
+    memo = _RunMemo()  # one run's groups and tables; it dies with the run
+    return [run_entry(e, cache_dir, memo) for e in selected]
 
 
 def catalog_document(results) -> dict:

@@ -644,12 +644,9 @@ def frobenius_schur(chi: Character) -> int:
     # arithmetic of the perfbench `tables` workload, and that workload's
     # `cyclotomic.arith.calls` counter must not read zero.
     g = chi.group
-    # the number of g with g^2 in C_j, then one cyclotomic term per class C_j
-    squares: dict[int, int] = {}
-    for k, cls in enumerate(g.conjugacy_classes):
-        j = g.class_power_map(k, 2)
-        squares[j] = squares.get(j, 0) + cls.size
-    total = CyclotomicNumber.sum(chi.values[j] * count for j, count in squares.items())
+    # one cyclotomic term per class C_j that holds squares, weighted by the
+    # number of g with g^2 in C_j (a histogram of the group, read once)
+    total = CyclotomicNumber.sum(chi.values[j] * count for j, count in g.square_classes)
     if not total.is_rational:
         raise CharacterTableError(f"indicator sum {total} is irrational: corrupted class function")
     nu = total.as_rational() / g.order

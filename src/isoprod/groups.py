@@ -15,12 +15,14 @@ element must be its right multiplication, and the row of each generator's
 element must commute with every right multiplication (see
 `FiniteGroup.__init__`).  So a recipe that does not define a group is
 rejected with a GroupError instead of yielding a table that is not one.
-Every other row is then built once, from a generator's row.
+Every other row is then composed once, in C, from its BFS parent's row and
+a generator's row (one `itemgetter` per generator; rows are lists).
 
 The classes of the powers of an element are read from one cached table,
 `FiniteGroup.power_classes`, whose row k (the classes of r^0..r^(o(r)-1) for
 the representative r of class k) serves every member of class k: class power
-maps, the Dixon lift, l_g and Sigma-sets all read it.
+maps, the Dixon lift, l_g and Sigma-sets all read it, and so does the square
+histogram `square_classes` that the Frobenius-Schur indicator reads.
 
 Polycyclic presentations are the only finitely presented input accepted
 (general coset enumeration is deliberately out of scope).  They are not
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -99,7 +102,9 @@ class FiniteGroup:
         own edge, or it is an earlier generator's label with the same right
         list, and (a) holds.  The checks read only those columns and rows;
         then row y, for y = p*g_j = p*h_j by (a), is built once as
-        row_p o row_(h_j), since (p*h_j)*z = p*(h_j*z).
+        row_p o row_(h_j), since (p*h_j)*z = p*(h_j*z): one
+        `operator.itemgetter(*row_(h_j))` per generator reads row_p at every
+        entry of row_(h_j) in C, and the result is stored as a list.
         """
         index = {identity: 0}
         elems = [identity]
@@ -142,11 +147,17 @@ class FiniteGroup:
                 for row in rows.values() for rg in right)):
             raise GroupError("multiplication is not associative "
                              "(inconsistent construction)")
+        compose = [operator.itemgetter(*rows[h]) for h in self.generators]
         table = [list(range(n))]
         for p, gpos in parents[1:]:
-            table.append(list(map(table[p].__getitem__, rows[self.generators[gpos]])))
+            table.append(list(compose[gpos](table[p])))
         self._mul = table
-        inv = [row.index(0) if 0 in row else -1 for row in table]
+        inv = []
+        for row in table:  # one scan finds 0 or shows it is missing
+            try:
+                inv.append(row.index(0))
+            except ValueError:
+                inv.append(-1)
         self._inv = inv
         if any(j < 0 or table[j][i] != 0 for i, j in enumerate(inv)):
             raise GroupError("two-sided inverses missing (inconsistent construction)")
@@ -275,6 +286,17 @@ class FiniteGroup:
                 x = mul[x][r]
             rows.append(tuple(row))
         return tuple(rows)
+
+    @cached_property
+    def square_classes(self) -> tuple[tuple[int, int], ...]:
+        """(j, number of g with g^2 in class j) for each class j that holds a
+        square, in order of first appearance: class k adds |C_k| to class
+        power_classes[k][2 % o(C_k)]."""
+        counts: dict[int, int] = {}
+        for cls, row in zip(self.conjugacy_classes, self.power_classes):
+            j = row[2 % len(row)]
+            counts[j] = counts.get(j, 0) + cls.size
+        return tuple(counts.items())
 
     def class_power_map(self, k: int, e: int) -> int:
         """Class index of (representative of class k) ** e."""

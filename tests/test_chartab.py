@@ -216,6 +216,24 @@ def test_frobenius_schur_matches_per_class_sum(tables):
             assert ct.frobenius_schur(chi) == total.as_rational() / group.order
 
 
+def test_square_histogram_and_indicator_by_brute_force(tables):
+    """`square_classes` counts, for each class C_j, the g in G with g^2 in
+    C_j, and the indicator read from it is (1/|G|) sum_g chi(g^2) over every
+    element."""
+    for table in list(tables.values()) + [ct.character_table(g) for g in zoo_groups()]:
+        group = table.group
+        counts = {}
+        for g in range(group.order):
+            j = group.class_of[group.mul(g, g)]
+            counts[j] = counts.get(j, 0) + 1
+        assert dict(group.square_classes) == counts, group.recipe
+        assert len(group.square_classes) == len(counts)
+        for chi in table:
+            total = CyclotomicNumber.sum(value_on_element(chi, group.power(g, 2))
+                                         for g in range(group.order))
+            assert ct.frobenius_schur(chi) == total.as_rational() / group.order
+
+
 def test_galois_orbits_structure(tables, z3z3, q8, psl27):
     tp = tables[psl27.recipe]
     orbits = ct.galois_orbits(tp)

@@ -149,7 +149,10 @@ def _assert_associative(group):
 
 
 def test_cayley_table_matches_per_pair_oracle(g128, z3z3_label, psl27):
+    # orders 1 and 2 and an identity generator (`dihedral 1`) compose rows
+    # with an itemgetter of one or two indices
     recipes = [
+        "cyclic 1", "cyclic 2", "dihedral 1",
         "cyclic 12", "abelian 2 6 3", "dihedral 5", "symmetric 4", "alternating 5",
         PSL27_RECIPE, "product [cyclic 2] [dihedral 3]",
         "semidirect [cyclic 7] [cyclic 3]\nact g2: g1 -> g1^2", Z2CUBED_Z4_RECIPE,
@@ -173,6 +176,7 @@ def test_cayley_table_matches_per_pair_oracle(g128, z3z3_label, psl27):
     # the two factors of each of the three products are built (and checked)
     # too; the quotient by the trivial subgroup is G itself and builds nothing
     assert len(built) == len(recipes) + 6 + len(quotients) - 1
+    assert all(type(row) is list for group in built for row in group._mul)
 
 
 def test_quotient_by_trivial_subgroup_is_the_group(g128, z3z3, psl27):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from isoprod import chartab as ct
+from isoprod import cli
 from isoprod import groups as gr
 from isoprod import ramification as rm
 from isoprod import surface as sf
@@ -88,6 +89,30 @@ def test_analyze_spans_survive_warm_caches():
     home = [name for name, spec in tracing.SPANS.items() if spec[3] == "analyze"]
     assert "chartab.trivial_restriction_multiplicity" in home
     assert [name for name in home if not counters[f"{name}.calls"]] == []
+
+
+def test_catalog_spans_survive_warm_caches(tmp_path, monkeypatch, capsys):
+    """The benchmark's `catalog` op runs the CLI cold and then warm into one
+    cache: a run memo that skips a wrapped function (`parse_table` on the
+    warm run, `realize_structure` for a group already built) would read as a
+    span with zero calls and fail the traced run, so each one must be seen,
+    and the warm run must hit the cache."""
+    monkeypatch.setenv("ISOPROD_CACHE", str(tmp_path / "cache"))
+    tracing = _load_tracing()
+    t = tracing.Tracer()
+    t.install()
+    try:
+        for _ in ("cold", "warm"):
+            assert cli.main(["catalog", "--assert", "--json"]) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    counters = t.counters()
+    home = [name for name, spec in tracing.SPANS.items() if spec[3] == "catalog"]
+    assert {"chartab.parse_table", "catalog.realize_structure",
+            "catalog.run_entry", "cli.main"} <= set(home)
+    assert [name for name in home if not counters[f"{name}.calls"]] == []
+    assert t.hit_ratio() > 0
 
 
 def test_search_spans_see_a_full_search(tracer):

@@ -667,3 +667,89 @@ def test_catalog_table_rows_match_expectations():
     types = [e.surface_type for e in cat.CATALOG]
     assert types.count("b") == 1 and types.count("d") == 1 and types.count("c") == 2
     assert types.count("a") == 28
+
+
+def _record_calls(monkeypatch, calls, owner, name, subject):
+    """Wrap `owner.name` so that each call appends `subject(*args)` to
+    `calls[name]`."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.setdefault(name, []).append(subject(*args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_catalog_run_reports_what_each_entry_reports_alone(tmp_path, warm):
+    """Sharing groups and tables between the entries of one run changes no
+    report and no mismatch: each entry run alone, on a cache as cold or as
+    warm as the run's, gives the same result."""
+    shared = tmp_path / "shared"
+    if warm:
+        cat.run_catalog(cache_dir=str(shared))
+    results = cat.run_catalog(cache_dir=str(shared))
+    assert len(results) == len(cat.CATALOG)
+    for i, result in enumerate(results):
+        cache = shared if warm else tmp_path / f"alone-{i}"
+        alone = cat.run_entry(result.entry, str(cache))
+        assert (alone.report, alone.mismatches) == (result.report, result.mismatches)
+
+
+def test_a_catalog_run_builds_and_tables_each_distinct_group_once(tmp_path, monkeypatch):
+    """PSL2F7-a and PSL2F7-b carry one recipe: a run builds the 4 distinct
+    groups of the 5 shipped rows once each, and computes or reads one table
+    and one orbit list per group; a warm run parses 4 cache files, where
+    the entries run one by one parse 5."""
+    calls = {}
+    _record_calls(monkeypatch, calls, StructureFile, "build",
+                  lambda sfile, *args: "\n".join(sfile.group_lines))
+    _record_calls(monkeypatch, calls, ct, "cached_character_table",
+                  lambda group, *args: group)
+    _record_calls(monkeypatch, calls, ct, "galois_orbits", lambda table: table.group)
+    _record_calls(monkeypatch, calls, ct, "parse_table", lambda text, group: group)
+    cache = str(tmp_path / "cache")
+    for run in ("cold", "warm"):
+        calls.clear()
+        results = cat.run_catalog(cache_dir=cache)
+        assert all(r.ok for r in results) and len(shipped_entries()) == 5
+        assert len(calls["build"]) == len(set(calls["build"])) == 4, run
+        groups = calls["cached_character_table"]
+        assert len({id(g) for g in groups}) == len(groups) == 4, run
+        assert calls["galois_orbits"] == groups, run
+        assert len(calls.get("parse_table", [])) == (0 if run == "cold" else 4)
+    calls.clear()
+    for entry in shipped_entries():
+        cat.run_entry(entry, cache)
+    assert len(calls["build"]) == len(calls["parse_table"]) == 5
+
+
+def test_a_failing_table_fails_each_entry_of_its_group(tmp_path, monkeypatch):
+    """A table that fails is not kept for the run: both PSL(2,7) rows report
+    the failure, the other shipped rows are analyzed, and an unusable cache
+    still ends the whole run."""
+    real = ct.cached_character_table
+    refused = []
+
+    def refusing(group, cache_dir=None):
+        if group.order == 168:
+            refused.append(group)
+            raise failure[0]
+        return real(group, cache_dir)
+
+    monkeypatch.setattr(ct, "cached_character_table", refusing)
+    failure = [ct.CharacterTableError("table refused")]
+    results = cat.run_catalog(cache_dir=str(tmp_path / "cache"))
+    assert len(refused) == 2 and refused[0] is refused[1]
+    by_name = {r.entry.name: r for r in results}
+    for name in ("PSL2F7-a", "PSL2F7-b"):
+        assert by_name[name].report is None
+        assert by_name[name].mismatches == (f"{name}: table refused",)
+    analyzed = sorted(r.entry.name for r in results
+                      if r.report is not None and r.report["status"] == "analyzed")
+    assert analyzed == ["G128-36", "Z2^3xZ4", "Z3xZ3"]
+    assert [r.entry.name for r in results if not r.ok] == ["PSL2F7-a", "PSL2F7-b"]
+    failure[0] = ct.CacheError("unusable cache directory")
+    with pytest.raises(ct.CacheError):
+        cat.run_catalog(cache_dir=str(tmp_path / "cache"))
