@@ -151,6 +151,7 @@ def _check_expectations(entry: CatalogEntry, analysis) -> list[str]:
         if got != want:
             problems.append(f"{entry.name}: {label} = {got}, expected {want}")
 
+    check("order", analysis.structure.group.order, entry.order)
     check("genera", analysis.genera, entry.genera)
     check("chi", analysis.invariants.chi, 2)
     check("e", analysis.invariants.euler, 8)

@@ -558,7 +558,7 @@ def _nonlinear_characters(group: FiniteGroup, linear, value) -> list[tuple]:
     e = group.exponent
     p = dixon_prime(order, e)
     z = pow(_primitive_root(p), (p - 1) // e, p)
-    inv_class = [group.class_of[group.inverse(c.representative)] for c in classes]
+    inv_class = [group.class_power_map(k, -1) for k in range(nc)]
     sizes = [c.size for c in classes]
 
     # The eigenvector of chi is omega_chi(C_k) = |C_k| chi(C_k) / chi(1), and
@@ -846,7 +846,7 @@ def _check_row_orthogonality(group: FiniteGroup, rows) -> None:
             raise CharacterTableError(f"character value {v} is not an algebraic integer")
         step = e // v.conductor
         residue[v] = sum(c * zpow[j * step] for j, c in enumerate(v.coefficients)) % p
-    inverse = [group.class_of[group.inverse(c.representative)] for c in classes]
+    inverse = [group.class_power_map(k, -1) for k in range(len(classes))]
     left = [[residue[v] for v in chi.values] for chi in rows]
     right = [[c.size * r[k] for c, k in zip(classes, inverse)] for r in left]
     for i, a in enumerate(left):

@@ -18,6 +18,11 @@ rejected with a GroupError instead of yielding a table that is not one.
 Every other row is then composed once, in C, from its BFS parent's row and
 a generator's row (one `itemgetter` per generator; rows are lists).
 
+One walk, `_along_tree`, builds every map that follows a BFS tree: the
+generator and Cayley rows, a polycyclic level's left multiplications, an
+automorphism extended from generator images and a semidirect product's
+action table.  No other module reads a group's tables.
+
 The classes of the powers of an element are read from one cached table,
 `FiniteGroup.power_classes`, whose row k (the classes of r^0..r^(o(r)-1) for
 the representative r of class k) serves every member of class k: class power
@@ -65,6 +70,16 @@ class OrderBoundError(GroupError):
 
 # ---------------------------------------------------------------------------
 # core group object
+
+
+def _along_tree(parents, root, steps) -> list:
+    """A map carried along a BFS tree: out[0] is `root`, and out[x] is
+    steps[j](out[p]) for each tree edge x = p * g_j, that is parents[x] =
+    (p, j), where every parent comes before its children."""
+    out = [root]
+    for p, j in parents[1:]:
+        out.append(steps[j](out[p]))
+    return out
 
 
 class FiniteGroup:
@@ -133,11 +148,10 @@ class FiniteGroup:
         self._parents = parents
         self._words: dict[int, str] = {}  # the memo of `word`
         columns_ok, rows = True, {}
+        steps = [rg.__getitem__ for rg in right]
         for h, rg in zip(self.generators, right):
-            row = rows[h] = [h]  # along the tree edges: h*(p*g_j) = (h*p)*g_j
+            rows[h] = _along_tree(parents, h, steps)  # h*(p*g_j) = (h*p)*g_j
             col = list(range(n))
-            for p, gpos in parents[1:]:
-                row.append(right[gpos][row[p]])
             while h:  # along the BFS word of h, last letter first
                 h, gpos = parents[h]
                 col = list(map(col.__getitem__, right[gpos]))
@@ -147,11 +161,9 @@ class FiniteGroup:
                 for row in rows.values() for rg in right)):
             raise GroupError("multiplication is not associative "
                              "(inconsistent construction)")
-        compose = [operator.itemgetter(*rows[h]) for h in self.generators]
-        table = [list(range(n))]
-        for p, gpos in parents[1:]:
-            table.append(list(compose[gpos](table[p])))
-        self._mul = table
+        compose = [lambda row, get=operator.itemgetter(*rows[h]): list(get(row))
+                   for h in self.generators]
+        self._mul = table = _along_tree(parents, list(range(n)), compose)
         inv = []
         for row in table:  # one scan finds 0 or shows it is missing
             try:
@@ -344,6 +356,14 @@ class FiniteGroup:
             if best is None or cand < best:
                 best = cand
         return best
+
+    def conjugates_onto(self, e: int, tuples) -> list[tuple[int, ...]]:
+        """The tuples t u t^-1 for u in `tuples`, for the one t with
+        t^-1 e t = r, the representative of e's class, that `min_conjugate`
+        reads too: tuples that start at r become tuples that start at e."""
+        t = self._transversal[0][e]
+        mul, left, t_inv = self._mul, self._mul[t], self._inv[t]
+        return [tuple([mul[left[x]][t_inv] for x in u]) for u in tuples]
 
     # -- subgroups and quotients
 
@@ -605,53 +625,54 @@ def permutation_group(generators, degree=None, recipe=None,
                        order_bound=order_bound)
 
 
+def _standard_permutation_group(kind: str, n: int, factors, cycle, start: int,
+                                order_bound) -> FiniteGroup:
+    """`kind n`, of order prod(factors), checked against the bound before
+    any point is listed: generated by `cycle` and the cycle (start ... n-1)
+    on n points, or the trivial group on max(n, 1) points."""
+    _check_order(factors, order_bound)
+    order = math.prod(factors)
+    gens = [[cycle], [list(range(start, n))]] if order > 1 else [[[0]]]
+    group = permutation_group(gens, degree=max(n, 1), recipe=f"{kind} {n}",
+                              order_bound=order_bound)
+    assert group.order == order
+    return group
+
+
 def symmetric_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     if n < 1:
         raise GroupError("symmetric index must be >= 1")
-    _check_order(range(2, n + 1), order_bound)
-    if n == 1:
-        return permutation_group([[[0]]], degree=1, recipe="symmetric 1",
-                                 order_bound=order_bound)
-    gens = [[[0, 1]], [list(range(n))]]
-    g = permutation_group(gens, degree=n, recipe=f"symmetric {n}",
-                          order_bound=order_bound)
-    assert g.order == math.factorial(n)
-    return g
+    return _standard_permutation_group("symmetric", n, range(2, n + 1), [0, 1], 0,
+                                       order_bound)
 
 
 def alternating_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
-    _check_order(range(3, n + 1), order_bound)  # n!/2, and 1 for n < 3
-    if n < 3:
-        return permutation_group([[[0]]], degree=max(n, 1),
-                                 recipe=f"alternating {n}", order_bound=order_bound)
-    if n % 2:
-        gens = [[[0, 1, 2]], [list(range(n))]]
-    else:
-        gens = [[[0, 1, 2]], [list(range(1, n))]]
-    g = permutation_group(gens, degree=n, recipe=f"alternating {n}",
-                          order_bound=order_bound)
-    assert g.order == math.factorial(n) // 2
-    return g
+    return _standard_permutation_group("alternating", n, range(3, n + 1), [0, 1, 2],
+                                       1 - n % 2, order_bound)  # an odd-length cycle
+
+
+def _product(k: FiniteGroup, h: FiniteGroup, alpha, kind: str,
+             order_bound) -> FiniteGroup:
+    """K x| H on the pairs (x, y), where alpha[y] lists the images of K's
+    elements under conjugation by y: (x, y)(x', y') = (x alpha[y][x'], y y')."""
+    def mul(a, b):
+        return (k.mul(a[0], alpha[a[1]][b[0]]), h.mul(a[1], b[1]))
+
+    gens = [(g, 0) for g in k.generators] + [(0, g) for g in h.generators]
+    return FiniteGroup((0, 0), mul, gens,
+                       recipe=f"{kind} [{k.recipe}] [{h.recipe}]",
+                       order_bound=order_bound)
 
 
 def direct_product(k: FiniteGroup, h: FiniteGroup,
                    order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
-    def mul(a, b):
-        return (k.mul(a[0], b[0]), h.mul(a[1], b[1]))
-
-    gens = [(g, 0) for g in k.generators] + [(0, g) for g in h.generators]
-    return FiniteGroup((0, 0), mul, gens,
-                       recipe=f"product [{k.recipe}] [{h.recipe}]",
-                       order_bound=order_bound)
+    return _product(k, h, [range(k.order)] * h.order, "product", order_bound)
 
 
 def _extend_automorphism(k: FiniteGroup, gen_images: dict[int, int]) -> list[int]:
     """Extend generator images to the automorphism of k they define."""
-    img = [-1] * k.order
-    img[0] = 0
-    for i in range(1, k.order):
-        parent, gpos = k._parents[i]
-        img[i] = k.mul(img[parent], gen_images[k.generators[gpos]])
+    img = _along_tree(k._parents, 0, [lambda x, g=g: k.mul(x, gen_images[g])
+                                      for g in k.generators])
     if sorted(img) != list(range(k.order)):
         raise GroupError("generator images do not define a bijection")
     for a in k.generators:
@@ -666,27 +687,15 @@ def semidirect_product(k: FiniteGroup, h: FiniteGroup,
                        order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
     """K x| H where `action[h_gen][k_gen]` is the image of k_gen under
     conjugation by h_gen (indices in the respective groups)."""
-    auto_of_gen = {}
+    autos = []
     for hg in h.generators:
         images = action.get(hg)
         if images is None:
             raise GroupError(f"no action given for H generator index {hg}")
-        auto_of_gen[hg] = _extend_automorphism(k, images)
-    alpha = [None] * h.order
-    alpha[0] = list(range(k.order))
-    for i in range(1, h.order):
-        parent, gpos = h._parents[i]
-        ag = auto_of_gen[h.generators[gpos]]
-        ap = alpha[parent]
-        alpha[i] = [ap[ag[x]] for x in range(k.order)]
-
-    def mul(a, b):
-        return (k.mul(a[0], alpha[a[1]][b[0]]), h.mul(a[1], b[1]))
-
-    gens = [(g, 0) for g in k.generators] + [(0, g) for g in h.generators]
-    return FiniteGroup((0, 0), mul, gens,
-                       recipe=f"semidirect [{k.recipe}] [{h.recipe}]",
-                       order_bound=order_bound)
+        autos.append(_extend_automorphism(k, images))
+    alpha = _along_tree(h._parents, list(range(k.order)),
+                        [lambda ap, ag=ag: list(map(ap.__getitem__, ag)) for ag in autos])
+    return _product(k, h, alpha, "semidirect", order_bound)
 
 
 # -- polycyclic presentations
@@ -765,29 +774,23 @@ def polycyclic_group(relative_orders, powers=None, conjugates=None,
     tree = [(0, -1)]
     size = 1  # |G_(i+1)|
 
-    def evaluate(word) -> int:
-        x = 0
+    def left_mul(word) -> list[int]:
+        """x -> w * x on G_(i+1), for the element w that `word` evaluates to."""
+        w = 0
         for g in word:
-            x = right[g][x]
-        return x
-
-    def left_mul(w) -> list[int]:
-        """x -> w * x on G_(i+1)."""
-        out = [w]
-        for p, j in tree[1:]:
-            out.append(right[j][out[p]])
-        return out
+            w = right[g][w]
+        return _along_tree(tree, w, [rj.__getitem__ for rj in right])
 
     for i in range(k - 1, -1, -1):
         r = orders[i]
         phi = [0]
         step = 1  # |G_(m+1)|
         for m in range(k - 1, i, -1):
-            wm = left_mul(evaluate(conjugates.get((m, i), (m,))))
+            wm = left_mul(conjugates.get((m, i), (m,)))
             for _ in range(orders[m] - 1):
                 phi += map(wm.__getitem__, phi[-step:])
             step *= orders[m]
-        power = left_mul(evaluate(powers.get(i, ())))
+        power = left_mul(powers.get(i, ()))
         for j in range(i + 1, k):
             rj = right[j]
             right[j] = [a * size + y for a in range(r) for y in rj]
@@ -837,17 +840,26 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _WORD_ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?$")
 
 
+def _word_atoms(text: str, malformed: str):
+    """The atoms of a word like g1*g2^-1 as (atom, name, exponent digits or
+    None), none for "", "id" or "1"; a malformed atom is refused as
+    `malformed` only when reached, so the caller's checks keep word order."""
+    text = text.strip()
+    if text in ("", "id", "1"):
+        return
+    for atom in text.split("*"):
+        atom = atom.strip()
+        m = _WORD_ATOM_RE.match(atom)
+        if not m:
+            raise GroupError(f"{malformed} {atom!r}")
+        yield atom, m.group(1), m.group(2)
+
+
 def parse_word(text: str, aliases: dict[str, int], group: FiniteGroup) -> int:
     """Evaluate a word like g1*g2^-1 to an element index."""
     out = 0
-    text = text.strip()
-    if text in ("", "id", "1"):
-        return 0
-    for atom in text.split("*"):
-        m = _WORD_ATOM_RE.match(atom.strip())
-        if not m:
-            raise GroupError(f"malformed word atom {atom.strip()!r}")
-        name, exp = m.group(1), int(m.group(2) or 1)
+    for _, name, digits in _word_atoms(text, "malformed word atom"):
+        exp = int(digits or 1)
         if name == "id":
             continue
         if name not in aliases:
@@ -864,21 +876,17 @@ def _parse_gen_word_positive(text: str, orders) -> tuple[int, ...]:
     """Word over g1..gk with exponents in the normal-form range 0 <= e < r_i
     of each generator's relative order, as a flat generator list."""
     out: list[int] = []
-    text = text.strip()
-    if text in ("", "id", "1"):
-        return ()
-    for atom in text.split("*"):
-        m = _WORD_ATOM_RE.match(atom.strip())
-        if not m or not m.group(1).startswith("g"):
-            raise GroupError(f"malformed relation word atom {atom.strip()!r}")
-        idx = int(m.group(1)[1:]) - 1
-        exp = int(m.group(2) or 1)
+    for atom, name, digits in _word_atoms(text, "malformed relation word atom"):
+        if not name.startswith("g"):
+            raise GroupError(f"malformed relation word atom {atom!r}")
+        idx = int(name[1:]) - 1
+        exp = int(digits or 1)
         if not 0 <= idx < len(orders):
-            raise GroupError(f"unknown generator {m.group(1)!r}")
+            raise GroupError(f"unknown generator {name!r}")
         if exp < 0:
             raise GroupError("relation words must use non-negative exponents")
         if exp >= orders[idx]:
-            raise GroupError(f"exponent {exp} of {m.group(1)} in a relation word is not "
+            raise GroupError(f"exponent {exp} of {name} in a relation word is not "
                              f"below its relative order {orders[idx]}")
         out.extend([idx] * exp)
     return tuple(out)
@@ -1014,20 +1022,14 @@ def _dispatch_recipe(kind, rest, tail, order_bound, point_bound) -> FiniteGroup:
                                  f"bound {point_bound}")
             gens.append(cycles)
         group = permutation_group(gens, order_bound=order_bound)
-    elif kind == "product":
+    elif kind in ("product", "semidirect"):
         blocks, extra = _split_bracketed(rest)
         if len(blocks) != 2 or extra:
-            raise GroupError("product recipe needs exactly two [ ] blocks")
-        k, h = _factors(blocks, order_bound, point_bound)
-        group = direct_product(k, h, order_bound=order_bound)
-    elif kind == "semidirect":
-        blocks, extra = _split_bracketed(rest)
-        if len(blocks) != 2 or extra:
-            raise GroupError("semidirect recipe needs exactly two [ ] blocks")
+            raise GroupError(f"{kind} recipe needs exactly two [ ] blocks")
         k, h = _factors(blocks, order_bound, point_bound)
         nk = len(k.generators)
-        action: dict[int, dict[int, int]] = {}
-        for pos, ln in enumerate(tail, start=1):
+        action = {hg: {kg: kg for kg in k.generators} for hg in h.generators}
+        for pos, ln in enumerate(tail if kind == "semidirect" else (), start=1):
             with _at_recipe_line(pos):
                 if not ln.startswith("act "):
                     raise GroupError(f"unexpected line in semidirect recipe: {ln!r}")
@@ -1040,12 +1042,9 @@ def _dispatch_recipe(kind, rest, tail, order_bound, point_bound) -> FiniteGroup:
                     raise GroupError(f"act line references unknown generators: {ln!r}")
                 hg = h.generators[hpos]
                 img = parse_word(m.group(3), default_aliases(k), k)
-            action.setdefault(hg, {})[k.generators[kpos]] = img
-        for hg in h.generators:
-            images = action.setdefault(hg, {})
-            for kg in k.generators:
-                images.setdefault(kg, kg)
-        group = semidirect_product(k, h, action, order_bound=order_bound)
+            action[hg][k.generators[kpos]] = img
+        group = (direct_product(k, h, order_bound=order_bound) if kind == "product"
+                 else semidirect_product(k, h, action, order_bound=order_bound))
     elif kind == "polycyclic":
         orders = [int(x) for x in rest.split()]
         _check_order(orders, order_bound)  # before any relation word is expanded

@@ -40,7 +40,7 @@ the canonicalise-every-pair search, over all tuples, as the oracle.
 Side 2 runs its first entry over every element of G but backtracks only
 from class representatives.  The tuples that start at e are exactly the
 conjugates t u t^-1 of the tuples u that start at the representative r of
-e's class, where t^-1 e t = r (`FiniteGroup._transversal`).  The
+e's class, where t^-1 e t = r (`FiniteGroup.conjugates_onto`).  The
 representative is the least member of its class, so it is the first entry
 of its class that the enumeration meets: its batch streams as the
 backtracking finds it, and it is complete by the time another member e
@@ -187,11 +187,11 @@ def validate_spherical(group: FiniteGroup, entries, generates=None) -> Spherical
     if set(map(type, idx)) != _INT_ONLY:
         idx = tuple(map(_element_index, itertools.count(1), idx))
     _check_length(len(idx))
-    n, mul, prod = group.order, group._mul, 0
+    n, prod = group.order, 0
     for e in idx:
         if not 0 <= e < n:
             raise RamificationError(f"element index {e} out of range")
-        prod = mul[prod][e]
+        prod = group.mul(prod, e)
     orders = list(map(group.element_orders.__getitem__, idx))
     if 1 in orders:
         raise RamificationError(
@@ -449,11 +449,8 @@ def _conjugate_batch(group: FiniteGroup, batch, e: int, rank):
     conjugation keeps the product one and the entry orders, so each gets
     u's signature, and Sigma is a union of classes, so it gets u's class set
     (the same object)."""
-    mul, inv = group._mul, group._inv
-    t = group._transversal[0][e]
-    left, t_inv = mul[t], inv[t]
-    images = [(tuple([mul[left[x]][t_inv] for x in u.entries]), u) for u in batch]
-    images.sort(key=lambda pair: [rank[x] for x in pair[0]])
+    images = sorted(zip(group.conjugates_onto(e, [u.entries for u in batch]), batch),
+                    key=lambda pair: [rank[x] for x in pair[0]])
     for image, u in images:
         yield SphericalSystem(group, image, u.signature)._holding(u.sigma)
 

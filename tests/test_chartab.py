@@ -515,6 +515,29 @@ def test_cache_write_leaves_no_partial_file(q8, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_groups_that_share_a_cache_key_each_get_their_own_table(tmp_path):
+    """Q8 x Z2 and Z4 x| Z4, written as `polycyclic 2 2 2 2` with their
+    `rel` lines, share a fingerprint and a header: `group.recipe`, which
+    both read, keeps no `rel` line.  Each still gets its own table from one
+    cache directory, because `parse_table` refuses the other group's file
+    and the table is computed and written again."""
+    q8z2 = gr.build_group("group = polycyclic 2 2 2 2\n"
+                          "rel g1^2 = g3\nrel g2^2 = g3\nrel g2^g1 = g2*g3")
+    z4z4 = gr.build_group("group = polycyclic 2 2 2 2\n"
+                          "rel g1^2 = g4\nrel g2^2 = g3\nrel g2^g1 = g2*g3")
+    squares = [{g.mul(x, x) for x in range(g.order)} for g in (q8z2, z4z4)]
+    assert [len(s) for s in squares] == [2, 3]  # not isomorphic
+    assert ct.group_fingerprint(q8z2) == ct.group_fingerprint(z4z4) \
+        == "5b5a0ab1020aa2903f4a57b1"
+    assert ct._header(q8z2) == ct._header(z4z4)
+    own = {g: ct.render_table(ct.character_table(g)) for g in (q8z2, z4z4)}
+    assert own[q8z2] != own[z4z4]
+    for group in (q8z2, z4z4, q8z2):
+        cached = ct.cached_character_table(group, str(tmp_path))
+        assert ct.render_table(cached) == own[group]
+    assert len(list(tmp_path.iterdir())) == 1
+
+
 def _mutations(text, exponent):
     """Truncations, dropped lines, replaced characters and, where the text
     has a root of unity, a conductor that does not divide the exponent

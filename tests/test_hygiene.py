@@ -1,6 +1,7 @@
 """Program-wide guards: no definition under `src/isoprod` that nothing but
-the tests reads, no reference cycle that keeps a group alive, and a test
-run that reports a failing property test as a failure."""
+the tests reads, no module but `groups` that reads a group's private
+members, no reference cycle that keeps a group alive, and a test run that
+reports a failing property test as a failure."""
 
 import ast
 import gc
@@ -82,6 +83,32 @@ def unused_definitions() -> list[str]:
 
 def test_every_src_definition_is_read_by_the_program():
     assert unused_definitions() == []
+
+
+def private_group_reads() -> list[str]:
+    """The reads of a `_`-prefixed `FiniteGroup` member -- a method, a
+    cached property or a `self._name` attribute of the class -- in every
+    module under `src/isoprod` but `groups.py`, as "file:line name".
+    Members are matched by name only, as in `unused_definitions`."""
+    groups = ast.parse((SRC / "groups.py").read_text(encoding="utf-8"))
+    (cls,) = [n for n in groups.body
+              if isinstance(n, ast.ClassDef) and n.name == "FiniteGroup"]
+    members = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    members |= {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "self"}
+    private = {m for m in members if m.startswith("_") and not m.startswith("__")}
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Attribute) and n.attr in private:
+                reads.append(f"{path.name}:{n.lineno} {n.attr}")
+    return reads
+
+
+def test_only_groups_reads_the_private_members_of_a_group():
+    assert private_group_reads() == []
 
 
 def test_groups_are_freed_without_the_cyclic_collector():

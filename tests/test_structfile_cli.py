@@ -1,6 +1,8 @@
+import dataclasses
 import errno
 import json
 import os
+import re
 from importlib import resources
 
 import pytest
@@ -297,6 +299,11 @@ def test_recipe_line_errors_name_their_file_line(tmp_path, capsys):
         ("group = semidirect [cyclic 7] [cyclic 3]\nact g2: g1 -> g1^2\n"
          "act g9: g1 -> g1\n", 3, "unknown generators"),
         ("group = cyclic 3\nrel g1^3 = id\n", 2, "extra recipe lines"),
+        # a product shares the semidirect recipe branch but reads no act line
+        ("group = product [cyclic 2] [cyclic 2]\nact g3: g1 -> g1\n", 2,
+         "unexpected extra recipe lines for 'product'"),
+        ("group = product [cyclic 2] [cyclic 2]\nact g3 -> ?\n", 2,
+         "unexpected extra recipe lines for 'product'"),
         ("# header\ngroup = polycyclic 2 3 2\nrel g2^g1 = g2^2*g3\n", 2,
          "not associative"),
     ]
@@ -667,6 +674,19 @@ def test_catalog_table_rows_match_expectations():
     types = [e.surface_type for e in cat.CATALOG]
     assert types.count("b") == 1 and types.count("d") == 1 and types.count("c") == 2
     assert types.count("a") == 28
+
+
+def test_catalog_rows_verify_their_order(monkeypatch, capsys):
+    """Every row's order is the order in its small-group id, and `--assert`
+    checks the built group's order on a shipped row: the Z3xZ3 row built on
+    the order-32 fixture of Z2^3xZ4 fails with an order line."""
+    for entry in cat.CATALOG:
+        m = re.fullmatch(r"<([0-9]+),[0-9]+>", entry.small_group_id)
+        assert m and int(m.group(1)) == entry.order, entry.name
+    row = dataclasses.replace(cat.entry_by_name("Z3xZ3"), fixture="z2cubed_z4.struct")
+    monkeypatch.setattr(cat, "CATALOG", (row,))
+    assert cli.main(["catalog", "--entry", "Z3xZ3", "--assert"]) == 1
+    assert "\nFAIL Z3xZ3: order = 32, expected 9\n" in capsys.readouterr().out
 
 
 def _record_calls(monkeypatch, calls, owner, name, subject):
