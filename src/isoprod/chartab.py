@@ -8,26 +8,39 @@ revisited", J. Symb. Comput. 1990): the class-sum matrices are
 simultaneously diagonalized over a prime field F_p with p = 1 (mod exp(G))
 and p > 2*ceil(sqrt(|G|)), but only on the common kernel of the pairings
 with the linear characters, which the nonlinear eigenvectors span.  An
-abelian group needs no split at all.  The eigenvalue multiplicities, which
-the bound on p makes unique, are lifted on one class of each rational
-class {C^t : t prime to o(C)} and permuted by s -> s*t on the others,
-since chi(C^t) has the eigenvalues of chi(C) raised to the t-th power.
-The values are reassembled exactly as cyclotomic numbers of conductor
-dividing the element order.
+abelian group needs no split at all.  Each eigenvector is scaled to 1 on
+the identity class, and one eigenvector per Galois orbit is lifted: for t
+prime to exp(G), chi^sigma_t(C) = chi(C^t) and |C^t| = |C|, so the
+eigenvector of chi^sigma_t is w o pi_t and its row is the lifted row
+o pi_t, for pi_t the class power map C -> C^t (Dixon 1967; Schneider 1990).
+The orbit is closed under the power maps of generators of (Z/exp(G))^*;
+every image must be one of the split's eigenvectors, and these must be
+distinct, so that each gives one row.  A lift reads the degree off w, and the eigenvalue
+multiplicities, which the bound on p makes unique, on one class of each
+rational class {C^t : t prime to o(C)}; they are permuted by s -> s*t on
+the others, since chi(C^t) has the eigenvalues of chi(C) raised to the
+t-th power.  The values are reassembled exactly as cyclotomic numbers of
+conductor dividing the element order.
 
 The split takes the class matrices in canonical class order, each built
 only when it is reached and kept as sparse columns, and restricts M_j to
-every space not yet one-dimensional.
+every space not yet one-dimensional.  Each space is held in reduced
+echelon form with its pivot columns, reduced once: the starting basis
+before the first matrix, an eigenspace when a split creates it; the
+restriction is read off at the pivots, and a space that M_j does not split
+is kept as it is.
 On a restriction R of dimension d (diagonalizable: the class algebra is
-semisimple mod p) the eigenvalues are the roots of the minimal polynomial
-of the first unit vector, found by elimination along its Krylov vectors
-(Wiedemann 1986) in O(d^3); the kernel of R - lambda is taken once per
-root, and while the kernels add up to less than d the same step runs from
-the first unit vector outside their span, which must meet a new root.  No
-floating point, no randomization.  The result does not depend on the order
-the spaces are found in: each common eigenvector is unique up to a scalar,
-it is normalized by its identity-class entry, and the rows are sorted by
-`Character.sort_key`, so the table is the one any complete split gives.
+semisimple mod p) that is a scalar lambda*I, the identity basis is the one
+eigenspace, with no further work.  Otherwise the eigenvalues are the roots
+of the minimal polynomial of the first unit vector, found by elimination
+along its Krylov vectors (Wiedemann 1986) in O(d^3); the kernel of
+R - lambda is taken once per root, and while the kernels add up to less
+than d the same step runs from the first unit vector outside their span,
+which must meet a new root.  No floating point, no randomization.  The
+result does not depend on the order the spaces are found in: each common
+eigenvector is unique up to a scalar, it is normalized by its
+identity-class entry, and the rows are sorted by `Character.sort_key`, so
+the table is the one any complete split gives.
 
 On top of the complex table this module computes Frobenius-Schur
 indicators, the partition of the irreducibles into Galois orbits
@@ -397,7 +410,7 @@ def _krylov_minpoly(rmat, v, p):
         u = [(a * f) % p for a in u]
         q = [(a * f) % p for a in q]
         echelon.append((piv, u, q))
-        u = [sum(r * a for r, a in zip(rmat[i], u)) % p for i in range(d)]
+        u = [sum(map(operator.mul, row, u)) % p for row in rmat]
         q = [0] + q
 
 
@@ -405,11 +418,16 @@ def _eigenspaces(rmat, p):
     """The eigenvalues of the diagonalizable d x d matrix rmat over F_p,
     each with a basis of its kernel, in order of discovery.
 
-    The eigenvalues are the roots of the minimal polynomial of the first
-    unit vector; while their kernels add up to less than d, the first unit
-    vector outside their span has a component in a missing eigenspace, so
-    its minimal polynomial has a new root."""
+    A scalar matrix lambda*I is returned at once, with the identity basis.
+    Otherwise the eigenvalues are the roots of the minimal polynomial of the
+    first unit vector; while their kernels add up to less than d, the first
+    unit vector outside their span has a component in a missing eigenspace,
+    so its minimal polynomial has a new root."""
     d = len(rmat)
+    lam = rmat[0][0]
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    if all(row == [lam * x for x in unit] for row, unit in zip(rmat, identity)):
+        return [(lam, identity)]
     found = []
     seen: set[int] = set()
     dim = 0
@@ -437,21 +455,25 @@ def _eigenspaces(rmat, p):
 def _split_spaces(mats, p, nc, basis):
     """Common one-dimensional eigenspaces of the commuting matrices `mats`
     (as `_class_matrices` yields them) inside the invariant subspace spanned
-    by the rows of `basis`."""
-    spaces = [basis]
+    by the rows of `basis`.
+
+    Each space is held as its reduced echelon rows and their pivot columns,
+    reduced once: the starting basis here, an eigenspace when a split makes
+    it.  A space that a matrix does not split is kept as it is."""
+    spaces = [_rref_mod_p(basis, p)]
     # the identity-class matrix is the identity
     for columns in itertools.islice(mats, 1, None):
-        if all(len(b) == 1 for b in spaces):
+        if all(len(rref) == 1 for rref, _ in spaces):
             break
         out = []
         for space in spaces:
-            d = len(space)
+            rref, pivots = space
+            d = len(rref)
             if d == 1:
                 out.append(space)
                 continue
             # restriction R: M b_a = sum_z R[z][a] b_z, read off at the pivot
             # columns of the RREF basis; M b_a is a sum of sparse columns
-            rref, pivots = _rref_mod_p(space, p)
             rmat = [[0] * d for _ in range(d)]
             for a, b in enumerate(rref):
                 img = [0] * nc
@@ -463,7 +485,7 @@ def _split_spaces(mats, p, nc, basis):
                     rmat[z][a] = img[piv] % p
             eigen = _eigenspaces(rmat, p)
             if len(eigen) == 1:
-                out.append(rref)
+                out.append(space)
                 continue
             for _, kernel in eigen:
                 sub = []
@@ -474,14 +496,14 @@ def _split_spaces(mats, p, nc, basis):
                             for t, x in enumerate(rref[a]):
                                 amb[t] += coef * x
                     sub.append([x % p for x in amb])
-                out.append(_rref_mod_p(sub, p)[0])
+                out.append(_rref_mod_p(sub, p))
         spaces = out
     # p = 1 (mod exp G), p prime to |G|: the class matrices split the centre (Dixon 1967).
-    if not all(len(b) == 1 for b in spaces):
+    if not all(len(rref) == 1 for rref, _ in spaces):
         raise CharacterTableError(
             "class matrices failed to split the class algebra (engine defect)"
         )
-    return [b[0] for b in spaces]
+    return [rref[0] for rref, _ in spaces]
 
 
 def _linear_characters(group: FiniteGroup) -> list[list[int]]:
@@ -554,12 +576,10 @@ def _nonlinear_characters(group: FiniteGroup, linear, value) -> list[tuple]:
     complement of the linear characters (Schneider 1990)."""
     classes = group.conjugacy_classes
     nc = len(classes)
-    order = group.order
     e = group.exponent
-    p = dixon_prime(order, e)
+    p = dixon_prime(group.order, e)
     z = pow(_primitive_root(p), (p - 1) // e, p)
     inv_class = [group.class_power_map(k, -1) for k in range(nc)]
-    sizes = [c.size for c in classes]
 
     # The eigenvector of chi is omega_chi(C_k) = |C_k| chi(C_k) / chi(1), and
     # sum_k omega_chi(C_k) lambda(C_k^-1) = |G| / chi(1) [chi = lambda] with p
@@ -575,63 +595,96 @@ def _nonlinear_characters(group: FiniteGroup, linear, value) -> list[tuple]:
     # C^t for t prime to n = o(C) is a class of the same family as C, and
     # chi(C^t) has the eigenvalues of chi(C) raised to the t: zeta_n^s -> zeta_n^(s*t).
     # So the multiplicities are lifted on the first class of each family only.
-    power_classes = group.power_classes
-    family = [None] * nc  # family[j] = (k, t): C_j = C_k^t, C_k the first of the family
-    for k, row in enumerate(power_classes):
-        if family[k] is None:
-            n = len(row)
-            for t in range(1, n + 1):
-                if math.gcd(t, n) == 1:
-                    j = row[t % n]
-                    if family[j] is None:
-                        family[j] = (k, t)
-    leaders = [k for k in range(nc) if family[k][0] == k]
+    families = []  # (n, 1/n, classes of C^t for t < n, DFT rows, members) per family
     dft = {}  # dft[n][s][t] = zeta_n^(-s*t) mod p
-    for n in {classes[k].element_order for k in leaders}:
-        zn = pow(z, e // n, p)
-        zpow = [pow(zn, j, p) for j in range(n)]
-        dft[n] = [[zpow[(-s * t) % n] for t in range(n)] for s in range(n)]
+    placed = [False] * nc
+    for k, powers in enumerate(group.power_classes):
+        if placed[k]:
+            continue
+        n = len(powers)
+        members = []  # (j, t): C_j = C^t, C the first class of the family
+        for t in range(1, n + 1):
+            j = powers[t % n]
+            if math.gcd(t, n) == 1 and not placed[j]:
+                placed[j] = True
+                members.append((j, t))
+        if n not in dft:
+            zn = pow(z, e // n, p)
+            zpow = [pow(zn, j, p) for j in range(n)]
+            dft[n] = [[zpow[(-s * t) % n] for t in range(n)] for s in range(n)]
+        families.append((n, pow(n, -1, p), powers, dft[n], members))
+    weights = [pow(c.size, -1, p) for c in classes]
 
-    rows = []
+    eigenvectors = {}  # each eigenvector scaled to w[0] = 1, in split order
     for w in vectors:
         if w[0] % p == 0:
             raise CharacterTableError("eigenvector vanishes on the identity class")
         norm = pow(w[0], -1, p)
-        w = [(v * norm) % p for v in w]
-        # |G| / d^2 = sum_k w[k] * w[k~] / |C_k|
-        s = sum(w[k] * w[inv_class[k]] * pow(sizes[k], -1, p) for k in range(nc)) % p
-        dsq = (order * pow(s, -1, p)) % p
-        degree = next(
-            (d for d in range(1, math.isqrt(order) + 1) if (d * d) % p == dsq), None
-        )
-        if degree is None:
-            raise CharacterTableError("no admissible degree for an eigenvector")
-        theta = [(degree * w[k] * pow(sizes[k], -1, p)) % p for k in range(nc)]
-        multiplicities = {}
-        for k in leaders:
-            n = classes[k].element_order
-            at_powers = [theta[c] for c in power_classes[k]]  # theta(C^t), t < n
-            ninv = pow(n, -1, p)
-            terms = []
-            total = 0
-            for s_exp, zrow in enumerate(dft[n]):
-                mult = (sum(map(operator.mul, at_powers, zrow)) * ninv) % p
-                if mult >= p // 2 + 1:
-                    raise CharacterTableError("eigenvalue multiplicity failed to lift")
-                if mult:
-                    terms.append((s_exp, mult))
-                total += mult
-            if total != degree:
-                raise CharacterTableError("eigenvalue multiplicities do not sum "
-                                          "to the degree")
-            multiplicities[k] = terms
-        values = []
-        for j, (k, t) in enumerate(family):
-            n = classes[j].element_order
-            terms = sorted((s * t % n, m) for s, m in multiplicities[k])
-            values.append(value(n, tuple(terms)))
-        rows.append(tuple(values))
-    return rows
+        eigenvectors[tuple((v * norm) % p for v in w)] = None
+
+    # chi^sigma_t(C) = chi(C^t) and |C^t| = |C| for t prime to exp(G), so the
+    # eigenvector of a Galois conjugate is w o pi_t and its row is row o pi_t,
+    # for pi_t the class power map C -> C^t: one lift per Galois orbit, the
+    # orbit closed under the power maps of generators of the unit group.
+    maps = [[group.class_power_map(k, t) for k in range(nc)] for t in _unit_generators(e)]
+    rows = {}
+    for w in eigenvectors:
+        if w in rows:
+            continue
+        rows[w] = _lift_eigenvector(w, p, group.order, inv_class, weights, families, value)
+        orbit = [w]
+        for u in orbit:
+            row = rows[u]
+            for pi in maps:
+                image = tuple(u[c] for c in pi)
+                if image in rows:
+                    continue
+                if image not in eigenvectors:
+                    raise CharacterTableError(
+                        "a Galois image of an eigenvector is not an eigenvector"
+                    )
+                rows[image] = tuple(row[c] for c in pi)
+                orbit.append(image)
+    if len(rows) != len(vectors):
+        raise CharacterTableError("the split's eigenvectors are not distinct")
+    return list(rows.values())
+
+
+def _lift_eigenvector(w, p, order, inv_class, weights, families, value) -> tuple:
+    """The value row of the irreducible chi whose class-algebra eigenvector
+    over F_p is w, scaled to w[0] = 1; `weights[k]` is 1/|C_k| mod p.
+
+    The degree is read from |G| / chi(1)^2 = sum_k w[k] w[k~] / |C_k|, the
+    values theta = chi mod p from w, and on the first class C of each family
+    the multiplicities of the eigenvalues zeta_n^s of chi(C), n = o(C), by a
+    DFT over the classes C^t, t < n."""
+    nc = len(w)
+    s = sum(w[k] * w[inv_class[k]] * weights[k] for k in range(nc)) % p
+    dsq = (order * pow(s, -1, p)) % p
+    degree = next(
+        (d for d in range(1, math.isqrt(order) + 1) if (d * d) % p == dsq), None
+    )
+    if degree is None:
+        raise CharacterTableError("no admissible degree for an eigenvector")
+    theta = [(degree * x * y) % p for x, y in zip(w, weights)]
+    values = [None] * nc
+    for n, ninv, powers, zrows, members in families:
+        at_powers = [theta[c] for c in powers]  # theta(C^t), t < n
+        terms = []
+        total = 0
+        for s_exp, zrow in enumerate(zrows):
+            mult = (sum(map(operator.mul, at_powers, zrow)) * ninv) % p
+            if mult >= p // 2 + 1:
+                raise CharacterTableError("eigenvalue multiplicity failed to lift")
+            if mult:
+                terms.append((s_exp, mult))
+            total += mult
+        if total != degree:
+            raise CharacterTableError("eigenvalue multiplicities do not sum "
+                                      "to the degree")
+        for j, t in members:
+            values[j] = value(n, tuple(sorted((s * t % n, m) for s, m in terms)))
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------

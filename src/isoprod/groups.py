@@ -647,6 +647,8 @@ def symmetric_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
 
 
 def alternating_group(n: int, order_bound=DEFAULT_ORDER_BOUND) -> FiniteGroup:
+    if n < 1:
+        raise GroupError("alternating index must be >= 1")
     return _standard_permutation_group("alternating", n, range(3, n + 1), [0, 1, 2],
                                        1 - n % 2, order_bound)  # an odd-length cycle
 

@@ -27,7 +27,7 @@ from algebra_oracle import (
     row_index,
     value_on_element,
 )
-from conftest import assert_int_coordinates
+from conftest import PSL27_RECIPE, assert_int_coordinates
 from test_acceptance import _random_small_groups
 
 
@@ -806,6 +806,84 @@ def test_non_diagonalizable_restriction_is_refused():
     # x^2 + 1 has no root mod 7: no eigenvalue at all
     with pytest.raises(ct.CharacterTableError, match="lost dimensions"):
         ct._eigenspaces([[0, 6], [1, 0]], 7)
+
+
+def test_scalar_restriction_is_returned_without_krylov_or_kernels(monkeypatch):
+    """R = lambda*I gives one eigenvalue with the identity basis, found with
+    no minimal polynomial and no kernel."""
+    calls = {"_krylov_minpoly": 0, "_kernel_mod_p": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(ct, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(ct, name, counted)
+    p = 13
+    for lam, d in ((4, 3), (0, 2), (7, 1), (12, 5)):
+        rmat = [[lam if i == j else 0 for j in range(d)] for i in range(d)]
+        found = ct._eigenspaces(rmat, p)
+        assert found == [(lam, [[int(i == j) for j in range(d)] for i in range(d)])]
+        _check_eigenspaces(rmat, p, found)
+    assert calls == {"_krylov_minpoly": 0, "_kernel_mod_p": 0}
+    found = ct._eigenspaces(_conjugated([3, 3, 6], p, 0), p)  # not scalar
+    assert calls["_krylov_minpoly"] > 0 and calls["_kernel_mod_p"] > 0
+    assert sorted(lam for lam, _ in found) == [3, 6]
+
+
+@pytest.mark.parametrize("recipe, nonlinear, lifts", [
+    ("group = dihedral 48", 23, 8),
+    (PSL27_RECIPE, 5, 4),
+    ("group = symmetric 5", 5, 5),  # every row rational: each is its own orbit
+])
+def test_one_lift_per_galois_orbit(recipe, nonlinear, lifts, monkeypatch):
+    lifted = []
+    lift = ct._lift_eigenvector
+
+    def counted(w, *args):
+        lifted.append(w)
+        return lift(w, *args)
+
+    monkeypatch.setattr(ct, "_lift_eigenvector", counted)
+    table = ct.character_table(gr.build_group(recipe))
+    assert sum(chi.degree > 1 for chi in table) == nonlinear
+    assert len(lifted) == lifts
+    orbits = ct.galois_orbits(table)
+    assert sum(len(o.indices) for o in orbits if table[o.indices[0]].degree > 1) == nonlinear
+    assert sum(table[o.indices[0]].degree > 1 for o in orbits) == lifts
+
+
+@pytest.mark.parametrize("corruption, message", [
+    ("missing", "Galois image of an eigenvector is not an eigenvector"),
+    ("perturbed", None),
+    ("duplicated", "eigenvectors are not distinct"),
+])
+def test_split_eigenvectors_that_do_not_close_are_refused(psl27, corruption, message,
+                                                           monkeypatch):
+    """An eigenvector set that lacks a Galois conjugate's eigenvector, holds
+    it perturbed, or holds one eigenvector twice (scaled) is refused."""
+    split = ct._split_spaces
+    inv = [psl27.class_power_map(k, -1) for k in range(len(psl27.conjugacy_classes))]
+
+    def corrupted(mats, p, nc, basis):
+        vectors = split(mats, p, nc, basis)
+
+        def normalized(w):
+            return [x * pow(w[0], -1, p) % p for x in w]
+
+        real = [normalized([w[c] for c in inv]) == normalized(w) for w in vectors]
+        # a non-real row: its complex conjugate is another eigenvector
+        target = real.index(False)
+        if corruption == "missing":
+            del vectors[target]
+        elif corruption == "perturbed":
+            vectors[target] = vectors[target][:-1] + [(vectors[target][-1] + 1) % p]
+        else:  # a real row replaced by twice another: every orbit still closes
+            first, second = [i for i, r in enumerate(real) if r][:2]
+            vectors[first] = [2 * x % p for x in vectors[second]]
+        return vectors
+
+    monkeypatch.setattr(ct, "_split_spaces", corrupted)
+    with pytest.raises(ct.CharacterTableError, match=message):
+        ct.character_table(psl27)
 
 
 def test_power_classes_match_power(oracle_groups):

@@ -215,6 +215,22 @@ def test_cli_inconsistent_group_is_a_positioned_error(tmp_path, capsys):
     assert err.startswith("error: line 1, column 1: ") and "engine defect" not in err
 
 
+def test_alternating_index_below_one_is_refused(tmp_path, capsys):
+    """`alternating n` with n < 1 is refused as `symmetric n` is, by
+    `build_group` and by the CLI with exit code 1."""
+    for recipe in ("alternating 0", "alternating -3"):
+        with pytest.raises(GroupError, match="alternating index must be >= 1"):
+            gr.build_group(f"group = {recipe}")
+        p = tmp_path / "small.struct"
+        p.write_text(f"group = {recipe}\n")
+        assert cli.main(["chartab", str(p)]) == 1, recipe
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 1, column 1: ")
+        assert "alternating index must be >= 1" in captured.err
+    assert gr.build_group("group = alternating 1").order == 1
+
+
 def test_oversized_recipes_are_refused_before_building(tmp_path, capsys, monkeypatch):
     """A recipe's order (or a permutation point) above the bound is refused
     from its numbers alone: no label list, permutation or table is built,
