@@ -24,19 +24,18 @@ conductor dividing the element order.
 
 The split takes the class matrices in canonical class order, each built
 only when it is reached and kept as sparse columns, and restricts M_j to
-every space not yet one-dimensional.  Each space is held in reduced
-echelon form with its pivot columns, reduced once: the starting basis
-before the first matrix, an eigenspace when a split creates it; the
-restriction is read off at the pivots, and a space that M_j does not split
-is kept as it is.
+every space not yet one-dimensional.  Each space is held as a basis and
+its unit columns, where one vector is 1 and the others 0: a kernel basis
+comes so, and an eigenspace takes its parent's at the kernel's free
+columns, so no space is reduced.  The restriction is read off at the unit
+columns, and a space that M_j does not split is kept as it is.
 On a restriction R of dimension d (diagonalizable: the class algebra is
 semisimple mod p) that is a scalar lambda*I, the identity basis is the one
 eigenspace, with no further work.  Otherwise the eigenvalues are the roots
-of the minimal polynomial of the first unit vector, found by elimination
-along its Krylov vectors (Wiedemann 1986) in O(d^3); the kernel of
-R - lambda is taken once per root, and while the kernels add up to less
-than d the same step runs from the first unit vector outside their span,
-which must meet a new root.  No floating point, no randomization.  The
+of the minimal polynomials of the unit vectors e_0, e_1, ... in turn, each
+found by elimination along its Krylov vectors (Wiedemann 1986) in O(d^3);
+the kernel of R - lambda is taken once per root, and a unit vector with no
+new root lies in the span found.  No floating point, no randomization.  The
 result does not depend on the order the spaces are found in: each common
 eigenvector is unique up to a scalar, it is normalized by its
 identity-class entry, and the rows are sorted by `Character.sort_key`, so
@@ -419,10 +418,10 @@ def _eigenspaces(rmat, p):
     each with a basis of its kernel, in order of discovery.
 
     A scalar matrix lambda*I is returned at once, with the identity basis.
-    Otherwise the eigenvalues are the roots of the minimal polynomial of the
-    first unit vector; while their kernels add up to less than d, the first
-    unit vector outside their span has a component in a missing eigenspace,
-    so its minimal polynomial has a new root."""
+    Otherwise each new root of the minimal polynomial of e_0, e_1, ... in
+    turn is an eigenvalue, whose kernel is taken once.  A unit vector with
+    no new root lies in the span found, so the unit vectors meet every
+    eigenvalue before they run out, unless rmat is not diagonalizable."""
     d = len(rmat)
     lam = rmat[0][0]
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -431,58 +430,60 @@ def _eigenspaces(rmat, p):
     found = []
     seen: set[int] = set()
     dim = 0
-    start = 0
-    while dim < d:
-        v = [0] * d
-        v[start] = 1
-        roots = [lam for lam in _poly_roots_mod_p(_krylov_minpoly(rmat, v, p), p)
-                 if lam not in seen]
-        if not roots:
-            raise CharacterTableError("eigenspace splitting lost dimensions")
-        for lam in roots:
+    for v in identity:
+        if dim == d:
+            break
+        for lam in _poly_roots_mod_p(_krylov_minpoly(rmat, v, p), p):
+            if lam in seen:
+                continue
             shifted = [[(rmat[i][j] - (lam if i == j else 0)) % p for j in range(d)]
                        for i in range(d)]
             kernel = _kernel_mod_p(shifted, p)
             seen.add(lam)
             found.append((lam, kernel))
             dim += len(kernel)
-        if dim < d:  # the first unit vector outside the span found so far
-            pivots = set(_rref_mod_p([k for _, ks in found for k in ks], p)[1])
-            start = next(i for i in range(d) if i not in pivots)
+    if dim < d:
+        raise CharacterTableError("eigenspace splitting lost dimensions")
     return found
+
+
+def _unit_columns(basis):
+    """The last nonzero column of each `_kernel_mod_p` vector, its free one."""
+    return [max(itertools.compress(range(len(b)), b)) for b in basis]
 
 
 def _split_spaces(mats, p, nc, basis):
     """Common one-dimensional eigenspaces of the commuting matrices `mats`
     (as `_class_matrices` yields them) inside the invariant subspace spanned
-    by the rows of `basis`.
+    by the rows of `basis`, as `_kernel_mod_p` returns it.
 
-    Each space is held as its reduced echelon rows and their pivot columns,
-    reduced once: the starting basis here, an eigenspace when a split makes
-    it.  A space that a matrix does not split is kept as it is."""
-    spaces = [_rref_mod_p(basis, p)]
+    Each space is held as its basis and their unit columns: b_i is 1 at the
+    i-th and every other b_j is 0 there.  An eigenspace sum_a kvec[a] b_a
+    takes the parent's unit columns at the kernel's.  A space that a matrix
+    does not split is kept as it is."""
+    spaces = [(basis, _unit_columns(basis))]
     # the identity-class matrix is the identity
     for columns in itertools.islice(mats, 1, None):
-        if all(len(rref) == 1 for rref, _ in spaces):
+        if all(len(vecs) == 1 for vecs, _ in spaces):
             break
         out = []
         for space in spaces:
-            rref, pivots = space
-            d = len(rref)
+            vecs, units = space
+            d = len(vecs)
             if d == 1:
                 out.append(space)
                 continue
-            # restriction R: M b_a = sum_z R[z][a] b_z, read off at the pivot
-            # columns of the RREF basis; M b_a is a sum of sparse columns
+            # restriction R: M b_a = sum_z R[z][a] b_z, read off at the unit
+            # columns; M b_a is a sum of sparse columns
             rmat = [[0] * d for _ in range(d)]
-            for a, b in enumerate(rref):
+            for a, b in enumerate(vecs):
                 img = [0] * nc
                 for k, coef in enumerate(b):
                     if coef:
                         for l, count in columns[k]:
                             img[l] += count * coef
-                for z, piv in enumerate(pivots):
-                    rmat[z][a] = img[piv] % p
+                for z, u in enumerate(units):
+                    rmat[z][a] = img[u] % p
             eigen = _eigenspaces(rmat, p)
             if len(eigen) == 1:
                 out.append(space)
@@ -493,17 +494,17 @@ def _split_spaces(mats, p, nc, basis):
                     amb = [0] * nc
                     for a, coef in enumerate(kvec):
                         if coef:
-                            for t, x in enumerate(rref[a]):
+                            for t, x in enumerate(vecs[a]):
                                 amb[t] += coef * x
                     sub.append([x % p for x in amb])
-                out.append(_rref_mod_p(sub, p))
+                out.append((sub, [units[f] for f in _unit_columns(kernel)]))
         spaces = out
     # p = 1 (mod exp G), p prime to |G|: the class matrices split the centre (Dixon 1967).
-    if not all(len(rref) == 1 for rref, _ in spaces):
+    if not all(len(vecs) == 1 for vecs, _ in spaces):
         raise CharacterTableError(
             "class matrices failed to split the class algebra (engine defect)"
         )
-    return [rref[0] for rref, _ in spaces]
+    return [vecs[0] for vecs, _ in spaces]
 
 
 def _linear_characters(group: FiniteGroup) -> list[list[int]]:

@@ -17,7 +17,10 @@ Fraction of one value alike, so the two never need normalizing.
 `as_rational` still returns a Fraction, since its callers divide it.
 
 Conductors are normalized to 1 or to N >= 3 with N != 2 (mod 4), since
-Q(zeta_{2m}) = Q(zeta_m) for odd m.
+Q(zeta_{2m}) = Q(zeta_m) for odd m.  Only the descent below uses this, so
+it also handles conductors that are 2 (mod 4): `from_terms` lifts such an n
+to 2n, as zeta_n = zeta_{2n}^2, and a descent step whose n/q is 2 (mod 4)
+goes on to the odd half (`_descent_steps`).
 
 The minimal conductor f of a value in Q(zeta_n) divides every conductor
 whose field holds it, so it is found one prime at a time: for a prime
@@ -190,32 +193,6 @@ def _reduce(n: int, terms) -> list[int | Fraction]:
     return acc
 
 
-def _canonical_conductor_terms(n: int, terms: dict[int, int | Fraction]
-                               ) -> tuple[int, dict[int, int | Fraction]]:
-    """Fold exponents mod n and rewrite conductors 2 mod 4 down to their odd
-    part; a coefficient that is not an int or a Fraction is refused."""
-    if n < 1:
-        raise ValueError(f"conductor must be positive, got {n}")
-    folded: dict[int, int | Fraction] = {}
-    for k, c in terms.items():
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"coefficient {c!r} of zeta_{n}^{k} is not an int or a Fraction")
-        if c:
-            k %= n
-            folded[k] = folded.get(k, 0) + c
-    while n == 2 or (n % 4 == 2):
-        m = n // 2
-        # zeta_{2m} = -zeta_m^((m+1)/2) for odd m; for n == 2, zeta_2 = -1.
-        shift = 1 if m == 1 else (m + 1) // 2
-        redone: dict[int, int | Fraction] = {}
-        for k, c in folded.items():
-            sign = -c if k % 2 else c
-            kk = (k * shift) % m if m > 1 else 0
-            redone[kk] = redone.get(kk, 0) + sign
-        n, folded = m, redone
-    return n, folded
-
-
 # ---------------------------------------------------------------------------
 # the number type
 
@@ -251,8 +228,17 @@ class CyclotomicNumber:
     def from_terms(conductor: int, terms: dict[int, int | Fraction]) -> "CyclotomicNumber":
         """Reduce a power sum  sum_k c_k * zeta_conductor^k  to canonical form;
         every c_k is an int or a Fraction."""
-        n, folded = _canonical_conductor_terms(conductor, terms)
-        return CyclotomicNumber._minimized(n, _reduce(n, folded.items()))
+        if conductor < 1:
+            raise ValueError(f"conductor must be positive, got {conductor}")
+        for k, c in terms.items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} of zeta_{conductor}^{k} "
+                                "is not an int or a Fraction")
+        # zeta_n = zeta_2n^2 lifts a conductor 2 (mod 4); the descent goes back
+        lift = 2 if conductor % 4 == 2 else 1
+        n = conductor * lift
+        return CyclotomicNumber._minimized(n, _reduce(n, ((k * lift, c)
+                                                          for k, c in terms.items())))
 
     @staticmethod
     def _minimized(n: int, coeffs: list[int | Fraction]) -> "CyclotomicNumber":

@@ -103,7 +103,6 @@ from .groups import FiniteGroup, QuotientGroup
 DEFAULT_SEARCH_BOUND = 512
 MAX_TUPLE_LENGTH = 6
 _ONLY_IDENTITY = frozenset({0})  # the class set of {id}
-_INT_ONLY = frozenset({int})  # the entry types that need no conversion
 
 
 class RamificationError(ValueError):
@@ -183,9 +182,7 @@ def validate_spherical(group: FiniteGroup, entries, generates=None) -> Spherical
     An entry that is not an integer is refused first (named by its 1-based
     position), then an index out of range, then an identity entry (named by
     its position), then a product other than the identity."""
-    idx = tuple(entries)
-    if set(map(type, idx)) != _INT_ONLY:
-        idx = tuple(map(_element_index, itertools.count(1), idx))
+    idx = tuple(map(_element_index, itertools.count(1), entries))
     _check_length(len(idx))
     n, prod = group.order, 0
     for e in idx:

@@ -17,6 +17,8 @@ analysis.  Lines, in any order after the group block:
     expect type = c
 
 Words are products of aliases and integer powers, e.g. g1*g2^-1*g4^2.
+Each of the `group`, `tuple C`, `tuple D`, `types`, `expect genus` and
+`expect type` lines may appear once, and a tuple is labelled C or D.
 Parsing stops at the first error, reported with line and column (a tuple
 that is no spherical system at its line, a non-disjoint pair at tuple D).
 """
@@ -173,6 +175,9 @@ def parse_structure_file(text: str) -> StructureFile:
                     "malformed tuple line (want `tuple C = [w1, w2, ...]`)", lineno
                 )
             label = m.group(1)
+            if label not in ("C", "D"):
+                raise ParseError(f"unknown tuple {label!r} (want C or D)", lineno,
+                                 len(raw) - len(raw.lstrip()) + m.start(1) + 1)
             if label in tuples:
                 raise ParseError(f"duplicate tuple {label!r}", lineno)
             words = [w.strip() for w in m.group(2).split(",") if w.strip()]
@@ -181,6 +186,8 @@ def parse_structure_file(text: str) -> StructureFile:
                                  raw.index("[") + 1)
             tuples[label] = (words, lineno)
         elif keyword == "types":
+            if type_pair is not None:
+                raise ParseError("duplicate types line", lineno)
             m = _TYPES_RE.match(line)
             if not m:
                 raise ParseError(
@@ -189,15 +196,15 @@ def parse_structure_file(text: str) -> StructureFile:
                 )
             type_pair = (_type_list(m.group(1), lineno), _type_list(m.group(2), lineno))
         elif keyword == "expect":
-            m = _EXPECT_GENUS_RE.match(line)
-            if m:
-                expectations["genus"] = (int(m.group(1)), int(m.group(2)))
-                continue
-            m = _EXPECT_TYPE_RE.match(line)
-            if m:
-                expectations["type"] = m.group(1)
-                continue
-            raise ParseError("unknown expect line (genus or type)", lineno)
+            if m := _EXPECT_GENUS_RE.match(line):
+                kind, value = "genus", (int(m.group(1)), int(m.group(2)))
+            elif m := _EXPECT_TYPE_RE.match(line):
+                kind, value = "type", m.group(1)
+            else:
+                raise ParseError("unknown expect line (genus or type)", lineno)
+            if kind in expectations:
+                raise ParseError(f"duplicate expect {kind} line", lineno)
+            expectations[kind] = value
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno,
                              len(raw) - len(raw.lstrip()) + 1)

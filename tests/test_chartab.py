@@ -758,6 +758,50 @@ def test_eigenvalues_match_berkowitz_roots(oracle_groups, monkeypatch):
         _check_eigenspaces(rmat, p, found)
 
 
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(p=st.sampled_from([2, 3, 7, 13]), rows=st.integers(1, 6), cols=st.integers(1, 7),
+       data=st.data())
+def test_kernel_basis_has_unit_columns(p, rows, cols, data):
+    """`_kernel_mod_p` returns a basis of the kernel in which each vector is
+    1 at its last nonzero entry and every other vector is 0 there, the form
+    the split keeps its spaces in without reducing them again."""
+    entries = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+    mat = data.draw(st.lists(entries, min_size=rows, max_size=rows))
+    basis = ct._kernel_mod_p(mat, p)
+    rank = len(ct._rref_mod_p(mat, p)[1])
+    assert len(basis) == cols - rank
+    for v in basis:
+        assert [sum(r * x for r, x in zip(row, v)) % p for row in mat] == [0] * rows
+    units = [max(c for c, x in enumerate(v) if x) for v in basis]
+    for i, u in enumerate(units):
+        assert [v[u] for v in basis] == [int(i == j) for j in range(len(basis))]
+
+
+def test_only_the_kernel_reduces_a_matrix(oracle_groups, monkeypatch):
+    """While the oracle groups' tables are built, `_rref_mod_p` is reached
+    only from `_kernel_mod_p`: no split space is ever reduced again."""
+    calls = {"inside": 0, "outside": 0}
+    depth = [0]
+    rref, kernel = ct._rref_mod_p, ct._kernel_mod_p
+
+    def counted_rref(rows, p):
+        calls["inside" if depth[0] else "outside"] += 1
+        return rref(rows, p)
+
+    def counted_kernel(mat, p):
+        depth[0] += 1
+        try:
+            return kernel(mat, p)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ct, "_rref_mod_p", counted_rref)
+    monkeypatch.setattr(ct, "_kernel_mod_p", counted_kernel)
+    for group in oracle_groups:
+        ct.character_table(group)
+    assert calls["outside"] == 0 and calls["inside"] > 100
+
+
 def _conjugated(diagonal, p, seed):
     """P diag P^-1 over F_p for a seeded unit upper triangular P whose first
     column is the first unit vector, so that vector stays an eigenvector."""

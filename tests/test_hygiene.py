@@ -1,7 +1,8 @@
 """Program-wide guards: no definition under `src/isoprod` that nothing but
 the tests reads, no module but `groups` that reads a group's private
-members, no reference cycle that keeps a group alive, and a test run that
-reports a failing property test as a failure."""
+members, no module but `cyclotomic` that builds a cyclotomic number past
+its canonical form, no reference cycle that keeps a group alive, and a test
+run that reports a failing property test as a failure."""
 
 import ast
 import gc
@@ -109,6 +110,24 @@ def private_group_reads() -> list[str]:
 
 def test_only_groups_reads_the_private_members_of_a_group():
     assert private_group_reads() == []
+
+
+def raw_cyclotomic_constructions(path: Path) -> list[str]:
+    """The calls of the bare `CyclotomicNumber(...)` constructor in the
+    module at `path`, as "file:line"; the constructor wraps a vector that
+    is already canonical, and nothing checks that it is."""
+    return [f"{path.name}:{n.lineno}"
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Call) and "CyclotomicNumber" in (
+                getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
+def test_only_cyclotomic_calls_the_raw_constructor():
+    """Every value outside `cyclotomic` reaches its canonical form, the
+    minimal conductor, through `from_terms`, `from_rational` or arithmetic."""
+    assert raw_cyclotomic_constructions(SRC / "cyclotomic.py")  # the scan sees calls
+    assert [call for path in sorted(SRC.glob("*.py")) if path.name != "cyclotomic.py"
+            for call in raw_cyclotomic_constructions(path)] == []
 
 
 def test_groups_are_freed_without_the_cyclic_collector():

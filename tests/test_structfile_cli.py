@@ -64,6 +64,52 @@ def test_parse_errors_carry_positions():
         parse_structure_file("group = cyclic 2\ngroup = cyclic 3\n")
 
 
+Z3Z3_LINES = fixture_text("z3xz3.struct").splitlines()
+
+
+@pytest.mark.parametrize("extra, message, column", [
+    ("expect genus = (7, 4)", "duplicate expect genus line", 1),
+    ("expect type = a", "duplicate expect type line", 1),
+    ("tuple D = [g1, g1^2]", "duplicate tuple 'D'", 1),
+    ("  tuple E = [g1]", r"unknown tuple 'E' \(want C or D\)", 9),
+])
+def test_a_repeated_line_or_a_stray_tuple_is_refused_at_its_line(extra, message, column):
+    """A second `expect` line of one kind, a second tuple of one label and a
+    tuple that is neither C nor D are refused where they stand, not taken
+    over the first or ignored."""
+    text = "\n".join(Z3Z3_LINES + [extra]) + "\n"
+    with pytest.raises(ParseError, match=message) as err:
+        parse_structure_file(text)
+    assert (err.value.line, err.value.column) == (len(Z3Z3_LINES) + 1, column)
+
+
+def test_a_repeated_types_line_is_refused_at_its_line():
+    text = fixture_text("psl2f7_a.search")
+    assert parse_structure_file(text).type_pair is not None
+    lines = text.splitlines()
+    (types,) = [line for line in lines if line.startswith("types")]
+    with pytest.raises(ParseError, match="duplicate types line") as err:
+        parse_structure_file("\n".join(lines + ["# again", types]))
+    assert err.value.line == len(lines) + 2
+
+
+@pytest.mark.parametrize("command, index, extra, error", [
+    # the second genus line is the fixture's own (7, 4), now at line 8
+    ("analyze", 6, "expect genus = (1, 1)", "line 8, column 1: duplicate expect genus line"),
+    ("validate", 8, "expect type = c", "line 9, column 1: duplicate expect type line"),
+    ("validate", 6, "tuple E = [g1]", "line 7, column 7: unknown tuple 'E' (want C or D)"),
+])
+def test_cli_refuses_a_repeated_line_or_a_stray_tuple(tmp_path, capsys, command, index,
+                                                       extra, error):
+    """Each command reports the line that repeats an earlier one or names a
+    third tuple as a positioned error with exit code 1, and prints no result."""
+    path = tmp_path / "z3xz3.struct"
+    path.write_text("\n".join(Z3Z3_LINES[:index] + [extra] + Z3Z3_LINES[index:]) + "\n")
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
 def test_unknown_recipe_and_alias_errors():
     with pytest.raises(ParseError, match="frobnicate"):
         parse_structure_file("group = frobnicate 3\n").build()

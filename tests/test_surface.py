@@ -411,6 +411,58 @@ def test_quotient_genera_are_the_dimensions_of_the_kernel_invariants(shipped_str
     assert cases == 12, cases
 
 
+def _lefschetz_traces(system):
+    """tr(g | H^1(C)) on each class of the group, from the spherical system
+    alone, with no character table: 2 g(C) at the identity and 2 - #Fix(g)
+    elsewhere, where #Fix(g) = sum_i |C_G(g)|/m_i #{1 <= k < m_i : c_i^k ~ g}
+    (Lefschetz fixed-point formula; Farkas-Kra, Riemann Surfaces, V.2)."""
+    group = system.group
+    classes = group.conjugacy_classes
+    fixed = [0] * len(classes)
+    for c in system.entries:
+        m = group.element_orders[c]
+        for k in range(1, m):
+            j = group.class_of[group.power(c, k)]
+            centralizer, rest = divmod(group.order, classes[j].size)
+            assert not rest and centralizer % m == 0  # <c> centralizes c^k
+            fixed[j] += centralizer // m
+    traces = [2 - f for f in fixed]
+    traces[group.class_of[0]] = 2 * system.genus()
+    return traces
+
+
+def test_lefschetz_traces_give_dim_z_q_broughton_and_kernel_genera(shipped_struct_analyses):
+    """A second path with no l_g, no Schur index and no Galois orbit: from
+    the traces of both curves, dim Z = <tr_C tr_D, 1>, q_C = <tr_C, 1> and
+    q_D = <tr_D, 1> vanish, n_C(chi) = <tr_C, chi> for every row chi, and
+    2 g(C/H) = (1/|H|) sum_{h in H} tr_C(h) for every contributing kernel H;
+    the same for D."""
+    kernels = 0
+    for name, an in shipped_struct_analyses:
+        group = an.structure.group
+        sizes = [c.size for c in group.conjugacy_classes]
+        inverse = [group.class_power_map(k, -1) for k in range(len(sizes))]
+        tr_c, tr_d = _lefschetz_traces(an.structure.t1), _lefschetz_traces(an.structure.t2)
+
+        def mean(f):
+            return Fraction(sum(s * x for s, x in zip(sizes, f)), group.order)
+
+        assert mean([x * y for x, y in zip(tr_c, tr_d)]) == an.dimension_z.total == 4, name
+        assert mean(tr_c) == mean(tr_d) == 0, name
+        for b, traces in ((an.broughton_c, tr_c), (an.broughton_d, tr_d)):
+            for chi, n in zip(an.table, b.complex_multiplicities):
+                inner = CyclotomicNumber.sum(chi.values[inverse[k]] * (s * x)
+                                             for k, (s, x) in enumerate(zip(sizes, traces)))
+                assert inner == n * group.order, name
+        for qa in an.quotients:
+            members = qa.kernel.members
+            for traces, genus in zip((tr_c, tr_d), qa.genera):
+                assert Fraction(sum(traces[group.class_of[h]] for h in members),
+                                len(members)) == 2 * genus, name
+                kernels += 1
+    assert kernels == 12, kernels
+
+
 def test_swapping_the_curves_swaps_their_data(shipped_struct_analyses):
     """The structure (D, C) has the genera, the complex Broughton vectors and
     the quotient genera of (C, D) swapped, over the same kernels, and the
