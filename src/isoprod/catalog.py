@@ -136,7 +136,7 @@ def realize_structure(entry: CatalogEntry, memo: _RunMemo | None = None
 @dataclass(frozen=True)
 class CatalogResult:
     entry: CatalogEntry
-    report: dict | None           # None for type-only rows
+    report: dict | None           # None for a shipped row that failed
     mismatches: tuple[str, ...]
 
     @property
@@ -204,11 +204,12 @@ def run_catalog(names=None, cache_dir=None) -> list[CatalogResult]:
 
 def catalog_document(results) -> dict:
     """Single self-describing document for a catalog run."""
+    reports = [r.report for r in results if r.report is not None]
     return {
-        "catalog": [r.report for r in results if r.report is not None],
+        "catalog": reports,
         "failures": [m for r in results for m in r.mismatches],
         "entries": len(results),
-        "analyzed": sum(1 for r in results if r.entry.shipped),
+        "analyzed": sum(1 for report in reports if report["status"] == "analyzed"),
     }
 
 

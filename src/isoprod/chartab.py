@@ -43,10 +43,10 @@ the table is the one any complete split gives.
 
 On top of the complex table this module computes Frobenius-Schur
 indicators, the partition of the irreducibles into Galois orbits
-(rational characters with a Schur-index annotation), Broughton's
+(rational characters with a Schur-index annotation) and their kernels,
+read off the values (g is in ker chi iff chi(g) = chi(1)), Broughton's
 restriction multiplicities l_g(chi), read at most once per class of each
-character (kernels read them: g is in ker chi iff l_g(chi) = chi(1)), and
-the rational central idempotents of the group algebra.
+character, and the rational central idempotents of the group algebra.
 
 Each table holds each distinct value as one object and is keyed once by
 value (`CharacterTable.value_index`): the distinct values, and every row
@@ -253,19 +253,14 @@ class RationalCharacter:
         return tuple(sums[i] for i in row)
 
     def kernel(self) -> Subgroup:
-        """Common kernel of the constituents: the classes where l_g(chi) = chi(1).
-
-        It is read from the orbit's first row alone.  Each member row is that
-        row with its columns permuted by a power map C -> C^t (`galois_orbits`
-        checked it), and l_g at class k sums over {C_k^s}, the same classes as
-        {C_k^(st)}: every member has the same kernel.  Its generators are the
-        sorted members outside the span of those before them."""
+        """Common kernel of the constituents: the classes where chi(C) = chi(1)
+        (Isaacs, Character Theory of Finite Groups, Lemma 2.19), read on the
+        orbit's first row, as chi^sigma(C) = chi(1) exactly when chi(C) = chi(1).
+        Its generators are the sorted members outside the span of those before."""
         group = self.table.group
-        classes = group.conjugacy_classes
-        chi = self.table[self.indices[0]]
-        members = frozenset(x for c in classes
-                            if trivial_restriction_multiplicity(chi, c.representative) == chi.degree
-                            for x in c.members)
+        row = self.table.value_index.rows[self.indices[0]]
+        members = frozenset(x for c, v in zip(group.conjugacy_classes, row)
+                            if v == row[0] for x in c.members)
         gens: list[int] = []
         span = frozenset({0})
         for x in sorted(members):
@@ -802,7 +797,7 @@ _CONDUCTOR_RE = re.compile(r"z\(([0-9]+)\)")
 
 def group_fingerprint(group: FiniteGroup) -> str:
     h = sha256()
-    h.update(group.recipe.encode())
+    h.update("\n".join((group.recipe, *group.recipe_tail)).encode())
     h.update(str(group.order).encode())
     for cls in group.conjugacy_classes:
         h.update(f"{cls.element_order},{cls.size};".encode())

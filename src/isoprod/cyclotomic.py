@@ -461,15 +461,16 @@ def _rebase(n: int, coeffs: list[int | Fraction], d: int) -> list[int | Fraction
     if d % r == 0:
         # Phi_n(x) = Phi_d(x^r): the basis of Q(zeta_d) is every r-th one of Q(zeta_n)
         return coeffs[::r]
-    # zeta_n^k = zeta_d^(k*u) * zeta_r^(k*w) with u = r^-1 mod d, w = d^-1 mod r.
-    # Tracing down to Q(zeta_d) sends zeta_r^(k*w) to the Ramanujan sum c_r(k)
-    # and the value itself to phi(r) times the value.  The division is exact
-    # on an algebraic integer, whose coordinates are all ints.
-    ramanujan = [ramanujan_sum(r, k) for k in range(r)]
-    phi_r = euler_phi(r)
-    u = pow(r, -1, d)
+    # phi(r) v = sum_k c_k c_r(k) zeta_d^(k*u), the module docstring's trace
+    u, ramanujan, phi_r = _relative_trace(d, r)
     acc = _reduce(d, ((k * u, c * ramanujan[k % r]) for k, c in enumerate(coeffs)))
     return [_divide(c, phi_r) for c in acc]
+
+
+@functools.lru_cache(maxsize=None)
+def _relative_trace(d: int, r: int) -> tuple[int, tuple[int, ...], int]:
+    """u = r^-1 mod d, c_r(k) for k < r and phi(r): a step's `_rebase` data."""
+    return pow(r, -1, d), tuple(ramanujan_sum(r, k) for k in range(r)), euler_phi(r)
 
 
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:

@@ -144,6 +144,7 @@ class FiniteGroup:
         self.order = n
         self.labels = elems
         self.recipe = recipe
+        self.recipe_tail: tuple[str, ...] = ()  # `rel`/`act` lines, set by build_group
         self.generators = tuple(index[g] for g in gen_labels)
         self._parents = parents
         self._words: dict[int, str] = {}  # the memo of `word`
@@ -1083,4 +1084,5 @@ def _dispatch_recipe(kind, rest, tail, order_bound, point_bound) -> FiniteGroup:
     if kind not in ("semidirect", "polycyclic") and tail:
         with _at_recipe_line(1):
             raise GroupError(f"unexpected extra recipe lines for {kind!r}")
+    group.recipe_tail = tuple(tail)
     return group

@@ -64,42 +64,41 @@ class BroughtonTable:
 
 def broughton(system: SphericalSystem, table: CharacterTable,
               orbits) -> BroughtonTable:
+    """n(chi) for every row, computed on the first row of each Galois orbit
+    and written to its other rows: sigma_t fixes chi(1) and l_g, a mean of
+    mean traces, and `value_index` proved each member to be some chi^sigma_t."""
     group = system.group
     if table.group is not group:
         raise SurfaceError("system and table belong to different groups")
     r = system.length
-    mults = []
-    for i, chi in enumerate(table):
-        if i == table.trivial_index:
-            mults.append(0)
-            continue
-        n = chi.degree * (r - 2)
-        for e in system.entries:
-            n -= ct.trivial_restriction_multiplicity(chi, e)
+    orbits = tuple(orbits)
+    mults = [0] * len(table)
+    rational = []
+    for orbit in orbits:
+        first = orbit.indices[0]
+        chi = table[first]
+        n = 0
+        if first != table.trivial_index:
+            n = chi.degree * (r - 2) - sum(ct.trivial_restriction_multiplicity(chi, e)
+                                           for e in system.entries)
         if n < 0:
             raise SurfaceError(
                 f"negative multiplicity {n} for an irreducible of degree "
                 f"{chi.degree} (impossible for a genuine system)"
             )
-        mults.append(n)
+        s = orbit.schur_index
+        if n % s:
+            raise SurfaceError(
+                f"complex multiplicity {n} is not divisible by the Schur index {s}"
+            )
+        rational.append(n // s)
+        for i in orbit.indices:
+            mults[i] = n
     total = sum(m * table[i].degree for i, m in enumerate(mults))
     if total != 2 * system.genus():
         raise SurfaceError(
             f"multiplicities sum to dimension {total}, expected {2 * system.genus()}"
         )
-    orbits = tuple(orbits)
-    rational = []
-    for orbit in orbits:
-        values = {mults[i] for i in orbit.indices}
-        if len(values) != 1:
-            raise SurfaceError("multiplicity varies across a Galois orbit")
-        (m,) = values
-        s = orbit.schur_index
-        if m % s:
-            raise SurfaceError(
-                f"complex multiplicity {m} is not divisible by the Schur index {s}"
-            )
-        rational.append(m // s)
     return BroughtonTable(system, table, tuple(mults), orbits, tuple(rational))
 
 

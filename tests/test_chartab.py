@@ -515,27 +515,34 @@ def test_cache_write_leaves_no_partial_file(q8, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_groups_that_share_a_cache_key_each_get_their_own_table(tmp_path):
+def test_groups_that_share_a_cache_key_each_get_their_own_table(tmp_path, monkeypatch):
     """Q8 x Z2 and Z4 x| Z4, written as `polycyclic 2 2 2 2` with their
-    `rel` lines, share a fingerprint and a header: `group.recipe`, which
-    both read, keeps no `rel` line.  Each still gets its own table from one
-    cache directory, because `parse_table` refuses the other group's file
-    and the table is computed and written again."""
+    `rel` lines, have one `group.recipe` and one class structure, but the
+    fingerprint also hashes the `rel` lines: each group has its own cache
+    file, computed once and then read back.  (A recipe without such lines
+    keeps its key: the other golden `chartab` fingerprints are unchanged.)"""
     q8z2 = gr.build_group("group = polycyclic 2 2 2 2\n"
                           "rel g1^2 = g3\nrel g2^2 = g3\nrel g2^g1 = g2*g3")
     z4z4 = gr.build_group("group = polycyclic 2 2 2 2\n"
                           "rel g1^2 = g4\nrel g2^2 = g3\nrel g2^g1 = g2*g3")
     squares = [{g.mul(x, x) for x in range(g.order)} for g in (q8z2, z4z4)]
     assert [len(s) for s in squares] == [2, 3]  # not isomorphic
-    assert ct.group_fingerprint(q8z2) == ct.group_fingerprint(z4z4) \
-        == "5b5a0ab1020aa2903f4a57b1"
-    assert ct._header(q8z2) == ct._header(z4z4)
+    assert q8z2.recipe == z4z4.recipe
+    assert [(c.element_order, c.size) for c in q8z2.conjugacy_classes] == \
+        [(c.element_order, c.size) for c in z4z4.conjugacy_classes]
+    assert len({ct.group_fingerprint(q8z2), ct.group_fingerprint(z4z4),
+                "5b5a0ab1020aa2903f4a57b1"}) == 3
+    assert ct._header(q8z2) != ct._header(z4z4)
     own = {g: ct.render_table(ct.character_table(g)) for g in (q8z2, z4z4)}
     assert own[q8z2] != own[z4z4]
-    for group in (q8z2, z4z4, q8z2):
+    computed = []
+    compute = ct.character_table
+    monkeypatch.setattr(ct, "character_table", lambda g: computed.append(g) or compute(g))
+    for group in (q8z2, z4z4, q8z2, z4z4):
         cached = ct.cached_character_table(group, str(tmp_path))
         assert ct.render_table(cached) == own[group]
-    assert len(list(tmp_path.iterdir())) == 1
+    assert computed == [q8z2, z4z4]
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def _mutations(text, exponent):
@@ -980,21 +987,32 @@ def count_restriction_misses(table) -> list:
 
 
 def test_kernel_reads_the_first_row_of_its_orbit_only():
-    """Galois conjugates share one kernel, so `kernel` reads l_g on the
-    classes of one row: on a fresh table, each contributing orbit of field
-    degree 2 misses the l_g memo once per class, not twice."""
+    """Galois conjugates share one kernel and one Broughton multiplicity, so
+    on a fresh table `kernel` reads the values of one row and no l_g at all,
+    and `broughton` reads l_g on the first row of each nontrivial orbit only:
+    one memo miss per (orbit, class of an entry), whatever the orbit's size."""
     for name, classes in (("Z3xZ3", 9), ("Z2^3xZ4", 20)):
         structure = cat.realize_structure(cat.entry_by_name(name))
         assert len(structure.group.conjugacy_classes) == classes
         analysis = sf.analyze(structure, ct.character_table(structure.group))
         table = ct.character_table(structure.group)
         orbits = ct.galois_orbits(table)
+        misses = count_restriction_misses(table)
         for q in analysis.quotients:
             orbit = orbits[q.orbit_position]
             assert orbit.field_degree == 2
-            misses = count_restriction_misses(table)
             assert orbit.kernel().members == q.kernel.members
-            assert len(misses) == classes, name
+        assert misses == [], name
+        firsts = [o.indices[0] for o in orbits if o.indices[0] != table.trivial_index]
+        assert len(firsts) < len(table) - 1  # some orbit has two rows
+        entry_classes = set()
+        for system, want in ((structure.t1, analysis.broughton_c),
+                             (structure.t2, analysis.broughton_d)):
+            got = sf.broughton(system, table, orbits)
+            assert got.complex_multiplicities == want.complex_multiplicities
+            entry_classes |= {structure.group.class_of[e] for e in system.entries}
+            assert len(misses) == len(firsts) * len(entry_classes), name
+        assert [i for i, chi in enumerate(table) if chi._trivial_multiplicities] == firsts
 
 
 def test_kernel_of_corrupt_row_is_refused():

@@ -809,8 +809,8 @@ def test_a_catalog_run_builds_and_tables_each_distinct_group_once(tmp_path, monk
 
 def test_a_failing_table_fails_each_entry_of_its_group(tmp_path, monkeypatch):
     """A table that fails is not kept for the run: both PSL(2,7) rows report
-    the failure, the other shipped rows are analyzed, and an unusable cache
-    still ends the whole run."""
+    the failure, the other shipped rows are analyzed, the summary counts
+    only those, and an unusable cache still ends the whole run."""
     real = ct.cached_character_table
     refused = []
 
@@ -831,6 +831,8 @@ def test_a_failing_table_fails_each_entry_of_its_group(tmp_path, monkeypatch):
     analyzed = sorted(r.entry.name for r in results
                       if r.report is not None and r.report["status"] == "analyzed")
     assert analyzed == ["G128-36", "Z2^3xZ4", "Z3xZ3"]
+    assert cat.catalog_document(results)["analyzed"] == 3
+    assert "analyzed: 3  failures: 2" in cat.render_catalog(results)
     assert [r.entry.name for r in results if not r.ok] == ["PSL2F7-a", "PSL2F7-b"]
     failure[0] = ct.CacheError("unusable cache directory")
     with pytest.raises(ct.CacheError):

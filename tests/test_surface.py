@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -12,7 +13,7 @@ from isoprod import surface as sf
 from isoprod.cyclotomic import CyclotomicNumber, render_cyclotomic
 from isoprod.structfile import parse_structure_file
 from algebra_oracle import is_self_dual, row_index, value_on_element
-from test_chartab import count_restriction_misses, rational_inner_product
+from test_chartab import count_restriction_misses, rational_inner_product, zoo_groups
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +328,68 @@ def test_restriction_sums_once_per_character_and_class(psl27):
     second = sf.analysis_report(sf.analyze(structure, table, orbits))
     assert first == second
     assert 0 < after_first == len(misses) <= len(table) * len(psl27.conjugacy_classes)
+
+
+def _broughton_row_by_row(system, table):
+    """Broughton's n(chi) = chi(1)(r - 2) - sum_j l_{g_j}(chi) on every row
+    on its own, 0 on the trivial row: the per-row loop that `broughton`
+    replaced with one pass per Galois orbit, kept as its oracle."""
+    r = system.length
+    mults = []
+    for i, chi in enumerate(table):
+        if i == table.trivial_index:
+            mults.append(0)
+            continue
+        n = chi.degree * (r - 2)
+        for e in system.entries:
+            n -= ct.trivial_restriction_multiplicity(chi, e)
+        mults.append(n)
+    return tuple(mults)
+
+
+def _zoo_systems(group, rng, count=3):
+    """`count` spherical systems of `group`: a few random elements, the
+    group's generators, and the inverse of their product unless it is 1."""
+    elements = range(1, group.order)
+    gens = [g for g in group.generators if g != 0]
+    systems = []
+    for _ in range(count):
+        entries = [rng.choice(elements) for _ in range(rng.randint(1, 3))] + gens
+        product = 0
+        for e in entries:
+            product = group.mul(product, e)
+        if product != 0:
+            entries.append(group.inverse(product))
+        systems.append(rm.validate_spherical(group, entries))
+    return systems
+
+
+def test_broughton_per_orbit_matches_the_row_by_row_loop(
+        shipped_structures, shipped_struct_analyses):
+    """`broughton` reads each Galois orbit on its first row; the row-by-row
+    loop gives the same complex multiplicities on every shipped structure,
+    both curves, on 100 structures of each shipped search's type pair, and
+    on seeded systems over the zoo groups, and the same rational ones."""
+    cases = [(system, table, orbits)
+             for _, structures, table, orbits in shipped_structures
+             for s in structures for system in (s.t1, s.t2)]
+    for _, an in shipped_struct_analyses:
+        cases += [(s, an.table, an.broughton_c.orbits) for s in (an.structure.t1,
+                                                                an.structure.t2)]
+    rng = random.Random(1991)
+    for group in zoo_groups():
+        table = ct.character_table(group)
+        orbits = ct.galois_orbits(table)
+        cases += [(system, table, orbits) for system in _zoo_systems(group, rng)]
+    shared = 0
+    for system, table, orbits in cases:
+        want = _broughton_row_by_row(system, table)
+        got = sf.broughton(system, table, orbits)
+        assert got.complex_multiplicities == want, system.group.recipe
+        assert got.rational_multiplicities == tuple(
+            want[o.indices[0]] // o.schur_index for o in orbits)
+        shared += any(len(o.indices) > 1 and want[o.indices[0]] for o in orbits)
+    assert len(cases) > 400 and shared > 200, (len(cases), shared)
 
 
 def test_analysis_closes_nothing_outside_the_kernel_spans(shipped_structures, monkeypatch):
