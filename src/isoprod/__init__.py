@@ -7,7 +7,7 @@ middle cohomology and its classification).
 """
 
 from .chartab import CharacterTable, character_table, galois_orbits
-from .cyclotomic import CyclotomicNumber, Rational, zeta
+from .cyclotomic import CyclotomicNumber, Rational, parse_cyclotomic, zeta
 from .groups import FiniteGroup, build_group
 from .ramification import (
     RamificationStructure,
@@ -27,6 +27,7 @@ __all__ = [
     "build_group",
     "character_table",
     "galois_orbits",
+    "parse_cyclotomic",
     "search_structures",
     "validate_spherical",
     "zeta",

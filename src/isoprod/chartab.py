@@ -70,7 +70,6 @@ import itertools
 import math
 import operator
 import os
-import re
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,10 +79,9 @@ from hashlib import sha256
 from .cyclotomic import (
     CyclotomicNumber,
     Rational,
-    divisors,
     is_prime,
-    parse_cyclotomic,
     prime_factors,
+    read_literal,
     render_cyclotomic,
 )
 from .groups import FiniteGroup, Subgroup
@@ -792,7 +790,6 @@ def rational_idempotent(table: CharacterTable, orbit: RationalCharacter) -> Grou
 
 
 FIXTURE_VERSION = "isoprod-chartab 1"
-_CONDUCTOR_RE = re.compile(r"z\(([0-9]+)\)")
 
 
 def group_fingerprint(group: FiniteGroup) -> str:
@@ -826,15 +823,16 @@ def render_table(table: CharacterTable) -> str:
     )
 
 
-def _parse_value(literal: str, conductors: set[str]) -> CyclotomicNumber:
-    # checked before any arithmetic: a huge conductor costs time quadratic in it
-    for n in _CONDUCTOR_RE.findall(literal):
-        if n not in conductors:
-            raise CharacterTableError(f"conductor {n} does not divide the group exponent")
+def _parse_value(literal: str, exponent: int) -> CyclotomicNumber:
     try:
-        return parse_cyclotomic(literal)
+        n, terms = read_literal(literal)
     except ValueError as exc:
-        raise CharacterTableError(f"bad character value {literal.strip()!r}: {exc}") from exc
+        raise CharacterTableError(f"bad character value {literal!r}: {exc}") from exc
+    # the literal's conductor is checked before any arithmetic, as a huge one
+    # costs time quadratic in it; a value's conductor divides exp(G)
+    if n == 0 or exponent % n:
+        raise CharacterTableError(f"conductor {n} does not divide the group exponent")
+    return CyclotomicNumber.from_terms(n, terms)
 
 
 def parse_table(text: str, group: FiniteGroup) -> CharacterTable:
@@ -843,7 +841,6 @@ def parse_table(text: str, group: FiniteGroup) -> CharacterTable:
     header = _header(group)
     if not text.startswith(header):
         raise CharacterTableError("fixture header does not match the group")
-    conductors = {str(d) for d in divisors(group.exponent)}
     parsed: dict[str, CyclotomicNumber] = {}  # a value renders to one literal
     rows = []
     for line in text[len(header):].splitlines():
@@ -853,7 +850,7 @@ def parse_table(text: str, group: FiniteGroup) -> CharacterTable:
         for literal in map(str.strip, line[5:].split(";")):
             v = parsed.get(literal)
             if v is None:
-                v = parsed[literal] = _parse_value(literal, conductors)
+                v = parsed[literal] = _parse_value(literal, group.exponent)
             values.append(v)
         values = tuple(values)
         if len(values) != len(group.conjugacy_classes):

@@ -17,10 +17,10 @@ Fraction of one value alike, so the two never need normalizing.
 `as_rational` still returns a Fraction, since its callers divide it.
 
 Conductors are normalized to 1 or to N >= 3 with N != 2 (mod 4), since
-Q(zeta_{2m}) = Q(zeta_m) for odd m.  Only the descent below uses this, so
-it also handles conductors that are 2 (mod 4): `from_terms` lifts such an n
-to 2n, as zeta_n = zeta_{2n}^2, and a descent step whose n/q is 2 (mod 4)
-goes on to the odd half (`_descent_steps`).
+Q(zeta_{2m}) = Q(zeta_m) for odd m.  `from_terms` writes a power sum at a
+conductor 2m of that kind at m at once, as zeta_{2m}^k =
+(-1)^k zeta_m^(k(m+1)/2), and a descent step whose n/q is 2 (mod 4) goes
+on to the odd half (`_descent_steps`).
 
 The minimal conductor f of a value in Q(zeta_n) divides every conductor
 whose field holds it, so it is found one prime at a time: for a prime
@@ -41,8 +41,15 @@ algebraic integer, so int coordinates stay ints.
 Every power sum is brought to the power basis by one routine, `_reduce`:
 construction, the Galois action, this rewrite, sums and products, each
 written as one power sum at the lcm of the conductors.  Its table keeps
-only the nonzero coordinates of each power of zeta_n.  A sum of any number
-of values is minimized once; `+` is its two-term case.
+only the nonzero coordinates of each power of zeta_n, and the tables of the
+last 64 conductors used are kept.  A sum of any number of values is
+minimized once; `+` is its two-term case.
+
+A value is written as text by `render_cyclotomic`, for example
+"-1 + 2*z(12)^1 - z(12)^3": every term at the one minimal conductor.
+`read_literal` is the only reader of that grammar and accepts nothing
+else; `parse_cyclotomic` and the table cache build values from what it
+returns.
 """
 
 from __future__ import annotations
@@ -153,7 +160,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _power_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """zeta_n^k in the basis 1, zeta, ..., zeta^(phi(n)-1), for 0 <= k < n,
     as the positions j and the coefficients c of its nonzero coordinates.
@@ -234,11 +241,11 @@ class CyclotomicNumber:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficient {c!r} of zeta_{conductor}^{k} "
                                 "is not an int or a Fraction")
-        # zeta_n = zeta_2n^2 lifts a conductor 2 (mod 4); the descent goes back
-        lift = 2 if conductor % 4 == 2 else 1
-        n = conductor * lift
-        return CyclotomicNumber._minimized(n, _reduce(n, ((k * lift, c)
-                                                          for k, c in terms.items())))
+        n, pairs = conductor, terms.items()
+        if n % 4 == 2:  # zeta_2m^k = (-1)^k zeta_m^(k(m+1)/2) for odd m
+            n //= 2
+            pairs = ((k * (n + 1) // 2, -c if k % 2 else c) for k, c in pairs)
+        return CyclotomicNumber._minimized(n, _reduce(n, pairs))
 
     @staticmethod
     def _minimized(n: int, coeffs: list[int | Fraction]) -> "CyclotomicNumber":
@@ -511,64 +518,55 @@ def render_cyclotomic(x: CyclotomicNumber) -> str:
     return " ".join(out)
 
 
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>[0-9]+(?:/[0-9]+)?)
-            \s*(?:\*\s*(?P<zpart1>z\([0-9]+\)(?:\^-?[0-9]+)?))?
-          | (?P<zpart2>z\([0-9]+\)(?:\^-?[0-9]+)?)
-        )\s*""",
-    re.VERBOSE,
-)
-_Z_RE = re.compile(r"z\(([0-9]+)\)(?:\^(-?[0-9]+))?")
+# One term of a literal: a rational q, z(N)^k or q*z(N)^k, with ASCII digits
+# only, as `render_cyclotomic` writes them.
+_TERM_RE = re.compile(r"([0-9]+(?:/[0-9]+)?)"
+                      r"|(?:([0-9]+(?:/[0-9]+)?)\*)?z\(([0-9]+)\)\^([0-9]+)")
+_SIGN_RE = re.compile(r" ([+-]) ")
 # Matches groups.DEFAULT_ORDER_BOUND: a character value's conductor divides
 # the group exponent, which is at most the group order.
 PARSE_CONDUCTOR_BOUND = 2048
 
 
-def parse_cyclotomic(text: str) -> CyclotomicNumber:
-    """Parse the grammar produced by render_cyclotomic.
+def read_literal(text: str) -> tuple[int, dict[int, int | Fraction]]:
+    """The conductor N and the power sum {k: c} of a literal in the grammar
+    `render_cyclotomic` writes, read with no arithmetic on N.
 
-    The cost grows with the conductor, so a literal whose z(N) conductors
-    have an lcm above PARSE_CONDUCTOR_BOUND is refused before any arithmetic."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty cyclotomic literal")
-    pos = 0
-    terms = []  # (conductor, exponent, coefficient)
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad cyclotomic literal near offset {pos}: {s[pos:pos + 20]!r}")
-        sign = m.group("sign")
-        if sign is None and terms:
-            raise ValueError(f"missing +/- between terms at offset {pos} in {text!r}")
-        literal = m.group("coeff")
-        if not literal:
-            coeff = 1
-        elif "/" not in literal:  # an int, as an integral coordinate is one
-            coeff = int(literal)
-        else:
-            try:
-                coeff = Fraction(literal)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator at offset {pos} in {text!r}") from None
-        if sign == "-":
-            coeff = -coeff
-        zpart = m.group("zpart1") or m.group("zpart2")
-        if zpart:
-            zm = _Z_RE.fullmatch(zpart)
-            assert zm is not None
-            terms.append((int(zm.group(1)), int(zm.group(2) or 1), coeff))
-        else:
-            terms.append((1, 0, coeff))
-        pos = m.end()
-    conductor = math.lcm(*(n for n, _, _ in terms))
-    if not 1 <= conductor <= PARSE_CONDUCTOR_BOUND:  # the lcm is 0 if some N is
+    Terms are joined by " + " or " - ", and the first may start with "-".
+    Each term is q, z(N)^k or q*z(N)^k, where q is an integer or a/b and k
+    is unsigned digits; every term of one literal has the same N, and a
+    literal with no z(N) term has N = 1.  Anything else raises ValueError."""
+    negative = text.startswith("-")
+    parts = _SIGN_RE.split(text[negative:])
+    conductor = None
+    terms: dict[int, int | Fraction] = {}
+    for sign, term in zip(["-" if negative else "+", *parts[1::2]], parts[::2]):
+        m = _TERM_RE.fullmatch(term)
+        if m is None:
+            raise ValueError(f"bad term {term!r} in cyclotomic literal {text!r}")
+        q, zq, n, k = m.groups()
+        q = q or zq or "1"
+        try:  # an integral q is an int, as an integral coordinate is one
+            c = Fraction(q) if "/" in q else int(q)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        if n is not None:
+            if conductor is not None and int(n) != conductor:
+                raise ValueError(f"{text!r} mixes conductors {conductor} and {n}")
+            conductor = int(n)
+        k = int(k or 0)
+        terms[k] = terms.get(k, 0) + (-c if sign == "-" else c)
+    return (1 if conductor is None else conductor), terms
+
+
+def parse_cyclotomic(text: str) -> CyclotomicNumber:
+    """Read a literal that `render_cyclotomic` wrote, with surrounding
+    whitespace, in the grammar of `read_literal`.
+
+    The cost grows with the conductor, so a conductor N above
+    PARSE_CONDUCTOR_BOUND is refused before any arithmetic."""
+    conductor, terms = read_literal(text.strip())
+    if not 1 <= conductor <= PARSE_CONDUCTOR_BOUND:
         raise ValueError(f"{text!r} needs conductor {conductor}, "
                          f"outside 1..{PARSE_CONDUCTOR_BOUND}")
-    total: dict[int, int | Fraction] = {}
-    for n, k, c in terms:
-        key = k * (conductor // n)
-        total[key] = total.get(key, 0) + c
-    return CyclotomicNumber.from_terms(conductor, total)
+    return CyclotomicNumber.from_terms(conductor, terms)

@@ -12,7 +12,8 @@ from isoprod import catalog as cat
 from isoprod import chartab as ct
 from isoprod import groups as gr
 from isoprod import surface as sf
-from isoprod.cyclotomic import ZERO, CyclotomicNumber, zeta
+from isoprod import cyclotomic
+from isoprod.cyclotomic import ZERO, CyclotomicNumber, read_literal, zeta
 from isoprod.structfile import parse_structure_file
 from algebra_oracle import (
     central_idempotent,
@@ -503,6 +504,35 @@ def test_a_non_integral_value_is_refused_by_the_parse_checks(z3z3, tables):
     assert lines[last].startswith("char 1/2 ;")
     with pytest.raises(ct.CharacterTableError, match="not an algebraic integer"):
         ct.parse_table("".join(lines), z3z3)
+
+
+def test_every_rendered_literal_reads_back_at_its_own_conductor(tables):
+    """Each value `render_table` writes for the fixture and zoo groups is one
+    literal of `read_literal`'s grammar, at the value's own conductor."""
+    for table in list(tables.values()) + [ct.character_table(g) for g in zoo_groups()]:
+        lines = ct.render_table(table).splitlines()
+        rows = [line[5:].split(" ; ") for line in lines if line.startswith("char ")]
+        for chi, row in zip(table, rows, strict=True):
+            for v, literal in zip(chi.values, row, strict=True):
+                n, terms = read_literal(literal)
+                assert n == v.conductor, (table.group.recipe, literal)
+                assert CyclotomicNumber.from_terms(n, terms) == v
+
+
+def test_a_cached_conductor_off_the_exponent_is_refused_unbuilt(monkeypatch):
+    """A cache file for S4 (exponent 12) whose first value is z(1995)^1 is
+    refused before any power sum is reduced: building it alone takes a
+    table of 409,366 entries."""
+    group = gr.symmetric_group(4)
+    text = ct.render_table(ct.character_table(group))
+    head = ct._header(group) + "char 1 ;"
+    assert text.startswith(head)
+    bad = ct._header(group) + "char z(1995)^1 ;" + text[len(head):]
+    reduced = []
+    monkeypatch.setattr(cyclotomic, "_reduce", lambda *a: reduced.append(a))
+    with pytest.raises(ct.CharacterTableError, match="does not divide the group exponent"):
+        ct.parse_table(bad, group)
+    assert reduced == []
 
 
 def test_cache_write_leaves_no_partial_file(q8, tmp_path, monkeypatch):

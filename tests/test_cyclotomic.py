@@ -24,6 +24,7 @@ from isoprod.cyclotomic import (
     parse_cyclotomic,
     prime_factors,
     ramanujan_sum,
+    read_literal,
     render_cyclotomic,
     zeta,
 )
@@ -217,7 +218,7 @@ def test_parse_rejects_malformed_text_with_value_error(data):
 def test_parse_rejects_non_ascii_digits():
     for digit in ("\u0663", "\u0969", "\uff13"):  # 3 in Arabic-Indic, Devanagari, fullwidth
         for template in ("{}", "-{}", "1/{}", "{}*z(3)^1", "z({})^1", "z(3)^{}",
-                         "1 + z(3)^-{}"):
+                         "1 - {}/2*z(3)^1"):
             with pytest.raises(ValueError):
                 parse_cyclotomic(template.format(digit))
             parse_cyclotomic(template.format("3"))  # the ASCII text parses
@@ -225,15 +226,57 @@ def test_parse_rejects_non_ascii_digits():
 
 def test_parse_bounds_the_conductor():
     start = time.perf_counter()
-    for text in ("z(389)^1 + z(397)^1", "z(2049)^1", "1 - z(64)^1 + z(33)^1",
-                 "z(0)^1", "z(" + "9" * 40 + ")^1"):
+    for text in ("z(2049)^1", "z(0)^1", "z(" + "9" * 40 + ")^1"):
         with pytest.raises(ValueError, match="needs conductor"):
+            parse_cyclotomic(text)
+    for text in ("z(389)^1 + z(397)^1", "1 - z(64)^1 + z(33)^1", "z(64)^1 + z(32)^1"):
+        with pytest.raises(ValueError, match="mixes conductors"):
             parse_cyclotomic(text)
     assert time.perf_counter() - start < 1
     assert PARSE_CONDUCTOR_BOUND == DEFAULT_ORDER_BOUND
-    # the bound is on the lcm of the conductors, and it is inclusive
+    # the bound is inclusive
     assert parse_cyclotomic("z(2048)^1024") == -1
-    assert parse_cyclotomic("z(64)^1 + z(32)^1") == zeta(64) + zeta(32)
+
+
+def test_parse_refuses_what_the_renderer_never_writes():
+    """One conductor per literal, unsigned exponents, an exponent on every
+    z(N), one space on each side of a sign, a sign between terms and none
+    before the first but "-"; the literal's own conductor is read back."""
+    for text in ("z(3)^1 + z(5)^1", "1 + z(4)^1 - z(12)^1", "z(3)^-1", "1 + z(3)^-2",
+                 "z(5)", "2*z(5)", "1  + z(3)^1", "1 +  z(3)^1", " 1 + z(3)^1 ",
+                 "1 +z(3)^1", "1+ z(3)^1", "1 z(3)^1", "1 + z(3)^1 z(3)^2", "+1",
+                 "+z(3)^1", "- z(3)^1", "--1", "1 + -z(3)^1", "2 * z(3)^1",
+                 "z (3)^1", "z( 3)^1", "z(3) ^1", "1/-2", "", "-", "1 + "):
+        with pytest.raises(ValueError):
+            read_literal(text)
+    assert read_literal("-1/2 + 3*z(12)^1 - z(12)^4") == (
+        12, {0: Fraction(-1, 2), 1: 3, 4: -1})
+    assert read_literal("-7") == (1, {0: -7})
+    # values are canonicalised by from_terms: z(12)^4 reads as zeta_3
+    assert parse_cyclotomic("z(12)^4") == zeta(3)
+    assert parse_cyclotomic(" -z(5)^2 \n") == -zeta(5, 2)
+
+
+def test_a_conductor_2_mod_4_is_written_at_its_odd_half(monkeypatch):
+    """zeta_2m^k = (-1)^k zeta_m^(k(m+1)/2) for odd m, against the lift
+    zeta_2m = zeta_4m^2 through the descent."""
+    for m in range(1, 120, 2):
+        for k in range(-3, 2 * m + 3):
+            assert CyclotomicNumber.from_terms(2 * m, {k: 3}) == \
+                CyclotomicNumber.from_terms(4 * m, {2 * k: 3}), (m, k)
+    want, rebased = -zeta(9, 7), []
+    monkeypatch.setattr(cyclotomic, "_rebase", lambda *a: rebased.append(a) or _rebase(*a))
+    assert CyclotomicNumber.from_terms(18, {5: 1}) == want
+    assert rebased == []
+
+
+def test_power_tables_are_bounded():
+    """The power tables of the last `maxsize` conductors are kept, no more."""
+    bound = _power_table.cache_info().maxsize
+    assert bound == 64
+    for n in range(3, 3 + bound + 10):
+        _power_table(n)
+    assert _power_table.cache_info().currsize == bound
 
 
 def _solve_exact(columns, target):

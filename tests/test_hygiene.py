@@ -1,8 +1,9 @@
 """Program-wide guards: no definition under `src/isoprod` that nothing but
 the tests reads, no module but `groups` that reads a group's private
 members, no module but `cyclotomic` that builds a cyclotomic number past
-its canonical form, no reference cycle that keeps a group alive, and a test
-run that reports a failing property test as a failure."""
+its canonical form or reads the text of one, no reference cycle that
+keeps a group alive, and a test run that reports a failing property test
+as a failure."""
 
 import ast
 import gc
@@ -128,6 +129,29 @@ def test_only_cyclotomic_calls_the_raw_constructor():
     assert raw_cyclotomic_constructions(SRC / "cyclotomic.py")  # the scan sees calls
     assert [call for path in sorted(SRC.glob("*.py")) if path.name != "cyclotomic.py"
             for call in raw_cyclotomic_constructions(path)] == []
+
+
+def literal_syntax_strings(path: Path) -> list[str]:
+    """The string constants of the module at `path`, docstrings aside, that
+    spell the `z(N)` of a cyclotomic literal or a pattern for it, as
+    "file:line"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and id(n) not in docstrings and ("z(" in n.value or "z\\(" in n.value)]
+
+
+def test_only_cyclotomic_knows_the_literal_syntax():
+    """`cyclotomic.read_literal` is the one reader of the text that
+    `render_cyclotomic` writes; no other module scans that text itself."""
+    assert literal_syntax_strings(SRC / "cyclotomic.py")  # the scan sees the syntax
+    assert [s for path in sorted(SRC.glob("*.py")) if path.name != "cyclotomic.py"
+            for s in literal_syntax_strings(path)] == []
 
 
 def test_groups_are_freed_without_the_cyclic_collector():
